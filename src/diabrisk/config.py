@@ -9,7 +9,7 @@ for ``tree.max_depth`` and inside ``grid.tree.max_depth``.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 from .dataset import FEATURE_COLUMNS, HEALTH_MODEL_FEATURES
 from .errors import ConfigError
@@ -178,6 +178,11 @@ def parse_config(path: str = None, overrides: dict = None) -> ExperimentConfig:
         if forest_kw:
             forest_kw.setdefault("seed", cfg.seed)
             cfg = replace(cfg, forest=ForestParams(**forest_kw))
+        # every grid value must make valid params on its own
+        for base, grid in ((cfg.logreg, logistic_grid), (cfg.tree, tree_grid)):
+            for name, values in grid.items():
+                for value in values:
+                    replace(base, **{name: value})
     except ValueError as exc:
         raise ConfigError("params", str(exc)) from None
     if logistic_grid:
@@ -196,24 +201,10 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
         "output_dir": cfg.output_dir,
         "split_first": cfg.split_first,
         "health_features": list(cfg.health_features),
-        "smote": {
-            "k_neighbors": cfg.smote.k_neighbors,
-            "seed": cfg.smote.seed,
-            "target_ratio": cfg.smote.target_ratio,
-        },
-        "logreg": {
-            "penalty": cfg.logreg.penalty,
-            "C": cfg.logreg.C,
-            "optimizer": cfg.logreg.optimizer,
-            "max_iter": cfg.logreg.max_iter,
-            "tol": cfg.logreg.tol,
-            "standardize": cfg.logreg.standardize,
-        },
-        "tree": {
-            "max_depth": cfg.tree.max_depth,
-            "min_samples_split": cfg.tree.min_samples_split,
-            "min_samples_leaf": cfg.tree.min_samples_leaf,
-        },
+        "smote": asdict(cfg.smote),
+        "logreg": asdict(cfg.logreg),
+        "tree": asdict(cfg.tree),
+        # explicit: the echo leaves out the forest's nested tree params
         "forest": {
             "n_trees": cfg.forest.n_trees,
             "max_features": cfg.forest.max_features,

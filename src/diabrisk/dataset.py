@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    DataError,
     EmptyData,
     InsufficientRows,
     MissingColumn,
@@ -182,12 +183,34 @@ def _check_range(value: float, row: int, col: str, schema: ColumnSchema):
         raise OutOfRange(row, col, value, desc)
 
 
+def _undecodable_row(path) -> int:
+    """Number of the first line that is not UTF-8 (0 = header); lines split
+    exactly on bytes because a newline byte never occurs inside a UTF-8
+    sequence."""
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                return lineno
+    return 0
+
+
 def load_csv(path) -> DataTable:
     """Load and strictly validate the 22-column indicators CSV.
 
     Row numbers in errors are 1-based data rows (header excluded).
     """
-    with open(path, newline="") as fh:
+    try:
+        return _load_csv(path)
+    except UnicodeDecodeError:
+        row = _undecodable_row(path)
+        where = f"row {row}" if row else "the header"
+        raise DataError(f"{where} is not valid UTF-8 text") from None
+
+
+def _load_csv(path) -> DataTable:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -199,10 +222,13 @@ def load_csv(path) -> DataTable:
                 raise MissingColumn(name)
         schema = ColumnSchema.canonical()
         order = [header.index(name) for name in CANONICAL_COLUMNS]
+        width = len(header)
         data = []
         for i, raw in enumerate(reader, start=1):
             if not raw:
                 continue
+            if len(raw) < width:
+                raise DataError(f"row {i} has {len(raw)} cells, expected {width}")
             parsed = []
             for j, col in zip(order, CANONICAL_COLUMNS):
                 value = _parse_cell(raw[j].strip(), i, col)

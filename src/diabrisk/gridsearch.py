@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -60,15 +60,7 @@ def k_fold_indices(n: int, k: int, seed: int):
     earlier folds take the remainder."""
     if k > n or k < 1:
         raise BadParams("need 1 <= k <= n")
-    perm = np.random.default_rng(seed).permutation(n)
-    base, extra = divmod(n, k)
-    folds = []
-    start = 0
-    for i in range(k):
-        size = base + (1 if i < extra else 0)
-        folds.append(perm[start:start + size])
-        start += size
-    return folds
+    return np.array_split(np.random.default_rng(seed).permutation(n), k)
 
 
 def _combinations(grid: dict):
@@ -77,85 +69,78 @@ def _combinations(grid: dict):
         yield dict(zip(names, values))
 
 
-def _fit_score(family, combo, X, y, train_idx, valid_idx):
-    Xtr, ytr = X[train_idx], y[train_idx]
-    Xva, yva = X[valid_idx], y[valid_idx]
-    if family == "logistic":
-        params = LogRegParams(
-            penalty=combo.get("penalty", "l2"),
-            C=combo.get("C", 1.0),
-            optimizer=combo.get("optimizer", "gradient"),
-            max_iter=combo.get("max_iter", 1000),
-            tol=combo.get("tol", 1e-6),
-        )
-        model = fit_logreg(Xtr, LabelVector(ytr), params)
-        scores = predict_proba(model, Xva)
-    elif family == "tree":
-        params = TreeParams(
-            max_depth=combo.get("max_depth"),
-            min_samples_split=combo.get("min_samples_split", 2),
-            min_samples_leaf=combo.get("min_samples_leaf", 1),
-        )
-        model = fit_tree(Xtr, LabelVector(ytr), params)
-        _, scores = predict_tree(model, Xva)
-    else:
-        raise BadParams(f"unknown model family: {family}")
-    return roc_curve(yva, scores).auc
+# fit, predict and roc_curve are read as module globals at each call, so a
+# wrapper set on those attributes (perfbench/tracer.py) sees every grid fit
+def _score_logistic(params, X_train, y_train, X_valid, y_valid):
+    model = fit_logreg(X_train, LabelVector(y_train), params)
+    return roc_curve(y_valid, predict_proba(model, X_valid)).auc
+
+
+def _score_tree(params, X_train, y_train, X_valid, y_valid):
+    model = fit_tree(X_train, LabelVector(y_train), params)
+    return roc_curve(y_valid, predict_tree(model, X_valid)[1]).auc
+
+
+# family -> (params type, fold scorer, default grid)
+FAMILIES = {
+    "logistic": (LogRegParams, _score_logistic, DEFAULT_LOGISTIC_GRID),
+    "tree": (TreeParams, _score_tree, DEFAULT_TREE_GRID),
+}
 
 
 def _draw_folds(y, n, cv: CvConfig):
-    """Folds whose training sides all contain both classes; re-drawn from a
-    derived seed when violated, at most 10 attempts."""
+    """(train, valid) index pairs whose sides all contain both classes;
+    re-drawn from a derived seed when violated, at most 10 attempts."""
     for attempt in range(10):
         seed = cv.seed if attempt == 0 else hash((cv.seed, attempt)) % (2**31)
-        folds = k_fold_indices(n, cv.folds, seed)
-        ok = True
-        for fold in folds:
+        pairs = []
+        for fold in k_fold_indices(n, cv.folds, seed):
             mask = np.ones(n, dtype=bool)
             mask[fold] = False
             if len(np.unique(y[mask])) < 2 or len(np.unique(y[fold])) < 2:
-                ok = False
                 break
-        if ok:
-            return folds
+            pairs.append((np.flatnonzero(mask), fold))
+        else:
+            return pairs
     raise FoldDegenerate("could not draw folds with both classes present")
 
 
 def grid_search(X, y, family: str, grid: dict = None,
-                cv: CvConfig = CvConfig()) -> GridResult:
+                cv: CvConfig = CvConfig(), base=None) -> GridResult:
+    """Score every grid cell by CV AUC. Each cell's params are ``base`` (the
+    family's defaults when None) with the cell's grid values replaced."""
+    if family not in FAMILIES:
+        raise BadParams(f"unknown model family: {family}")
+    params_type, score, default_grid = FAMILIES[family]
     X = np.asarray(X, dtype=float)
     labels = y.values if isinstance(y, LabelVector) else np.asarray(y, dtype=int)
     if len(np.unique(labels)) < 2:
         raise SingleClass("both classes are required for tuning")
-    if grid is None:
-        grid = DEFAULT_LOGISTIC_GRID if family == "logistic" else DEFAULT_TREE_GRID
+    grid = default_grid if grid is None else grid
     if any(not values for values in grid.values()):
         raise BadParams("every grid dimension needs at least one value")
+    combos = list(_combinations(grid))
+    try:
+        cell_params = [replace(base or params_type(), **c) for c in combos]
+    except (TypeError, ValueError) as exc:
+        raise BadParams(f"invalid {family} grid: {exc}") from None
 
-    n = X.shape[0]
-    folds = _draw_folds(labels, n, cv)
-    all_idx = np.arange(n)
-
+    folds = _draw_folds(labels, X.shape[0], cv)
     cells = []
-    for combo in _combinations(grid):
-        fold_scores = []
-        for fold in folds:
-            train_idx = np.setdiff1d(all_idx, fold, assume_unique=False)
-            fold_scores.append(
-                _fit_score(family, combo, X, labels, train_idx, fold)
-            )
+    for combo, params in zip(combos, cell_params):
+        fold_scores = [
+            score(params, X[train], labels[train], X[valid], labels[valid])
+            for train, valid in folds
+        ]
         cells.append(GridCell(
-            params=dict(combo),
+            params=combo,
             fold_scores=tuple(fold_scores),
             mean_score=float(np.mean(fold_scores)),
             std_score=float(np.std(fold_scores)),
         ))
 
-    best = max(range(len(cells)), key=lambda i: cells[i].mean_score)
     # max() keeps the first cell on exact ties, i.e. grid order wins
-    best = next(
-        i for i, c in enumerate(cells) if c.mean_score == cells[best].mean_score
-    )
+    best = max(range(len(cells)), key=lambda i: cells[i].mean_score)
     return GridResult(
         family=family,
         cells=tuple(cells),

@@ -38,7 +38,6 @@ class LogRegParams:
     max_iter: int = 1000
     tol: float = 1e-6
     standardize: bool = True
-    seed: int = 0
 
     def __post_init__(self):
         if self.penalty not in PENALTIES:

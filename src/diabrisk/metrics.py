@@ -169,28 +169,26 @@ def pr_curve(y_true, scores) -> PrCurve:
     return PrCurve(points, ap)
 
 
-def report_to_text(report: ClassificationReport, title: str,
+def report_to_text(report: dict, title: str,
                    auc: float | None = None, auc_label: str = "AUC Score") -> str:
-    """Fixed-width rendering with 2-decimal metrics; AUC at full precision."""
-    def row(label, precision, recall, f1, support):
-        return (f"{label:>12}  {precision:>9.2f} {recall:>9.2f} "
-                f"{f1:>9.2f} {support:>9d}")
+    """Fixed-width rendering of a ``report_to_dict`` report with 2-decimal
+    metrics; AUC at full precision."""
+    def row(label, stats, support):
+        return (f"{label:>12}  {stats['precision']:>9.2f} {stats['recall']:>9.2f} "
+                f"{stats['f1']:>9.2f} {support:>9d}")
 
+    total = report["total_support"]
     lines = [
         f"{title}:",
         f"{'':>12}  {'precision':>9} {'recall':>9} {'f1-score':>9} {'support':>9}",
         "",
-        row("0", report.class0.precision, report.class0.recall,
-            report.class0.f1, report.class0.support),
-        row("1", report.class1.precision, report.class1.recall,
-            report.class1.f1, report.class1.support),
+        row("0", report["class0"], report["class0"]["support"]),
+        row("1", report["class1"], report["class1"]["support"]),
         "",
-        f"{'accuracy':>12}  {'':>9} {'':>9} {report.accuracy:>9.2f} "
-        f"{report.total_support:>9d}",
-        row("macro avg", report.macro_precision, report.macro_recall,
-            report.macro_f1, report.total_support),
-        row("weighted avg", report.weighted_precision, report.weighted_recall,
-            report.weighted_f1, report.total_support),
+        f"{'accuracy':>12}  {'':>9} {'':>9} {report['accuracy']:>9.2f} "
+        f"{total:>9d}",
+        row("macro avg", report["macro"], total),
+        row("weighted avg", report["weighted"], total),
     ]
     if auc is not None:
         lines += ["", f"{title.replace(' Report', '')} {auc_label}: {auc!r}"]

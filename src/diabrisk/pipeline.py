@@ -7,6 +7,7 @@ import csv
 import json
 import os
 import time
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -23,15 +24,8 @@ from .dataset import (
     train_test_split,
 )
 from .feature_selection import RfeParams, consensus_rank, rfe
-from .gridsearch import (
-    DEFAULT_LOGISTIC_GRID,
-    DEFAULT_TREE_GRID,
-    CvConfig,
-    GridResult,
-    grid_search,
-)
+from .gridsearch import CvConfig, GridResult, grid_search
 from .logistic import (
-    LogRegParams,
     fit_logreg,
     lasso_coefficients,
     model_to_text,
@@ -47,8 +41,8 @@ from .metrics import (
     roc_curve,
 )
 from .smote import smote_balance
-from .tree import TreeParams, fit_forest, fit_tree, impurity_importance, \
-    predict_tree, tree_to_text
+from .tree import fit_forest, fit_tree, impurity_importance, predict_tree, \
+    tree_to_text
 
 LEAKAGE_WARNING = (
     "SMOTE was applied to the full table before the train/test split; "
@@ -60,6 +54,7 @@ LEAKAGE_WARNING = (
 # published values this pipeline tracks; reported for comparison, never gated on
 REFERENCE_TUNED_AUC = {"health": 0.7743, "income": 0.633}
 INCOME_FEATURE = ["Income"]
+TITLES = {"health": "Health Indicators Model", "income": "Income Model"}
 
 
 class _Run:
@@ -287,13 +282,21 @@ def _grid_summary(result: GridResult) -> dict:
     }
 
 
+def _model_params(cfg: ExperimentConfig, experiment: str):
+    """The configured params of an experiment's model; tuning starts here."""
+    return cfg.logreg if experiment == "health" else cfg.tree
+
+
 def _tune(cfg: ExperimentConfig, experiment: str, X_train, y_train):
-    cv = CvConfig(folds=cfg.cv_folds, seed=cfg.seed)
-    if experiment == "health":
-        grid = cfg.logistic_grid or DEFAULT_LOGISTIC_GRID
-        return grid_search(X_train, LabelVector(y_train), "logistic", grid, cv)
-    grid = cfg.tree_grid or DEFAULT_TREE_GRID
-    return grid_search(X_train, LabelVector(y_train), "tree", grid, cv)
+    family, grid = (
+        ("logistic", cfg.logistic_grid) if experiment == "health"
+        else ("tree", cfg.tree_grid)
+    )
+    return grid_search(
+        X_train, LabelVector(y_train), family, grid,
+        CvConfig(folds=cfg.cv_folds, seed=cfg.seed),
+        base=_model_params(cfg, experiment),
+    )
 
 
 def _evaluate_and_write(run, title, y_test, y_pred, scores):
@@ -342,25 +345,14 @@ def run_train(cfg: ExperimentConfig, experiment: str, tuned: bool,
     if balanced and not cfg.split_first:
         warnings.append(LEAKAGE_WARNING)
 
+    params = _model_params(cfg, experiment)
     grid_result = None
     if tuned:
         grid_result = _tune(cfg, experiment, X_train, y_train)
         _grid_cells_csv(run, "grid.csv", grid_result)
+        params = replace(params, **grid_result.best_params)
 
     if experiment == "health":
-        title = "Health Indicators Model"
-        params = cfg.logreg
-        if tuned:
-            params = LogRegParams(
-                penalty=cfg.logreg.penalty,
-                C=grid_result.best_params.get("C", cfg.logreg.C),
-                optimizer=grid_result.best_params.get(
-                    "optimizer", cfg.logreg.optimizer
-                ),
-                max_iter=cfg.logreg.max_iter,
-                tol=cfg.logreg.tol,
-                standardize=cfg.logreg.standardize,
-            )
         model = fit_logreg(X_train, LabelVector(y_train), params,
                            feature_names=names)
         scores = predict_proba(model, X_test)
@@ -379,30 +371,16 @@ def run_train(cfg: ExperimentConfig, experiment: str, tuned: bool,
             "intercept": model.intercept,
         }
     else:
-        title = "Income Model"
-        tree_params = cfg.tree
-        if tuned:
-            tree_params = TreeParams(
-                max_depth=grid_result.best_params.get("max_depth"),
-                min_samples_split=grid_result.best_params.get(
-                    "min_samples_split", 2
-                ),
-                min_samples_leaf=grid_result.best_params.get(
-                    "min_samples_leaf", 1
-                ),
-            )
-        model = fit_tree(X_train, LabelVector(y_train), tree_params,
+        model = fit_tree(X_train, LabelVector(y_train), params,
                          feature_names=names)
         y_pred_lv, scores = predict_tree(model, X_test)
         y_pred = y_pred_lv.values
         run.write_text("tree.txt", tree_to_text(model))
-        model_info = {"type": "tree", "params": {
-            "max_depth": tree_params.max_depth,
-            "min_samples_split": tree_params.min_samples_split,
-            "min_samples_leaf": tree_params.min_samples_leaf,
-        }}
+        model_info = {"type": "tree", "params": asdict(params)}
 
-    report, roc, pr, cm = _evaluate_and_write(run, title, y_test, y_pred, scores)
+    report, roc, pr, cm = _evaluate_and_write(
+        run, TITLES[experiment], y_test, y_pred, scores
+    )
 
     minority_recall = report.class1.recall
     if minority_recall < 0.2:
@@ -410,11 +388,6 @@ def run_train(cfg: ExperimentConfig, experiment: str, tuned: bool,
             f"degenerate minority recall {minority_recall:.3f}: the model is "
             "effectively not predicting the positive class"
         )
-
-    text = report_to_text(report, f"{title} Report", auc=roc.auc)
-    if warnings:
-        text += "\nWarnings:\n" + "\n".join(f"- {w}" for w in warnings) + "\n"
-    run.write_text("report.txt", text)
 
     doc = {
         "command": "train" if balanced else "baseline",
@@ -440,6 +413,7 @@ def run_train(cfg: ExperimentConfig, experiment: str, tuned: bool,
     if tuned:
         doc["grid"] = _grid_summary(grid_result)
         doc["reference_tuned_auc"] = REFERENCE_TUNED_AUC[experiment]
+    run.write_text("report.txt", _render_report(doc))
     return run.finalize(doc)
 
 
@@ -469,6 +443,20 @@ def run_tune_only(cfg: ExperimentConfig, experiment: str) -> dict:
     return run.finalize(doc)
 
 
+def _render_report(doc: dict) -> str:
+    """report.txt of a train/baseline run, from its report.json dict."""
+    title = TITLES[doc["experiment"]]
+    metrics = doc["metrics"]
+    text = report_to_text(
+        metrics["classification_report"], f"{title} Report", auc=metrics["auc"]
+    )
+    if doc["warnings"]:
+        text += "\nWarnings:\n" + "\n".join(
+            f"- {w}" for w in doc["warnings"]
+        ) + "\n"
+    return text
+
+
 def rerender_report(out_dir: str, prefix: str = "") -> str:
     """Rebuild report.txt from an existing report.json (report subcommand)."""
     with open(os.path.join(out_dir, prefix + "report.json")) as fh:
@@ -478,36 +466,7 @@ def rerender_report(out_dir: str, prefix: str = "") -> str:
             "report.json was not produced by a train/baseline run; "
             "nothing to re-render"
         )
-    metrics = doc["metrics"]["classification_report"]
-    from .metrics import ClassificationReport, ClassStats
-
-    def stats(d):
-        return ClassStats(
-            d["precision"], d["recall"], d["f1"], d["support"],
-            tuple(d["zero_division_flags"]),
-        )
-
-    report = ClassificationReport(
-        class0=stats(metrics["class0"]),
-        class1=stats(metrics["class1"]),
-        accuracy=metrics["accuracy"],
-        macro_precision=metrics["macro"]["precision"],
-        macro_recall=metrics["macro"]["recall"],
-        macro_f1=metrics["macro"]["f1"],
-        weighted_precision=metrics["weighted"]["precision"],
-        weighted_recall=metrics["weighted"]["recall"],
-        weighted_f1=metrics["weighted"]["f1"],
-        total_support=metrics["total_support"],
-    )
-    title = (
-        "Health Indicators Model" if doc["experiment"] == "health"
-        else "Income Model"
-    )
-    text = report_to_text(report, f"{title} Report", auc=doc["metrics"]["auc"])
-    if doc.get("warnings"):
-        text += "\nWarnings:\n" + "\n".join(
-            f"- {w}" for w in doc["warnings"]
-        ) + "\n"
+    text = _render_report(doc)
     with open(os.path.join(out_dir, prefix + "report.txt"), "w") as fh:
         fh.write(text)
     return text

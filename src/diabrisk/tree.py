@@ -23,7 +23,6 @@ class TreeParams:
     max_depth: int | None = None
     min_samples_split: int = 2
     min_samples_leaf: int = 1
-    seed: int = 0
 
     def __post_init__(self):
         if self.min_samples_split < 2 or self.min_samples_leaf < 1:
@@ -336,29 +335,28 @@ def tree_from_text(text: str) -> DecisionTreeModel:
         min_samples_leaf=int(head["min_samples_leaf"]),
     )
 
-    pos = [body_start]
-
-    def parse(depth):
-        line = lines[pos[0]]
-        pos[0] += 1
+    # preorder, as tree_to_text writes it: a stack of the child slots still
+    # to fill, the next one on top
+    root = None
+    slots = []
+    for line in lines[body_start:]:
         fields = dict(kv.split("=", 1) for kv in line.split() if "=" in kv)
         if line.lstrip().startswith("leaf"):
-            return Leaf(int(fields["neg"]), int(fields["pos"]))
-        node = Internal(
-            int(fields["feature"]), float(fields["threshold"]),
-            float(fields["impurity"]), int(fields["n"]), float(fields["decrease"]),
-        )
-        node.left = parse(depth + 1)
-        node.right = parse(depth + 1)
-        return node
-
-    import sys
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 10000 + len(lines)))
-    try:
-        root = parse(0)
-    finally:
-        sys.setrecursionlimit(old_limit)
+            node = Leaf(int(fields["neg"]), int(fields["pos"]))
+        else:
+            node = Internal(
+                int(fields["feature"]), float(fields["threshold"]),
+                float(fields["impurity"]), int(fields["n"]),
+                float(fields["decrease"]),
+            )
+        if root is None:
+            root = node
+        else:
+            parent, side = slots.pop()
+            setattr(parent, side, node)
+        if isinstance(node, Internal):
+            slots.append((node, "right"))
+            slots.append((node, "left"))
     return DecisionTreeModel(
         root=root, params=params, n_features=int(head["n_features"]),
         feature_names=feature_names,

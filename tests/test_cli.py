@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from diabrisk import gridsearch, pipeline
 from diabrisk.cli import main
 from diabrisk.logistic import model_from_text
 from diabrisk.tree import tree_from_text
@@ -125,6 +126,52 @@ class TestTrain:
         assert report["grid"]["n_fits"] == 6
         assert (out / "grid.csv").exists()
 
+    def test_tuning_starts_from_configured_logreg(
+        self, synthetic_csv, tmp_path, monkeypatch
+    ):
+        seen = {"grid": [], "refit": []}
+        for module, key in ((gridsearch, "grid"), (pipeline, "refit")):
+            def recording(X, y, params, *a, _fit=module.fit_logreg, _key=key,
+                          **kw):
+                seen[_key].append(params)
+                return _fit(X, y, params, *a, **kw)
+            monkeypatch.setattr(module, "fit_logreg", recording)
+        conf = write_config(tmp_path, (
+            "logreg.penalty = l1\nlogreg.max_iter = 50\nlogreg.tol = 1e-5\n"
+            "grid.logistic.c = 0.1, 1\ncv.folds = 3\n"
+        ))
+        code = run_cli("train", "--experiment", "health", "--tuned",
+                       "--data", synthetic_csv, "--out", str(tmp_path / "out"),
+                       "--config", str(conf))
+        assert code == 0
+        assert len(seen["grid"]) == 6 and len(seen["refit"]) == 1
+        for params in seen["grid"] + seen["refit"]:
+            assert (params.penalty, params.max_iter, params.tol) \
+                == ("l1", 50, 1e-5)
+
+    def test_tuning_starts_from_configured_tree(
+        self, synthetic_csv, tmp_path, monkeypatch
+    ):
+        seen = []
+        for module in (gridsearch, pipeline):
+            def recording(X, y, params, *a, _fit=module.fit_tree, **kw):
+                seen.append(params)
+                return _fit(X, y, params, *a, **kw)
+            monkeypatch.setattr(module, "fit_tree", recording)
+        out = tmp_path / "out"
+        conf = write_config(tmp_path, (
+            "tree.min_samples_leaf = 20\ngrid.tree.max_depth = 2, 4\n"
+            "cv.folds = 3\n"
+        ))
+        code = run_cli("train", "--experiment", "income", "--tuned",
+                       "--data", synthetic_csv, "--out", str(out),
+                       "--config", str(conf))
+        assert code == 0
+        assert len(seen) == 7  # 2 cells x 3 folds + the refit
+        assert all(p.min_samples_leaf == 20 for p in seen)
+        report = read_json(out / "report.json")
+        assert report["model"]["params"]["min_samples_leaf"] == 20
+
     def test_baseline_runs_without_smote(self, synthetic_csv, tmp_path):
         out = tmp_path / "out"
         assert run_cli("baseline", "--data", synthetic_csv,
@@ -176,10 +223,14 @@ class TestTuneOnly:
 
 
 class TestReportSubcommand:
-    def test_rerender_matches_original(self, synthetic_csv, tmp_path):
+    @pytest.mark.parametrize("command", [
+        ("train", "--experiment", "health"),
+        ("train", "--experiment", "income", "--tuned"),
+        ("baseline",),
+    ], ids=["health", "income-tuned", "baseline"])
+    def test_rerender_matches_original(self, synthetic_csv, tmp_path, command):
         out = tmp_path / "out"
-        run_cli("train", "--experiment", "health",
-                "--data", synthetic_csv, "--out", str(out))
+        assert run_cli(*command, "--data", synthetic_csv, "--out", str(out)) == 0
         original = (out / "report.txt").read_text()
         (out / "report.txt").unlink()
         assert run_cli("report", "--out", str(out)) == 0
@@ -204,6 +255,21 @@ class TestExitCodes:
         assert run_cli("eda", "--data", data,
                        "--out", str(tmp_path / "out")) == 2
 
+    @pytest.mark.parametrize("defect", ["short_row", "bad_byte"])
+    def test_malformed_csv_is_data_error(self, tmp_path, capsys, defect):
+        rows = synthetic_rows(30, seed=1)
+        if defect == "short_row":
+            rows[4] = rows[4][:-2]
+        data = write_rows(tmp_path / "bad.csv", rows)
+        if defect == "bad_byte":
+            raw = (tmp_path / "bad.csv").read_bytes().split(b"\n")
+            raw[5] = b"\xff" + raw[5]
+            (tmp_path / "bad.csv").write_bytes(b"\n".join(raw))
+        assert run_cli("eda", "--data", data,
+                       "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "row 5" in err
+
     def test_single_class_is_training_error(self, tmp_path):
         rows = synthetic_rows(50, seed=2, diabetes_rate=0.0)
         data = write_rows(tmp_path / "one.csv", rows)
@@ -215,6 +281,19 @@ class TestExitCodes:
         assert run_cli("eda", "--data", synthetic_csv,
                        "--out", str(tmp_path / "out"),
                        "--config", str(conf)) == 4
+
+    @pytest.mark.parametrize("grid", [
+        "grid.logistic.c = 0, 1", "grid.tree.min_samples_leaf = 0",
+    ])
+    def test_bad_grid_value_is_config_error(
+        self, synthetic_csv, tmp_path, capsys, grid
+    ):
+        experiment = "health" if "logistic" in grid else "income"
+        conf = write_config(tmp_path, grid + "\n")
+        assert run_cli("train", "--experiment", experiment, "--tuned",
+                       "--data", synthetic_csv, "--out", str(tmp_path / "out"),
+                       "--config", str(conf)) == 4
+        assert capsys.readouterr().err.startswith("config error:")
 
     def test_no_data_given(self, tmp_path):
         assert run_cli("eda", "--out", str(tmp_path / "out")) == 4

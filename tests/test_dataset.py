@@ -17,6 +17,7 @@ from diabrisk.dataset import (
     write_csv,
 )
 from diabrisk.errors import (
+    DataError,
     EmptyData,
     InsufficientRows,
     MissingColumn,
@@ -86,6 +87,22 @@ class TestLoadCsv:
         rows[1][CANONICAL_COLUMNS.index("GenHlth")] = 2.5
         path = write_rows(tmp_path / "t.csv", rows)
         with pytest.raises(OutOfRange):
+            load_csv(path)
+
+    def test_short_row_is_located(self, tmp_path):
+        rows = small_rows()
+        rows[2] = rows[2][:20]
+        path = write_rows(tmp_path / "t.csv", rows)
+        with pytest.raises(DataError, match="row 3 has 20 cells, expected 22"):
+            load_csv(path)
+
+    def test_non_utf8_byte_is_located(self, tmp_path):
+        # far enough in that the bad byte is not in the first decoded chunk
+        path = write_rows(tmp_path / "t.csv", synthetic_rows(400, seed=1))
+        lines = (tmp_path / "t.csv").read_bytes().split(b"\n")
+        lines[300] = b"\xff" + lines[300]
+        (tmp_path / "t.csv").write_bytes(b"\n".join(lines))
+        with pytest.raises(DataError, match="row 300 is not valid UTF-8"):
             load_csv(path)
 
     def test_shuffled_header_accepted(self, tmp_path):

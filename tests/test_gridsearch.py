@@ -7,6 +7,7 @@ from diabrisk.gridsearch import (
     grid_search,
     k_fold_indices,
 )
+from diabrisk.tree import TreeParams
 
 
 def small_problem(seed=0, n=120, p=3):
@@ -122,6 +123,24 @@ class TestGridSearch:
         X, y = small_problem()
         with pytest.raises(BadParams):
             grid_search(X, y, "svm", {"C": [1.0]})
+
+    def test_cells_start_from_base(self):
+        X, y = small_problem(seed=7)
+        result = grid_search(X, y, "tree", {"max_depth": [2, 3]},
+                             CvConfig(folds=3),
+                             base=TreeParams(min_samples_leaf=80))
+        # leaves of 80 rows out of 80 training rows: no split is possible
+        assert all(s == 0.5 for c in result.cells for s in c.fold_scores)
+
+    @pytest.mark.parametrize("grid", [
+        {"C": [1.0], "penalty_typo": ["l1"]},
+        {"C": [0.0, 1.0]},
+        {"optimizer": ["newton"]},
+    ])
+    def test_bad_grid_rejected(self, grid):
+        X, y = small_problem()
+        with pytest.raises(BadParams):
+            grid_search(X, y, "logistic", grid)
 
     def test_empty_grid_dimension(self):
         X, y = small_problem()

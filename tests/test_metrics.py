@@ -202,7 +202,7 @@ class TestPrCurve:
 class TestRendering:
     def test_text_contains_rows_and_auc(self):
         r = classification_report([0, 0, 1, 1], [0, 1, 1, 1])
-        text = report_to_text(r, "Example Report", auc=0.875)
+        text = report_to_text(report_to_dict(r), "Example Report", auc=0.875)
         assert "precision" in text and "weighted avg" in text
         assert "Example AUC Score: 0.875" in text
         assert f"{r.accuracy:.2f}" in text

@@ -4,6 +4,7 @@ import pytest
 from diabrisk.dataset import LabelVector
 from diabrisk.errors import DimensionMismatch, EmptyNode, SingleClass
 from diabrisk.tree import (
+    DecisionTreeModel,
     ForestParams,
     Internal,
     Leaf,
@@ -255,3 +256,24 @@ class TestSerialization:
         assert np.array_equal(sa, sb)
         assert restored.feature_names == ("a", "b", "c")
         assert restored.params.max_depth == 8
+
+    def test_round_trip_deeper_than_recursion_limit(self):
+        # a chain: each split sends x <= i + 0.5 to a leaf, the rest deeper
+        depth = 3000
+        root = node = Internal(0, 0.5, 0.5, depth + 1, 0.0)
+        for i in range(depth):
+            node.left = Leaf(0, 1) if i % 2 else Leaf(1, 0)
+            if i == depth - 1:
+                node.right = Leaf(1, 1)
+            else:
+                node.right = Internal(0, i + 1.5, 0.5, depth - i, 0.0)
+                node = node.right
+        model = DecisionTreeModel(root=root, params=TreeParams(), n_features=1)
+        text = tree_to_text(model)
+        restored = tree_from_text(text)
+        assert tree_to_text(restored) == text
+        Xq = np.arange(-1.0, depth + 2.0).reshape(-1, 1)
+        la, sa = predict_tree(model, Xq)
+        lb, sb = predict_tree(restored, Xq)
+        assert np.array_equal(la.values, lb.values)
+        assert np.array_equal(sa, sb)
