@@ -63,21 +63,78 @@ def _parse_bool(key, text):
     raise ConfigError(key, f"expected a boolean, got {text!r}")
 
 
-def _parse_num(key, text, kind):
-    try:
-        return kind(text)
-    except ValueError:
-        raise ConfigError(key, f"expected {kind.__name__}, got {text!r}") from None
+def _parse_num(kind):
+    def parse(key, text):
+        try:
+            return kind(text)
+        except ValueError:
+            raise ConfigError(key, f"expected {kind.__name__}, got {text!r}") from None
+    return parse
+
+
+_parse_int = _parse_num(int)
+_parse_float = _parse_num(float)
+
+
+def _parse_str(key, text):
+    return text
 
 
 def _parse_depth(key, text):
     if text.lower() == "none":
         return None
-    return _parse_num(key, text, int)
+    return _parse_int(key, text)
 
 
 def _csv_list(text, convert):
     return [convert(v.strip()) for v in text.split(",") if v.strip()]
+
+
+def _parse_names(key, text):
+    return tuple(_csv_list(text, str))
+
+
+# key -> (group, field, parser). The group "config" is ExperimentConfig
+# itself; a "*_grid" key takes a comma separated list of field values.
+_KEYS = {
+    "data_path": ("config", "data_path", _parse_str),
+    "seed": ("config", "seed", _parse_int),
+    "test_fraction": ("config", "test_fraction", _parse_float),
+    "output_dir": ("config", "output_dir", _parse_str),
+    "split_first": ("config", "split_first", _parse_bool),
+    "health_features": ("config", "health_features", _parse_names),
+    "cv.folds": ("config", "cv_folds", _parse_int),
+    "lasso.lambda": ("config", "lasso_lambda", _parse_float),
+    "rfe.n_select": ("config", "rfe_n_select", _parse_int),
+    "smote.k_neighbors": ("smote", "k_neighbors", _parse_int),
+    "smote.seed": ("smote", "seed", _parse_int),
+    "smote.target_ratio": ("smote", "target_ratio", _parse_float),
+    "logreg.penalty": ("logreg", "penalty", _parse_str),
+    "logreg.c": ("logreg", "C", _parse_float),
+    "logreg.optimizer": ("logreg", "optimizer", _parse_str),
+    "logreg.max_iter": ("logreg", "max_iter", _parse_int),
+    "logreg.tol": ("logreg", "tol", _parse_float),
+    "logreg.standardize": ("logreg", "standardize", _parse_bool),
+    "tree.max_depth": ("tree", "max_depth", _parse_depth),
+    "tree.min_samples_split": ("tree", "min_samples_split", _parse_int),
+    "tree.min_samples_leaf": ("tree", "min_samples_leaf", _parse_int),
+    "forest.n_trees": ("forest", "n_trees", _parse_int),
+    "forest.max_features": ("forest", "max_features", _parse_int),
+    "grid.logistic.c": ("logistic_grid", "C", _parse_float),
+    "grid.logistic.optimizer": ("logistic_grid", "optimizer", _parse_str),
+    "grid.tree.max_depth": ("tree_grid", "max_depth", _parse_depth),
+    "grid.tree.min_samples_split": ("tree_grid", "min_samples_split", _parse_int),
+    "grid.tree.min_samples_leaf": ("tree_grid", "min_samples_leaf", _parse_int),
+}
+
+
+def _with_field(key, params, name, value):
+    """``params`` with one field replaced; an invalid value is a config error
+    at the key that gave it."""
+    try:
+        return replace(params, **{name: value})
+    except ValueError as exc:
+        raise ConfigError(key, f"bad value {value!r}: {exc}") from None
 
 
 def parse_config(path: str = None, overrides: dict = None) -> ExperimentConfig:
@@ -102,93 +159,36 @@ def parse_config(path: str = None, overrides: dict = None) -> ExperimentConfig:
         raw.update({k: v for k, v in overrides.items() if v is not None})
 
     cfg = ExperimentConfig()
-    smote_kw, logreg_kw, tree_kw, forest_kw = {}, {}, {}, {}
-    logistic_grid, tree_grid = {}, {}
-
+    # params group -> {field: (key, value)}
+    groups = {g: {} for g in ("smote", "logreg", "tree", "forest",
+                              "logistic_grid", "tree_grid")}
     for key, value in raw.items():
-        if key == "data_path":
-            cfg = replace(cfg, data_path=value)
-        elif key == "seed":
-            cfg = replace(cfg, seed=_parse_num(key, value, int))
-        elif key == "test_fraction":
-            cfg = replace(cfg, test_fraction=_parse_num(key, value, float))
-        elif key == "output_dir":
-            cfg = replace(cfg, output_dir=value)
-        elif key == "split_first":
-            cfg = replace(cfg, split_first=_parse_bool(key, value))
-        elif key == "health_features":
-            cfg = replace(cfg, health_features=tuple(_csv_list(value, str)))
-        elif key == "cv.folds":
-            cfg = replace(cfg, cv_folds=_parse_num(key, value, int))
-        elif key == "lasso.lambda":
-            cfg = replace(cfg, lasso_lambda=_parse_num(key, value, float))
-        elif key == "rfe.n_select":
-            cfg = replace(cfg, rfe_n_select=_parse_num(key, value, int))
-        elif key == "smote.k_neighbors":
-            smote_kw["k_neighbors"] = _parse_num(key, value, int)
-        elif key == "smote.seed":
-            smote_kw["seed"] = _parse_num(key, value, int)
-        elif key == "smote.target_ratio":
-            smote_kw["target_ratio"] = _parse_num(key, value, float)
-        elif key == "logreg.penalty":
-            logreg_kw["penalty"] = value
-        elif key == "logreg.c":
-            logreg_kw["C"] = _parse_num(key, value, float)
-        elif key == "logreg.optimizer":
-            logreg_kw["optimizer"] = value
-        elif key == "logreg.max_iter":
-            logreg_kw["max_iter"] = _parse_num(key, value, int)
-        elif key == "logreg.tol":
-            logreg_kw["tol"] = _parse_num(key, value, float)
-        elif key == "logreg.standardize":
-            logreg_kw["standardize"] = _parse_bool(key, value)
-        elif key == "tree.max_depth":
-            tree_kw["max_depth"] = _parse_depth(key, value)
-        elif key == "tree.min_samples_split":
-            tree_kw["min_samples_split"] = _parse_num(key, value, int)
-        elif key == "tree.min_samples_leaf":
-            tree_kw["min_samples_leaf"] = _parse_num(key, value, int)
-        elif key == "forest.n_trees":
-            forest_kw["n_trees"] = _parse_num(key, value, int)
-        elif key == "forest.max_features":
-            forest_kw["max_features"] = _parse_num(key, value, int)
-        elif key == "grid.logistic.c":
-            logistic_grid["C"] = _csv_list(value, float)
-        elif key == "grid.logistic.optimizer":
-            logistic_grid["optimizer"] = _csv_list(value, str)
-        elif key == "grid.tree.max_depth":
-            tree_grid["max_depth"] = [
-                _parse_depth(key, v) for v in _csv_list(value, str)
-            ]
-        elif key == "grid.tree.min_samples_split":
-            tree_grid["min_samples_split"] = _csv_list(value, int)
-        elif key == "grid.tree.min_samples_leaf":
-            tree_grid["min_samples_leaf"] = _csv_list(value, int)
-        else:
+        if key not in _KEYS:
             raise ConfigError(key, "unknown key")
+        group, name, parse = _KEYS[key]
+        if group == "config":
+            cfg = replace(cfg, **{name: parse(key, value)})
+        elif group.endswith("_grid"):
+            groups[group][name] = (key, _csv_list(value, lambda v: parse(key, v)))
+        else:
+            groups[group][name] = (key, parse(key, value))
 
-    try:
-        if smote_kw:
-            smote_kw.setdefault("seed", cfg.seed)
-            cfg = replace(cfg, smote=SmoteParams(**smote_kw))
-        if logreg_kw:
-            cfg = replace(cfg, logreg=LogRegParams(**logreg_kw))
-        if tree_kw:
-            cfg = replace(cfg, tree=TreeParams(**tree_kw))
-        if forest_kw:
-            forest_kw.setdefault("seed", cfg.seed)
-            cfg = replace(cfg, forest=ForestParams(**forest_kw))
-        # every grid value must make valid params on its own
-        for base, grid in ((cfg.logreg, logistic_grid), (cfg.tree, tree_grid)):
-            for name, values in grid.items():
+    # params start from the defaults (seeded by the master seed) or, for the
+    # grids, from the configured params; each value is checked under its key
+    bases = {"smote": SmoteParams(seed=cfg.seed), "logreg": cfg.logreg,
+             "tree": cfg.tree, "forest": ForestParams(seed=cfg.seed)}
+    for group, base in bases.items():
+        if groups[group]:
+            for name, (key, value) in groups[group].items():
+                base = _with_field(key, base, name, value)
+            cfg = replace(cfg, **{group: base})
+    for group, base in (("logistic_grid", cfg.logreg), ("tree_grid", cfg.tree)):
+        if groups[group]:
+            for name, (key, values) in groups[group].items():
                 for value in values:
-                    replace(base, **{name: value})
-    except ValueError as exc:
-        raise ConfigError("params", str(exc)) from None
-    if logistic_grid:
-        cfg = replace(cfg, logistic_grid=logistic_grid)
-    if tree_grid:
-        cfg = replace(cfg, tree_grid=tree_grid)
+                    _with_field(key, base, name, value)
+            cfg = replace(cfg, **{group: {
+                name: values for name, (_, values) in groups[group].items()}})
     return cfg.resolved()
 
 

@@ -88,4 +88,4 @@ class FoldDegenerate(TrainingError):
 class ConfigError(PipelineError):
     def __init__(self, key, message):
         self.key = key
-        super().__init__(f"config error at {key}: {message}")
+        super().__init__(f"{key}: {message}")

@@ -28,13 +28,10 @@ DEFAULT_TREE_GRID = {
 class CvConfig:
     folds: int = 5
     seed: int = 0
-    scoring: str = "roc_auc"
 
     def __post_init__(self):
         if self.folds < 2:
             raise BadParams("folds must be >= 2")
-        if self.scoring != "roc_auc":
-            raise BadParams("only roc_auc scoring is supported")
 
 
 @dataclass(frozen=True)

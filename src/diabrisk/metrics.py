@@ -170,7 +170,7 @@ def pr_curve(y_true, scores) -> PrCurve:
 
 
 def report_to_text(report: dict, title: str,
-                   auc: float | None = None, auc_label: str = "AUC Score") -> str:
+                   auc: float | None = None) -> str:
     """Fixed-width rendering of a ``report_to_dict`` report with 2-decimal
     metrics; AUC at full precision."""
     def row(label, stats, support):
@@ -191,7 +191,7 @@ def report_to_text(report: dict, title: str,
         row("weighted avg", report["weighted"], total),
     ]
     if auc is not None:
-        lines += ["", f"{title.replace(' Report', '')} {auc_label}: {auc!r}"]
+        lines += ["", f"{title.replace(' Report', '')} AUC Score: {auc!r}"]
     return "\n".join(lines) + "\n"
 
 

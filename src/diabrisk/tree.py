@@ -6,6 +6,14 @@ distinct sorted values; the accepted split maximizes the weighted Gini
 decrease. Ties resolve to the lowest feature index, then the lowest
 threshold, so repeated fits are identical. Rows with x[feature] <= threshold
 go left.
+
+A fitted tree is a set of parallel arrays indexed by node id (the layout of
+scikit-learn's ``Tree``): ``feature`` (-1 at a leaf), ``threshold``,
+``left``, ``right``, ``n_samples``, ``n_pos``, ``impurity`` and
+``decrease``. Nodes are stored in preorder: node 0 is the root, a split's
+left child is the node right after it, and its right child follows the
+left subtree. ``fit_tree`` and ``tree_from_text`` both build the arrays from
+a preorder list of node rows through ``_from_preorder``.
 """
 from __future__ import annotations
 
@@ -31,34 +39,17 @@ class TreeParams:
             raise ValueError("max_depth must be >= 1 when set")
 
 
-class Leaf:
-    __slots__ = ("class_counts", "predicted_class", "positive_fraction")
-
-    def __init__(self, n_neg: int, n_pos: int):
-        self.class_counts = (n_neg, n_pos)
-        self.predicted_class = 1 if n_pos >= n_neg else 0  # tie -> class 1
-        self.positive_fraction = n_pos / (n_neg + n_pos)
-
-
-class Internal:
-    __slots__ = (
-        "feature_index", "threshold", "left", "right",
-        "impurity", "n_samples", "weighted_impurity_decrease",
-    )
-
-    def __init__(self, feature_index, threshold, impurity, n_samples, decrease):
-        self.feature_index = feature_index
-        self.threshold = threshold
-        self.impurity = impurity
-        self.n_samples = n_samples
-        self.weighted_impurity_decrease = decrease
-        self.left = None
-        self.right = None
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecisionTreeModel:
-    root: object
+    """A fitted tree as parallel arrays indexed by node id, in preorder."""
+    feature: np.ndarray      # split feature; -1 at a leaf
+    threshold: np.ndarray    # NaN at a leaf
+    left: np.ndarray         # child node ids; -1 at a leaf
+    right: np.ndarray
+    n_samples: np.ndarray
+    n_pos: np.ndarray
+    impurity: np.ndarray     # Gini impurity of the node's training rows
+    decrease: np.ndarray     # weighted impurity decrease; 0 at a leaf
     params: TreeParams
     n_features: int
     feature_names: tuple = None
@@ -152,77 +143,86 @@ def fit_tree(X, y, params: TreeParams = TreeParams(),
     n_total = X.shape[0]
     p = X.shape[1]
 
-    def make_leaf(idx):
-        pos = int(labels[idx].sum())
-        return Leaf(idx.size - pos, pos)
-
     def candidate_features():
         if _max_features is None or _max_features >= p:
             return range(p)
         return sorted(_rng.choice(p, size=_max_features, replace=False))
 
-    root_holder = [None]
-    # stack of (row indices, depth, parent node, is_left); processed LIFO with
-    # left pushed last so splits (and any feature sampling) happen in DFS order
-    stack = [(np.arange(n_total), 0, root_holder, 0)]
+    rows = []
+    # stack of (row indices, depth); processed LIFO with left pushed last, so
+    # nodes are appended (and any features sampled) in preorder
+    stack = [(np.arange(n_total), 0)]
     while stack:
-        idx, depth, parent, side = stack.pop()
+        idx, depth = stack.pop()
         pos = int(labels[idx].sum())
-        node = None
+        found = None
         pure = pos == 0 or pos == idx.size
         depth_capped = params.max_depth is not None and depth >= params.max_depth
-        if pure or depth_capped or idx.size < params.min_samples_split:
-            node = make_leaf(idx)
-        else:
+        if not (pure or depth_capped or idx.size < params.min_samples_split):
             found = _best_split(
                 X[idx], labels[idx], candidate_features(), params.min_samples_leaf
             )
-            if found is None:
-                node = make_leaf(idx)
-            else:
-                j, threshold, decrease, impurity = found
-                node = Internal(
-                    j, threshold, impurity, idx.size,
-                    (idx.size / n_total) * decrease,
-                )
-                left_idx = idx[X[idx, j] <= threshold]
-                right_idx = idx[X[idx, j] > threshold]
-                stack.append((right_idx, depth + 1, node, 1))
-                stack.append((left_idx, depth + 1, node, 0))
-        if isinstance(parent, list):
-            parent[0] = node
-        elif side == 0:
-            parent.left = node
-        else:
-            parent.right = node
+        if found is None:
+            rows.append(_leaf_row(idx.size - pos, pos))
+            continue
+        j, threshold, decrease, impurity = found
+        rows.append((j, threshold, idx.size, pos, impurity,
+                     (idx.size / n_total) * decrease))
+        goes_left = X[idx, j] <= threshold
+        stack.append((idx[~goes_left], depth + 1))
+        stack.append((idx[goes_left], depth + 1))
+    return _from_preorder(rows, params, p, feature_names)
 
+
+def _leaf_row(n_neg, n_pos):
+    return (-1, math.nan, n_neg + n_pos, n_pos, gini_impurity((n_neg, n_pos)), 0.0)
+
+
+def _from_preorder(rows, params, n_features, feature_names) -> DecisionTreeModel:
+    """Model from preorder node rows ``(feature, threshold, n_samples, n_pos,
+    impurity, decrease)``. A split's left child is the next row; its right
+    child is the row after the left subtree ends."""
+    left = np.full(len(rows), -1)
+    right = np.full(len(rows), -1)
+    waiting = []  # splits whose right child is still to come, innermost last
+    for k in range(1, len(rows)):
+        if rows[k - 1][0] >= 0:
+            left[k - 1] = k
+            waiting.append(k - 1)
+        else:
+            right[waiting.pop()] = k
+    feature, threshold, n_samples, n_pos, impurity, decrease = (
+        np.array(column) for column in zip(*rows))
     return DecisionTreeModel(
-        root=root_holder[0], params=params, n_features=p,
+        feature=feature, threshold=threshold, left=left, right=right,
+        n_samples=n_samples, n_pos=n_pos, impurity=impurity, decrease=decrease,
+        params=params, n_features=n_features,
         feature_names=tuple(feature_names) if feature_names else None,
     )
 
 
 def predict_tree(model: DecisionTreeModel, X):
-    """Route rows to leaves; returns (labels, leaf positive fractions)."""
+    """Route rows to leaves; returns (labels, leaf positive fractions).
+    A leaf with as many positives as negatives predicts class 1."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.n_features:
         raise DimensionMismatch("X column count does not match the tree")
-    n = X.shape[0]
-    labels = np.zeros(n, dtype=int)
-    scores = np.zeros(n)
-    stack = [(model.root, np.arange(n))]
+    leaf = np.zeros(X.shape[0], dtype=int)
+    stack = [(0, np.arange(X.shape[0]))]
     while stack:
         node, idx = stack.pop()
         if idx.size == 0:
             continue
-        if isinstance(node, Leaf):
-            labels[idx] = node.predicted_class
-            scores[idx] = node.positive_fraction
+        j = model.feature[node]
+        if j < 0:
+            leaf[idx] = node
         else:
-            left = X[idx, node.feature_index] <= node.threshold
-            stack.append((node.left, idx[left]))
-            stack.append((node.right, idx[~left]))
-    return LabelVector(labels), scores
+            goes_left = X[idx, j] <= model.threshold[node]
+            stack.append((model.left[node], idx[goes_left]))
+            stack.append((model.right[node], idx[~goes_left]))
+    pos = model.n_pos[leaf]
+    neg = model.n_samples[leaf] - pos
+    return LabelVector((pos >= neg).astype(int)), pos / (neg + pos)
 
 
 def fit_forest(X, y, params: ForestParams = ForestParams(),
@@ -267,15 +267,9 @@ def predict_forest(model: ForestModel, X):
 
 
 def _tree_raw_importance(tree: DecisionTreeModel) -> np.ndarray:
-    raw = np.zeros(tree.n_features)
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Internal):
-            raw[node.feature_index] += node.weighted_impurity_decrease
-            stack.append(node.left)
-            stack.append(node.right)
-    return raw
+    split = tree.feature >= 0
+    return np.bincount(tree.feature[split], weights=tree.decrease[split],
+                       minlength=tree.n_features)
 
 
 def impurity_importance(forest: ForestModel) -> ImportanceVector:
@@ -299,26 +293,22 @@ def tree_to_text(model: DecisionTreeModel) -> str:
     if model.feature_names:
         lines.append("features " + ",".join(model.feature_names))
 
-    # explicit stack so very deep trees do not hit the recursion limit
-    out = []
-    stack = [(model.root, 0)]
-    while stack:
-        node, depth = stack.pop()
-        pad = "  " * depth
-        if isinstance(node, Leaf):
-            neg, pos = node.class_counts
-            out.append(f"{pad}leaf neg={neg} pos={pos}")
-        else:
-            out.append(
-                f"{pad}split feature={node.feature_index} "
-                f"threshold={float(node.threshold)!r} "
-                f"impurity={float(node.impurity)!r} "
-                f"n={node.n_samples} "
-                f"decrease={float(node.weighted_impurity_decrease)!r}"
-            )
-            stack.append((node.right, depth + 1))
-            stack.append((node.left, depth + 1))
-    return "\n".join(lines + out) + "\n"
+    # as Python ints and floats, whose str and repr the format uses
+    feature, threshold, left, right, n_samples, n_pos, impurity, decrease = (
+        a.tolist() for a in (model.feature, model.threshold, model.left, model.right,
+                             model.n_samples, model.n_pos, model.impurity, model.decrease))
+    depth = [0] * len(feature)
+    for k, j in enumerate(feature):
+        pad = "  " * depth[k]
+        if j < 0:
+            lines.append(f"{pad}leaf neg={n_samples[k] - n_pos[k]} pos={n_pos[k]}")
+            continue
+        depth[left[k]] = depth[right[k]] = depth[k] + 1
+        lines.append(
+            f"{pad}split feature={j} threshold={threshold[k]!r} "
+            f"impurity={impurity[k]!r} n={n_samples[k]} decrease={decrease[k]!r}"
+        )
+    return "\n".join(lines) + "\n"
 
 
 def tree_from_text(text: str) -> DecisionTreeModel:
@@ -335,29 +325,19 @@ def tree_from_text(text: str) -> DecisionTreeModel:
         min_samples_leaf=int(head["min_samples_leaf"]),
     )
 
-    # preorder, as tree_to_text writes it: a stack of the child slots still
-    # to fill, the next one on top
-    root = None
-    slots = []
+    rows = []
     for line in lines[body_start:]:
         fields = dict(kv.split("=", 1) for kv in line.split() if "=" in kv)
         if line.lstrip().startswith("leaf"):
-            node = Leaf(int(fields["neg"]), int(fields["pos"]))
+            rows.append(_leaf_row(int(fields["neg"]), int(fields["pos"])))
         else:
-            node = Internal(
-                int(fields["feature"]), float(fields["threshold"]),
-                float(fields["impurity"]), int(fields["n"]),
-                float(fields["decrease"]),
-            )
-        if root is None:
-            root = node
-        else:
-            parent, side = slots.pop()
-            setattr(parent, side, node)
-        if isinstance(node, Internal):
-            slots.append((node, "right"))
-            slots.append((node, "left"))
-    return DecisionTreeModel(
-        root=root, params=params, n_features=int(head["n_features"]),
-        feature_names=feature_names,
-    )
+            rows.append((int(fields["feature"]), float(fields["threshold"]),
+                         int(fields["n"]), 0, float(fields["impurity"]),
+                         float(fields["decrease"])))
+    model = _from_preorder(rows, params, int(head["n_features"]), feature_names)
+    # a split line has no class counts: sum them up from its children, which
+    # follow it in preorder
+    n_pos = model.n_pos
+    for k in np.flatnonzero(model.feature >= 0)[::-1]:
+        n_pos[k] = n_pos[model.left[k]] + n_pos[model.right[k]]
+    return model

@@ -34,8 +34,6 @@ from diabrisk.metrics import classification_report, roc_curve
 from diabrisk.smote import SmoteParams, smote_balance
 from diabrisk.tree import (
     ForestParams,
-    Internal,
-    Leaf,
     TreeParams,
     fit_forest,
     fit_tree,
@@ -353,16 +351,15 @@ def test_6_oracle_property_suite(emit):
             for a, b in zip(values, values[1:])
         }
         model = fit_tree(x.reshape(-1, 1), y, TreeParams(max_depth=1))
-        root = model.root
         if not candidates:
-            if not isinstance(root, Leaf):
+            if model.feature.tolist() != [-1]:
                 failures.append("tree-root-split")
                 break
             continue
         best = max(candidates.values())
-        if (not isinstance(root, Internal)
-                or candidates.get(float(root.threshold)) != best
-                or abs(root.weighted_impurity_decrease - float(best)) > 1e-12):
+        if (model.feature[0] != 0
+                or candidates.get(float(model.threshold[0])) != best
+                or abs(model.decrease[0] - float(best)) > 1e-12):
             failures.append("tree-root-split")
             break
 

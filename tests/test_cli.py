@@ -293,7 +293,13 @@ class TestExitCodes:
         assert run_cli("train", "--experiment", experiment, "--tuned",
                        "--data", synthetic_csv, "--out", str(tmp_path / "out"),
                        "--config", str(conf)) == 4
-        assert capsys.readouterr().err.startswith("config error:")
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert err.count("config error") == 1
+        assert {
+            "grid.logistic.c = 0, 1": "grid.logistic.c: bad value 0.0:",
+            "grid.tree.min_samples_leaf = 0": "grid.tree.min_samples_leaf: bad value 0:",
+        }[grid] in err
 
     def test_no_data_given(self, tmp_path):
         assert run_cli("eda", "--out", str(tmp_path / "out")) == 4

@@ -67,6 +67,11 @@ class TestFileParsing:
         with pytest.raises(ConfigError):
             parse_config(overrides={"seed": "forty-two"})
 
+    def test_bad_grid_number_names_key(self):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(overrides={"grid.tree.min_samples_split": "2, a"})
+        assert str(exc.value) == "grid.tree.min_samples_split: expected int, got 'a'"
+
     def test_bad_boolean(self):
         with pytest.raises(ConfigError):
             parse_config(overrides={"split_first": "maybe"})
@@ -98,8 +103,10 @@ class TestValidation:
             parse_config(overrides={"test_fraction": "1.0"})
 
     def test_bad_model_param_wrapped(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError) as exc:
             parse_config(overrides={"logreg.penalty": "elastic"})
+        assert str(exc.value).startswith("logreg.penalty: bad value 'elastic'")
+        assert "config error" not in str(exc.value)
 
 
 class TestEcho:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,6 @@ from diabrisk.errors import DimensionMismatch, EmptyNode, SingleClass
 from diabrisk.tree import (
     DecisionTreeModel,
     ForestParams,
-    Internal,
-    Leaf,
     TreeParams,
     fit_forest,
     fit_tree,
@@ -17,6 +17,7 @@ from diabrisk.tree import (
     predict_tree,
     tree_from_text,
     tree_to_text,
+    _tree_raw_importance,
 )
 
 
@@ -43,11 +44,53 @@ def brute_force_best_threshold(x, y, min_leaf=1):
     return best
 
 
-def walk(node):
-    yield node
-    if isinstance(node, Internal):
-        yield from walk(node.left)
-        yield from walk(node.right)
+def walk(model):
+    """(node id, depth) of every node reachable from the root through the
+    child links, depth first."""
+    stack = [(0, 0)]
+    while stack:
+        node, depth = stack.pop()
+        yield node, depth
+        if model.feature[node] >= 0:
+            stack.append((model.right[node], depth + 1))
+            stack.append((model.left[node], depth + 1))
+
+
+def naive_predict(model, X):
+    """Per-row descent from the root: (labels, leaf positive fractions)."""
+    labels, scores = [], []
+    for row in X:
+        node = 0
+        while model.feature[node] >= 0:
+            if row[model.feature[node]] <= model.threshold[node]:
+                node = model.left[node]
+            else:
+                node = model.right[node]
+        pos, n = int(model.n_pos[node]), int(model.n_samples[node])
+        labels.append(1 if pos >= n - pos else 0)
+        scores.append(pos / n)
+    return np.array(labels, dtype=int), np.array(scores, dtype=float)
+
+
+def oracle_trees():
+    """Fitted trees of every shape: name -> (model, query rows)."""
+    rng = np.random.default_rng(12)
+    X = rng.integers(0, 6, size=(200, 4)).astype(float)
+    y = (X[:, 0] + rng.normal(scale=1.5, size=200) > 2.5).astype(int)
+    Xq = rng.integers(-1, 7, size=(150, 4)).astype(float)
+    forest = fit_forest(X, y, ForestParams(n_trees=2, max_features=2, seed=4))
+    return {
+        "bounded": (fit_tree(X, y, TreeParams(max_depth=4, min_samples_leaf=5)), Xq),
+        "unbounded": (fit_tree(X, y, feature_names=list("abcd")), Xq),
+        "forest": (forest.trees[1], Xq),
+        "root_leaf": (fit_tree(X, y, TreeParams(min_samples_split=500)), Xq),
+        "no_rows": (fit_tree(X, y), np.empty((0, 4))),
+    }
+
+
+FITTED = ("bounded", "unbounded", "forest", "root_leaf")
+ARRAYS = ("feature", "threshold", "left", "right",
+          "n_samples", "n_pos", "impurity", "decrease")
 
 
 class TestGini:
@@ -69,8 +112,8 @@ class TestFitTree:
     def test_pure_input_single_leaf(self):
         X = np.arange(10, dtype=float).reshape(5, 2)
         model = fit_tree(X, np.ones(5, dtype=int))
-        assert isinstance(model.root, Leaf)
-        assert model.root.predicted_class == 1
+        assert model.feature.tolist() == [-1]
+        assert (model.n_samples[0], model.n_pos[0]) == (5, 5)
 
     def test_memorizes_distinct_rows(self):
         rng = np.random.default_rng(0)
@@ -93,7 +136,7 @@ class TestFitTree:
         y = (x + rng.normal(scale=2.0, size=500) < 4).astype(int)
         model = fit_tree(x.reshape(-1, 1), y)
         thresholds = {
-            n.threshold for n in walk(model.root) if isinstance(n, Internal)
+            model.threshold[k] for k, _ in walk(model) if model.feature[k] >= 0
         }
         assert len(thresholds) <= 7  # 8 ordinal values
 
@@ -108,15 +151,14 @@ class TestFitTree:
             decrease, thr = brute_force_best_threshold(x, y)
             model = fit_tree(x.reshape(-1, 1), y, TreeParams(max_depth=1))
             if thr is None:
-                assert isinstance(model.root, Leaf)
+                assert model.feature.tolist() == [-1]
                 continue
-            root = model.root
-            assert isinstance(root, Internal)
+            assert model.feature[0] == 0
             # the chosen threshold must achieve the brute-force optimum
             # (equal-gain ties may legitimately pick a different cut)
-            assert root.weighted_impurity_decrease == pytest.approx(decrease)
-            left = y[x <= root.threshold]
-            right = y[x > root.threshold]
+            assert model.decrease[0] == pytest.approx(decrease)
+            left = y[x <= model.threshold[0]]
+            right = y[x > model.threshold[0]]
             child = (
                 len(left) * gini_impurity(
                     (len(left) - left.sum(), left.sum()))
@@ -133,17 +175,13 @@ class TestFitTree:
         params = TreeParams(max_depth=6, min_samples_split=10, min_samples_leaf=4)
         model = fit_tree(X, y, params)
 
-        def check(node, depth):
-            if isinstance(node, Leaf):
+        for node, depth in walk(model):
+            if model.feature[node] < 0:
                 assert depth <= 6
-                assert sum(node.class_counts) >= 4
-                return
-            assert node.weighted_impurity_decrease >= 0
-            assert 0.0 <= node.impurity <= 0.5
-            check(node.left, depth + 1)
-            check(node.right, depth + 1)
-
-        check(model.root, 0)
+                assert model.n_samples[node] >= 4
+                continue
+            assert model.decrease[node] >= 0
+            assert 0.0 <= model.impurity[node] <= 0.5
 
     def test_repeat_fits_identical(self):
         rng = np.random.default_rng(4)
@@ -166,7 +204,7 @@ class TestFitTree:
 class TestPredictTree:
     def test_single_leaf_scores(self):
         model = fit_tree(np.ones((10, 2)), np.array([0, 0, 1, 1, 1, 1, 1, 1, 1, 1]))
-        assert isinstance(model.root, Leaf)
+        assert model.feature.tolist() == [-1]
         labels, scores = predict_tree(model, np.zeros((4, 2)))
         assert np.all(scores == 0.8)
         assert np.all(labels.values == 1)
@@ -258,17 +296,28 @@ class TestSerialization:
         assert restored.params.max_depth == 8
 
     def test_round_trip_deeper_than_recursion_limit(self):
-        # a chain: each split sends x <= i + 0.5 to a leaf, the rest deeper
+        # a chain: split i (node 2i) sends x <= i + 0.5 to a one-row leaf of
+        # class i % 2 (node 2i + 1), the rest deeper; the last leaf holds one
+        # row of each class
         depth = 3000
-        root = node = Internal(0, 0.5, 0.5, depth + 1, 0.0)
-        for i in range(depth):
-            node.left = Leaf(0, 1) if i % 2 else Leaf(1, 0)
-            if i == depth - 1:
-                node.right = Leaf(1, 1)
-            else:
-                node.right = Internal(0, i + 1.5, 0.5, depth - i, 0.0)
-                node = node.right
-        model = DecisionTreeModel(root=root, params=TreeParams(), n_features=1)
+        ids = np.arange(2 * depth + 1)
+        is_split = (ids % 2 == 0) & (ids < 2 * depth)
+        last = ids == 2 * depth
+        leaf_n = np.where(is_split, 0, np.where(last, 2, 1))
+        leaf_pos = np.where(is_split, 0, np.where(last, 1, (ids // 2) % 2))
+        n_samples = np.where(is_split, np.cumsum(leaf_n[::-1])[::-1], leaf_n)
+        n_pos = np.where(is_split, np.cumsum(leaf_pos[::-1])[::-1], leaf_pos)
+        frac = n_pos / n_samples
+        model = DecisionTreeModel(
+            feature=np.where(is_split, 0, -1),
+            threshold=np.where(is_split, ids / 2 + 0.5, np.nan),
+            left=np.where(is_split, ids + 1, -1),
+            right=np.where(is_split, ids + 2, -1),
+            n_samples=n_samples, n_pos=n_pos,
+            impurity=np.where(is_split, 0.5, 2 * frac * (1 - frac)),
+            decrease=np.zeros(ids.size),
+            params=TreeParams(), n_features=1,
+        )
         text = tree_to_text(model)
         restored = tree_from_text(text)
         assert tree_to_text(restored) == text
@@ -277,3 +326,74 @@ class TestSerialization:
         lb, sb = predict_tree(restored, Xq)
         assert np.array_equal(la.values, lb.values)
         assert np.array_equal(sa, sb)
+
+
+class TestArrayOracles:
+    @pytest.mark.parametrize("name", FITTED + ("no_rows",))
+    def test_predict_matches_naive_walk(self, name):
+        model, Xq = oracle_trees()[name]
+        labels, scores = predict_tree(model, Xq)
+        want_labels, want_scores = naive_predict(model, Xq)
+        assert np.array_equal(labels.values, want_labels)
+        assert np.array_equal(scores, want_scores)
+
+    @pytest.mark.parametrize("name", FITTED)
+    def test_importance_matches_per_node_sum(self, name):
+        model, _ = oracle_trees()[name]
+        want = np.zeros(model.n_features)
+        for node, _ in walk(model):
+            if model.feature[node] >= 0:
+                want[model.feature[node]] += model.decrease[node]
+        got = _tree_raw_importance(model)
+        assert got.shape == want.shape
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("name", FITTED)
+    def test_text_round_trip_keeps_every_array(self, name):
+        model, _ = oracle_trees()[name]
+        restored = tree_from_text(tree_to_text(model))
+        for array in ARRAYS:
+            want, got = getattr(model, array), getattr(restored, array)
+            assert got.dtype == want.dtype, array
+            np.testing.assert_array_equal(got, want, err_msg=array)
+        assert restored.n_features == model.n_features
+        assert restored.feature_names == model.feature_names
+        assert restored.params == model.params
+
+
+class TestPinnedText:
+    """``tree_to_text`` of fixed seeded fits, pinned by hash: a change to
+    the split search, the tie rule, the ``max_features`` draw order or the
+    text format shows up here."""
+
+    PINNED = {
+        "unbounded": "1b19f62a6f5312806ddb9a03d48c49f8e0f18d3e665b31403e6dbc6d96412d49",
+        "bounded": "ab9a176100e6781679124506400850ecb712b864769d9fd2666f70816c53ed02",
+        "forest0": "a14d3bc81e2c7440f24607310d66ee8a066cc1e734ad583b006b7e48fa96fd2d",
+        "forest1": "49148faee034c4c7978a207f17d0b7b4458591e3bb526a8e27c8aa1856b0c626",
+    }
+
+    @staticmethod
+    def fits():
+        rng = np.random.default_rng(2024)
+        X = np.column_stack([
+            rng.integers(1, 9, size=600),
+            rng.integers(12, 60, size=600),
+            rng.normal(size=600),
+        ]).astype(float)
+        y = ((9 - X[:, 0]) * 0.3 + (X[:, 1] - 30) * 0.05 + X[:, 2]
+             + rng.logistic(size=600) > 1.0).astype(int)
+        forest = fit_forest(X, y, ForestParams(n_trees=2, max_features=2, seed=3))
+        return {
+            "unbounded": fit_tree(X, y, feature_names=["Income", "BMI", "noise"]),
+            "bounded": fit_tree(X, y, TreeParams(max_depth=5, min_samples_leaf=20)),
+            "forest0": forest.trees[0],
+            "forest1": forest.trees[1],
+        }
+
+    def test_text_bytes_unchanged(self):
+        digests = {
+            name: hashlib.sha256(tree_to_text(model).encode()).hexdigest()
+            for name, model in self.fits().items()
+        }
+        assert digests == self.PINNED
