@@ -36,6 +36,26 @@ class ExperimentConfig:
     rfe_n_select: int = 10
     split_first: bool = False
 
+    def __post_init__(self):
+        if not self.health_features:
+            raise ValueError("health_features must name at least one feature")
+        for name in self.health_features:
+            if name not in FEATURE_COLUMNS:
+                raise ValueError(f"unknown feature {name}")
+        if len(set(self.health_features)) < len(self.health_features):
+            raise ValueError("health_features names a column twice")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if not 0.0 < self.test_fraction < 1.0:
+            raise ValueError("test_fraction must be in (0, 1)")
+        if self.cv_folds < 2:
+            raise ValueError("folds must be >= 2")
+        if self.lasso_lambda <= 0:
+            raise ValueError("lambda must be > 0")
+        if not 1 <= self.rfe_n_select <= len(FEATURE_COLUMNS):
+            raise ValueError(
+                f"n_select must be in 1..{len(FEATURE_COLUMNS)} (the feature count)")
+
     def resolved(self) -> "ExperimentConfig":
         """Fill in the seed-dependent and environment-dependent defaults."""
         cfg = self
@@ -47,11 +67,6 @@ class ExperimentConfig:
             cfg = replace(
                 cfg, output_dir=os.environ.get("DIABRISK_OUT", "out")
             )
-        for name in cfg.health_features:
-            if name not in FEATURE_COLUMNS:
-                raise ConfigError("health_features", f"unknown feature {name}")
-        if not 0.0 < cfg.test_fraction < 1.0:
-            raise ConfigError("test_fraction", "must be in (0, 1)")
         return cfg
 
 
@@ -167,7 +182,7 @@ def parse_config(path: str = None, overrides: dict = None) -> ExperimentConfig:
             raise ConfigError(key, "unknown key")
         group, name, parse = _KEYS[key]
         if group == "config":
-            cfg = replace(cfg, **{name: parse(key, value)})
+            cfg = _with_field(key, cfg, name, parse(key, value))
         elif group.endswith("_grid"):
             groups[group][name] = (key, _csv_list(value, lambda v: parse(key, v)))
         else:

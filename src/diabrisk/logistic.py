@@ -13,9 +13,15 @@ The intercept is never penalized. Two optimizers are provided:
                     data term (curvature bound 1/4 per sample), with
                     soft-thresholding for L1.
 
-Both variants record the objective after every iteration and decrease it
-monotonically. Fitting happens on z-scored features by default; the returned
-model carries de-standardized weights applicable to raw feature units.
+One function, ``_smooth``, gives the data term plus the L2 penalty and its
+gradient; both optimizers, their one stop test and ``loss_and_gradient`` add
+the L1 term to it. Both optimizers record the objective after every iteration,
+decrease it monotonically and stop once no entry of (w, b) moves by more than
+``tol``. ``converged`` then says whether the max-norm of the objective's
+minimal-norm subgradient, divided by the row count, is within ``10 * tol``; a
+fit that uses up ``max_iter`` reports False. Fitting happens on z-scored
+features by default; the returned model carries de-standardized weights
+applicable to raw feature units.
 """
 from __future__ import annotations
 
@@ -67,12 +73,32 @@ def _as_signs(y) -> np.ndarray:
     return 2.0 * values - 1.0
 
 
-def _penalty_value(w: np.ndarray, params: LogRegParams) -> float:
-    if params.penalty == "l2":
-        return float(np.dot(w, w)) / (2.0 * params.C)
-    if params.penalty == "l1":
-        return float(np.abs(w).sum()) / params.C
-    return 0.0
+def _lambdas(params: LogRegParams):
+    """(L1, L2) penalty weights: 1/C for the configured penalty, 0 else."""
+    lam = 1.0 / params.C
+    return (lam if params.penalty == "l1" else 0.0,
+            lam if params.penalty == "l2" else 0.0)
+
+
+def _with_bias(X):
+    return np.hstack([X, np.ones((X.shape[0], 1))])
+
+
+def _smooth(theta, X1, s, lam_l2, margins=None):
+    """Data term plus L2 penalty at theta = (w, b), and its gradient.
+
+    ``X1`` ends in a bias column. With ``X1=None`` and the margins X1 @ theta
+    given, the value alone is returned (gradient None), without a data pass."""
+    if margins is None:
+        margins = X1 @ theta
+    w = theta[:-1]
+    value = float(np.logaddexp(0.0, -s * margins).sum()) + 0.5 * lam_l2 * float(w @ w)
+    if X1 is None:
+        return value, None
+    grad = X1.T @ (_sigmoid(margins) - (s + 1.0) / 2.0)
+    if lam_l2:
+        grad[:-1] += lam_l2 * w
+    return value, grad
 
 
 def loss_and_gradient(weights, intercept, X, y, params: LogRegParams):
@@ -88,17 +114,10 @@ def loss_and_gradient(weights, intercept, X, y, params: LogRegParams):
     if s.shape[0] != X.shape[0]:
         raise DimensionMismatch("X and y disagree on row count")
 
-    margins = X @ w + intercept
-    loss = float(np.logaddexp(0.0, -s * margins).sum()) + _penalty_value(w, params)
-    p = _sigmoid(margins)
-    residual = p - (s + 1.0) / 2.0
-    grad_w = X.T @ residual
-    grad_b = float(residual.sum())
-    if params.penalty == "l2":
-        grad_w = grad_w + w / params.C
-    elif params.penalty == "l1":
-        grad_w = grad_w + np.sign(w) / params.C
-    return loss, np.append(grad_w, grad_b)
+    lam_l1, lam_l2 = _lambdas(params)
+    loss, grad = _smooth(np.append(w, intercept), _with_bias(X), s, lam_l2)
+    grad[:-1] += lam_l1 * np.sign(w)
+    return loss + lam_l1 * float(np.abs(w).sum()), grad
 
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:
@@ -110,109 +129,79 @@ def _sigmoid(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _data_loss_grad(theta, X1, s):
-    """Smooth data term only; theta packs (w, b), X1 has the bias column."""
-    margins = X1 @ theta
-    loss = float(np.logaddexp(0.0, -s * margins).sum())
-    residual = _sigmoid(margins) - (s + 1.0) / 2.0
-    return loss, X1.T @ residual
+def _converged(theta, grad, lam_l1, n, tol) -> bool:
+    """The stop test of both optimizers: the max-norm of the minimal-norm
+    subgradient of the objective, per row, is at most 10 * tol. ``grad`` is
+    the gradient of ``_smooth`` at ``theta``."""
+    g = grad.copy()
+    if lam_l1:
+        w, gw = theta[:-1], grad[:-1]
+        g[:-1] = np.where(
+            w != 0,
+            gw + np.sign(w) * lam_l1,
+            np.sign(gw) * np.maximum(np.abs(gw) - lam_l1, 0.0),
+        )
+    return float(np.max(np.abs(g))) / n <= 10 * tol
 
 
 def _fit_gradient(X, s, params: LogRegParams):
-    """L-BFGS with Armijo backtracking; ISTA proximal steps for L1."""
+    """L-BFGS with Armijo backtracking; ISTA proximal steps for L1. Each
+    search keeps the value and gradient of the candidate it accepts."""
     n, p = X.shape
-    X1 = np.hstack([X, np.ones((n, 1))])
+    X1 = _with_bias(X)
+    lam_l1, lam_l2 = _lambdas(params)
     theta = np.zeros(p + 1)
-    l1 = params.penalty == "l1"
-    lam_l2 = 1.0 / params.C if params.penalty == "l2" else 0.0
-    lam_l1 = 1.0 / params.C if l1 else 0.0
-
-    def smooth(th):
-        loss, grad = _data_loss_grad(th, X1, s)
-        if lam_l2:
-            loss += 0.5 * lam_l2 * np.dot(th[:p], th[:p])
-            grad = grad.copy()
-            grad[:p] += lam_l2 * th[:p]
-        return loss, grad
-
-    def objective(th):
-        loss, _ = smooth(th)
-        return loss + lam_l1 * np.abs(th[:p]).sum()
-
-    def prox(th, step):
-        out = th.copy()
-        out[:p] = np.sign(out[:p]) * np.maximum(np.abs(out[:p]) - step * lam_l1, 0.0)
-        return out
-
+    f, grad = _smooth(theta, X1, s, lam_l2)  # obj adds the L1 term to f
+    obj = f + lam_l1 * np.abs(theta[:p]).sum()
+    path = [obj]
     history = []  # (delta_theta, delta_grad) pairs for the two-loop recursion
     memory = 10
-    obj, grad = smooth(theta)
-    obj += lam_l1 * np.abs(theta[:p]).sum()
-    path = [obj]
     step_l1 = 1.0  # adapted across iterations by the backtracking below
 
     converged = False
     it = 0
     for it in range(1, params.max_iter + 1):
-        if l1:
+        if lam_l1:
             # ISTA with backtracking on the majorization condition
-            f0, g0 = smooth(theta)
             step = step_l1 * 2.0
             for _ in range(60):
-                cand = prox(theta - step * g0, step)
-                d = cand - theta
-                f1, _ = smooth(cand)
-                if f1 <= f0 + g0 @ d + (0.5 / step) * (d @ d) + 1e-12:
+                new_theta = theta - step * grad
+                new_theta[:p] = np.sign(new_theta[:p]) * np.maximum(
+                    np.abs(new_theta[:p]) - step * lam_l1, 0.0)
+                d = new_theta - theta
+                new_f, new_grad = _smooth(new_theta, X1, s, lam_l2)
+                if new_f <= f + grad @ d + (0.5 / step) * (d @ d) + 1e-12:
                     break
                 step *= 0.5
             step_l1 = step
-            new_theta = cand
         else:
             direction = _lbfgs_direction(grad, history)
             if direction @ grad >= 0:
                 direction = -grad
             step = 1.0
-            f0 = obj
-            new_theta = theta
+            new_theta, new_f, new_grad = theta, f, grad
             for _ in range(60):
                 cand = theta + step * direction
-                f1 = objective(cand)
-                if f1 <= f0 + 1e-4 * step * (grad @ direction):
-                    new_theta = cand
+                cand_f, cand_grad = _smooth(cand, X1, s, lam_l2)
+                if cand_f <= obj + 1e-4 * step * (grad @ direction):
+                    new_theta, new_f, new_grad = cand, cand_f, cand_grad
                     break
                 step *= 0.5
-        new_obj, new_grad = smooth(new_theta)
-        new_obj += lam_l1 * np.abs(new_theta[:p]).sum()
-        if not l1:
             delta_t = new_theta - theta
             delta_g = new_grad - grad
             if delta_t @ delta_g > 1e-12:
                 history.append((delta_t, delta_g))
                 if len(history) > memory:
                     history.pop(0)
+        new_obj = new_f + lam_l1 * np.abs(new_theta[:p]).sum()
         max_change = float(np.max(np.abs(new_theta - theta)))
-        theta, grad = new_theta, new_grad
+        theta, f, grad = new_theta, new_f, new_grad
         obj = min(new_obj, obj)  # guard float noise; line search is monotone
         path.append(new_obj)
         if max_change <= params.tol:
-            converged = _optimality_gap(theta, grad, p, lam_l1, l1) <= 10 * params.tol
+            converged = _converged(theta, grad, lam_l1, n, params.tol)
             break
     return theta[:p], float(theta[p]), converged, it, np.array(path)
-
-
-def _optimality_gap(theta, smooth_grad, p, lam_l1, l1):
-    """Max-norm of the minimal-norm subgradient of the full objective."""
-    g = smooth_grad.copy()
-    if l1:
-        w = theta[:p]
-        gw = g[:p]
-        gw = np.where(
-            w != 0,
-            gw + np.sign(w) * lam_l1,
-            np.sign(gw) * np.maximum(np.abs(gw) - lam_l1, 0.0),
-        )
-        g[:p] = gw
-    return float(np.max(np.abs(g)))
 
 
 def _lbfgs_direction(grad, history):
@@ -235,7 +224,8 @@ def _lbfgs_direction(grad, history):
 
 def _fit_coordinate(X, s, params: LogRegParams):
     """Cyclic coordinate descent; curvature of each coordinate bounded by
-    0.25 * sum x_ij^2, which makes every update a monotone majorization step."""
+    0.25 * sum x_ij^2, which makes every update a monotone majorization step.
+    The recorded objective reads the margins kept up to date here."""
     n, p = X.shape
     y01 = (s + 1.0) / 2.0
     w = np.zeros(p)
@@ -244,18 +234,9 @@ def _fit_coordinate(X, s, params: LogRegParams):
     h = 0.25 * (X * X).sum(axis=0)
     h = np.where(h > 0, h, 1.0)
     hb = 0.25 * n
-    lam_l2 = 1.0 / params.C if params.penalty == "l2" else 0.0
-    lam_l1 = 1.0 / params.C if params.penalty == "l1" else 0.0
+    lam_l1, lam_l2 = _lambdas(params)
 
-    def objective():
-        loss = float(np.logaddexp(0.0, -s * margins).sum())
-        if lam_l2:
-            loss += 0.5 * lam_l2 * (w @ w)
-        if lam_l1:
-            loss += lam_l1 * np.abs(w).sum()
-        return loss
-
-    path = [objective()]
+    path = [_smooth(np.zeros(p + 1), None, s, lam_l2, margins)[0]]
     converged = False
     it = 0
     for it in range(1, params.max_iter + 1):
@@ -282,18 +263,12 @@ def _fit_coordinate(X, s, params: LogRegParams):
             margins += delta_b
             b += delta_b
             max_change = max(max_change, abs(delta_b))
-        path.append(objective())
+        theta = np.append(w, b)
+        f, _ = _smooth(theta, None, s, lam_l2, margins)
+        path.append(f + lam_l1 * np.abs(w).sum())
         if max_change <= params.tol:
-            theta = np.append(w, b)
-            _, grad = _data_loss_grad(
-                theta, np.hstack([X, np.ones((n, 1))]), s
-            )
-            if lam_l2:
-                grad[:p] += lam_l2 * w
-            converged = (
-                _optimality_gap(theta, grad, p, lam_l1, lam_l1 > 0)
-                <= 10 * params.tol
-            )
+            _, grad = _smooth(theta, _with_bias(X), s, lam_l2)
+            converged = _converged(theta, grad, lam_l1, n, params.tol)
             break
     return w, b, converged, it, np.array(path)
 

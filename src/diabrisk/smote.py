@@ -25,6 +25,8 @@ class SmoteParams:
     def __post_init__(self):
         if self.k_neighbors < 1:
             raise ValueError("k_neighbors must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not 0.0 < self.target_ratio <= 1.0:
             raise ValueError("target_ratio must be in (0, 1]")
 

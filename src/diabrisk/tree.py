@@ -66,6 +66,8 @@ class ForestParams:
     def __post_init__(self):
         if self.n_trees < 1:
             raise ValueError("n_trees must be >= 1")
+        if self.max_features is not None and self.max_features < 1:
+            raise ValueError("max_features must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -234,7 +236,9 @@ def fit_forest(X, y, params: ForestParams = ForestParams(),
     if len(np.unique(labels)) < 2:
         raise SingleClass("both classes are required to fit a forest")
     p = X.shape[1]
-    max_features = params.max_features or math.ceil(math.sqrt(p))
+    max_features = params.max_features
+    if max_features is None:
+        max_features = math.ceil(math.sqrt(p))
     max_features = min(max_features, p)
     trees = []
     for t in range(params.n_trees):

@@ -301,5 +301,32 @@ class TestExitCodes:
             "grid.tree.min_samples_leaf = 0": "grid.tree.min_samples_leaf: bad value 0:",
         }[grid] in err
 
+    @pytest.mark.parametrize("command, setting, key", [
+        (("train", "--experiment", "health", "--tuned"), "cv.folds = 1", "cv.folds"),
+        (("features",), "rfe.n_select = 0", "rfe.n_select"),
+        (("features",), "rfe.n_select = 22", "rfe.n_select"),
+        (("features",), "forest.max_features = 0", "forest.max_features"),
+        (("features",), "lasso.lambda = 0", "lasso.lambda"),
+        (("eda",), "smote.seed = -1", "smote.seed"),
+        (("eda",), "--seed -1", "seed"),
+        (("train", "--experiment", "health"), "health_features =", "health_features"),
+        (("train", "--experiment", "health"), "health_features = BMI, BMI",
+         "health_features"),
+    ], ids=["folds", "n_select_0", "n_select_22", "max_features", "lambda",
+            "smote_seed", "seed_flag", "no_health_features",
+            "repeated_health_feature"])
+    def test_bad_setting_is_config_error(
+        self, synthetic_csv, tmp_path, capsys, command, setting, key
+    ):
+        args = [*command, "--data", synthetic_csv, "--out", str(tmp_path / "out")]
+        if setting.startswith("--"):
+            args += setting.split()
+        else:
+            args += ["--config", str(write_config(tmp_path, setting + "\n"))]
+        assert run_cli(*args) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}: bad value ")
+        assert "Traceback" not in err
+
     def test_no_data_given(self, tmp_path):
         assert run_cli("eda", "--out", str(tmp_path / "out")) == 4

@@ -173,6 +173,58 @@ class TestFit:
         assert model.weights.shape == (2,)
 
 
+@pytest.fixture(scope="module")
+def planted_30k():
+    # health-style table: four binary indicators, a BMI-like and a 1..5 code
+    rng = np.random.default_rng(1)
+    n = 30000
+    X = np.column_stack([
+        rng.integers(0, 2, size=(n, 4)), rng.normal(28, 6, size=n),
+        rng.integers(1, 6, size=n),
+    ]).astype(float)
+    logits = X @ np.array([1.0, 0.8, 0.6, 0.2, 0.08, 0.3]) - 4.5
+    y = (rng.random(n) < 1.0 / (1.0 + np.exp(-logits))).astype(int)
+    return X, y
+
+
+class TestConvergedFlag:
+    @pytest.mark.parametrize("optimizer", ["gradient", "coordinate"])
+    @pytest.mark.parametrize("penalty", ["none", "l1", "l2"])
+    def test_flat_fit_on_many_rows_is_converged(self, planted_30k, optimizer,
+                                                 penalty):
+        X, y = planted_30k
+        params = LogRegParams(penalty=penalty, optimizer=optimizer)
+        model = fit_logreg(X, y, params)
+        assert model.converged
+        assert model.n_iter < params.max_iter
+
+    @pytest.mark.parametrize("optimizer", ["gradient", "coordinate"])
+    def test_max_iter_stop_is_not_converged(self, planted_30k, optimizer):
+        X, y = planted_30k
+        model = fit_logreg(X, y, LogRegParams(optimizer=optimizer, max_iter=1))
+        assert not model.converged
+        assert model.n_iter == 1
+
+
+class TestObjectiveAgreesWithOracle:
+    @pytest.mark.parametrize("optimizer", ["gradient", "coordinate"])
+    @pytest.mark.parametrize("penalty", ["none", "l1", "l2"])
+    def test_last_path_value_is_loss_at_fitted_point(self, optimizer, penalty):
+        # the finite-difference oracle above checks loss_and_gradient; this
+        # ties it to the objective both optimizers minimize and record
+        rng = np.random.default_rng(14)
+        X, y = random_instance(rng, n=200, p=4)
+        X = X * [1.0, 3.0, 0.5, 10.0] + [0.0, 2.0, -1.0, 5.0]
+        params = LogRegParams(penalty=penalty, optimizer=optimizer, C=0.5)
+        model = fit_logreg(X, y, params)
+        Z = (X - model.feature_means) / model.feature_stds
+        w = model.weights_standardized
+        b = model.intercept + float(
+            (w * model.feature_means / model.feature_stds).sum())
+        loss, _ = loss_and_gradient(w, b, Z, y, params)
+        assert model.objective_path[-1] == pytest.approx(loss, rel=1e-12, abs=0)
+
+
 class TestPredict:
     def _zero_model(self, p=3):
         rng = np.random.default_rng(0)
