@@ -5,9 +5,8 @@ from .dataset import (
     CANONICAL_COLUMNS,
     FEATURE_COLUMNS,
     HEALTH_MODEL_FEATURES,
-    ColumnSchema,
     DataTable,
-    LabelVector,
+    as_labels,
     binarize_target,
     income_histogram,
     load_csv,

@@ -8,6 +8,7 @@ for ``tree.max_depth`` and inside ``grid.tree.max_depth``.
 """
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import asdict, dataclass, field, replace
 
@@ -50,8 +51,8 @@ class ExperimentConfig:
             raise ValueError("test_fraction must be in (0, 1)")
         if self.cv_folds < 2:
             raise ValueError("folds must be >= 2")
-        if self.lasso_lambda <= 0:
-            raise ValueError("lambda must be > 0")
+        if not 0 < self.lasso_lambda < math.inf:  # NaN fails too
+            raise ValueError("lambda must be > 0 and finite")
         if not 1 <= self.rfe_n_select <= len(FEATURE_COLUMNS):
             raise ValueError(
                 f"n_select must be in 1..{len(FEATURE_COLUMNS)} (the feature count)")
@@ -158,10 +159,12 @@ def parse_config(path: str = None, overrides: dict = None) -> ExperimentConfig:
     raw = {}
     if path is not None:
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 lines = fh.readlines()
         except OSError as exc:
             raise ConfigError(path, f"cannot read config file: {exc}") from None
+        except UnicodeDecodeError:
+            raise ConfigError(path, "config file is not valid UTF-8 text") from None
         for lineno, line in enumerate(lines, start=1):
             stripped = line.split("#", 1)[0].strip()
             if not stripped:
@@ -184,7 +187,11 @@ def parse_config(path: str = None, overrides: dict = None) -> ExperimentConfig:
         if group == "config":
             cfg = _with_field(key, cfg, name, parse(key, value))
         elif group.endswith("_grid"):
-            groups[group][name] = (key, _csv_list(value, lambda v: parse(key, v)))
+            values = _csv_list(value, lambda v: parse(key, v))
+            if not values:
+                raise ConfigError(
+                    key, f"bad value {value!r}: a grid needs at least one value")
+            groups[group][name] = (key, values)
         else:
             groups[group][name] = (key, parse(key, value))
 

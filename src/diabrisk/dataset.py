@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,39 +17,40 @@ from .errors import (
     EmptyData,
     InsufficientRows,
     MissingColumn,
+    NonBinary,
     NonNumericCell,
     OutOfRange,
 )
 
 TARGET = "Diabetes_012"
 
-# name -> (kind, low, high); high=None means unbounded above
-_COLUMN_SPECS = [
-    (TARGET, "ordinal", 0, 2),
-    ("HighBP", "binary", 0, 1),
-    ("HighChol", "binary", 0, 1),
-    ("CholCheck", "binary", 0, 1),
-    ("BMI", "count", 1, None),
-    ("Smoker", "binary", 0, 1),
-    ("Stroke", "binary", 0, 1),
-    ("HeartDiseaseorAttack", "binary", 0, 1),
-    ("PhysActivity", "binary", 0, 1),
-    ("Fruits", "binary", 0, 1),
-    ("Veggies", "binary", 0, 1),
-    ("HvyAlcoholConsump", "binary", 0, 1),
-    ("AnyHealthcare", "binary", 0, 1),
-    ("NoDocbcCost", "binary", 0, 1),
-    ("GenHlth", "ordinal", 1, 5),
-    ("MentHlth", "count", 0, 30),
-    ("PhysHlth", "count", 0, 30),
-    ("DiffWalk", "binary", 0, 1),
-    ("Sex", "binary", 0, 1),
-    ("Age", "ordinal", 1, 13),
-    ("Education", "ordinal", 1, 6),
-    ("Income", "ordinal", 1, 8),
-]
+# name -> (low, high) of the valid integer codes; high=None means unbounded
+_RANGES = {
+    TARGET: (0, 2),
+    "HighBP": (0, 1),
+    "HighChol": (0, 1),
+    "CholCheck": (0, 1),
+    "BMI": (1, None),
+    "Smoker": (0, 1),
+    "Stroke": (0, 1),
+    "HeartDiseaseorAttack": (0, 1),
+    "PhysActivity": (0, 1),
+    "Fruits": (0, 1),
+    "Veggies": (0, 1),
+    "HvyAlcoholConsump": (0, 1),
+    "AnyHealthcare": (0, 1),
+    "NoDocbcCost": (0, 1),
+    "GenHlth": (1, 5),
+    "MentHlth": (0, 30),
+    "PhysHlth": (0, 30),
+    "DiffWalk": (0, 1),
+    "Sex": (0, 1),
+    "Age": (1, 13),
+    "Education": (1, 6),
+    "Income": (1, 8),
+}
 
-CANONICAL_COLUMNS = [name for name, _, _, _ in _COLUMN_SPECS]
+CANONICAL_COLUMNS = list(_RANGES)
 FEATURE_COLUMNS = CANONICAL_COLUMNS[1:]
 
 HEALTH_MODEL_FEATURES = [
@@ -57,54 +58,28 @@ HEALTH_MODEL_FEATURES = [
 ]
 
 
-@dataclass(frozen=True)
-class ColumnSchema:
-    """Ordered column names with per-column kind and valid integer range."""
-
-    names: tuple
-    kinds: dict = field(default_factory=dict)
-    ranges: dict = field(default_factory=dict)
-
-    @classmethod
-    def canonical(cls) -> "ColumnSchema":
-        return cls.for_names(CANONICAL_COLUMNS)
-
-    @classmethod
-    def for_names(cls, names) -> "ColumnSchema":
-        kinds = {n: k for n, k, _, _ in _COLUMN_SPECS}
-        ranges = {n: (lo, hi) for n, _, lo, hi in _COLUMN_SPECS}
-        for n in names:
-            if n not in kinds:
-                raise MissingColumn(n)
-        return cls(
-            names=tuple(names),
-            kinds={n: kinds[n] for n in names},
-            ranges={n: ranges[n] for n in names},
-        )
-
-    def __len__(self):
-        return len(self.names)
-
-    def index(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise MissingColumn(name) from None
+def as_labels(y, name: str = "y") -> np.ndarray:
+    """A label argument as a 1-D int array; every value must be 0 or 1."""
+    labels = np.asarray(y)
+    if labels.ndim != 1 or not np.all((labels == 0) | (labels == 1)):
+        raise NonBinary(f"{name} must be a 1-D vector of 0/1 labels")
+    return labels.astype(np.int64)
 
 
 @dataclass(frozen=True)
 class DataTable:
-    """Immutable named-column numeric matrix."""
+    """Immutable numeric matrix with one name per column."""
 
-    schema: ColumnSchema
-    rows: np.ndarray  # shape (n_rows, len(schema)), float64, finite
+    names: tuple
+    rows: np.ndarray  # shape (n_rows, len(names)), float64, finite
 
     def __post_init__(self):
+        object.__setattr__(self, "names", tuple(self.names))
         rows = np.asarray(self.rows, dtype=float)
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
-        if rows.ndim != 2 or rows.shape[1] != len(self.schema):
-            raise ValueError("row matrix shape does not match schema")
+        if rows.ndim != 2 or rows.shape[1] != len(self.names):
+            raise ValueError("row matrix shape does not match the column names")
         if not np.all(np.isfinite(rows)):
             raise ValueError("non-finite cell in table")
 
@@ -112,36 +87,14 @@ class DataTable:
     def n_rows(self) -> int:
         return self.rows.shape[0]
 
+    def index(self, name: str) -> int:
+        try:
+            return self.names.index(name)
+        except ValueError:
+            raise MissingColumn(name) from None
+
     def column(self, name: str) -> np.ndarray:
-        return self.rows[:, self.schema.index(name)]
-
-    def take_rows(self, indices) -> "DataTable":
-        return DataTable(self.schema, self.rows[np.asarray(indices, dtype=int)])
-
-
-@dataclass(frozen=True)
-class LabelVector:
-    """Binary labels with cached class counts."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=int)
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-        if vals.ndim != 1 or not np.all((vals == 0) | (vals == 1)):
-            raise ValueError("labels must be a 1-D 0/1 vector")
-
-    @property
-    def positive_count(self) -> int:
-        return int(self.values.sum())
-
-    @property
-    def negative_count(self) -> int:
-        return len(self.values) - self.positive_count
-
-    def __len__(self):
-        return len(self.values)
+        return self.rows[:, self.index(name)]
 
 
 @dataclass(frozen=True)
@@ -174,8 +127,8 @@ def _parse_cell(text: str, row: int, col: str):
     return value
 
 
-def _check_range(value: float, row: int, col: str, schema: ColumnSchema):
-    lo, hi = schema.ranges[col]
+def _check_range(value: float, row: int, col: str):
+    lo, hi = _RANGES[col]
     desc = f"integers in [{lo}, {'inf' if hi is None else hi}]"
     if value != int(value):
         raise OutOfRange(row, col, value, desc)
@@ -220,7 +173,6 @@ def _load_csv(path) -> DataTable:
         for name in CANONICAL_COLUMNS:
             if name not in header:
                 raise MissingColumn(name)
-        schema = ColumnSchema.canonical()
         order = [header.index(name) for name in CANONICAL_COLUMNS]
         width = len(header)
         data = []
@@ -232,19 +184,19 @@ def _load_csv(path) -> DataTable:
             parsed = []
             for j, col in zip(order, CANONICAL_COLUMNS):
                 value = _parse_cell(raw[j].strip(), i, col)
-                _check_range(value, i, col, schema)
+                _check_range(value, i, col)
                 parsed.append(value)
             data.append(parsed)
     if not data:
         raise EmptyData("no data rows")
-    return DataTable(schema, np.array(data, dtype=float))
+    return DataTable(CANONICAL_COLUMNS, np.array(data, dtype=float))
 
 
 def write_csv(table: DataTable, path) -> None:
     """Write a table back out; integer-valued cells are printed as integers."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(table.schema.names)
+        writer.writerow(table.names)
         for row in table.rows:
             writer.writerow(
                 [int(v) if v == int(v) else repr(float(v)) for v in row]
@@ -254,16 +206,14 @@ def write_csv(table: DataTable, path) -> None:
 def binarize_target(table: DataTable):
     """Split off ``Diabetes_012``: codes {1,2} -> label 1, code 0 -> label 0."""
     target = table.column(TARGET)
-    labels = LabelVector((target > 0).astype(int))
-    features = select_columns(
-        table, [n for n in table.schema.names if n != TARGET]
-    )
+    labels = (target > 0).astype(int)
+    features = select_columns(table, [n for n in table.names if n != TARGET])
     return features, labels
 
 
 def select_columns(table: DataTable, names) -> DataTable:
-    idx = [table.schema.index(n) for n in names]
-    return DataTable(ColumnSchema.for_names(list(names)), table.rows[:, idx])
+    idx = [table.index(n) for n in names]
+    return DataTable(names, table.rows[:, idx])
 
 
 def train_test_split(n: int, test_fraction: float, seed: int) -> SplitResult:
@@ -297,7 +247,7 @@ def pearson_correlation(table: DataTable) -> CorrelationMatrix:
     values[np.diag_indices_from(values)] = np.where(defined_diag, 1.0, 0.0)
     # symmetrize against float noise
     values = (values + values.T) / 2.0
-    return CorrelationMatrix(tuple(table.schema.names), values, mask)
+    return CorrelationMatrix(table.names, values, mask)
 
 
 def income_histogram(table: DataTable) -> HistogramTable:

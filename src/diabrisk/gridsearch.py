@@ -6,7 +6,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dataset import LabelVector
+from .dataset import as_labels
 from .errors import BadParams, FoldDegenerate, SingleClass
 from .logistic import LogRegParams, fit_logreg, predict_proba
 from .metrics import roc_curve
@@ -69,12 +69,12 @@ def _combinations(grid: dict):
 # fit, predict and roc_curve are read as module globals at each call, so a
 # wrapper set on those attributes (perfbench/tracer.py) sees every grid fit
 def _score_logistic(params, X_train, y_train, X_valid, y_valid):
-    model = fit_logreg(X_train, LabelVector(y_train), params)
+    model = fit_logreg(X_train, y_train, params)
     return roc_curve(y_valid, predict_proba(model, X_valid)).auc
 
 
 def _score_tree(params, X_train, y_train, X_valid, y_valid):
-    model = fit_tree(X_train, LabelVector(y_train), params)
+    model = fit_tree(X_train, y_train, params)
     return roc_curve(y_valid, predict_tree(model, X_valid)[1]).auc
 
 
@@ -110,7 +110,7 @@ def grid_search(X, y, family: str, grid: dict = None,
         raise BadParams(f"unknown model family: {family}")
     params_type, score, default_grid = FAMILIES[family]
     X = np.asarray(X, dtype=float)
-    labels = y.values if isinstance(y, LabelVector) else np.asarray(y, dtype=int)
+    labels = as_labels(y)
     if len(np.unique(labels)) < 2:
         raise SingleClass("both classes are required for tuning")
     grid = default_grid if grid is None else grid

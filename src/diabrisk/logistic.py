@@ -25,11 +25,12 @@ applicable to raw feature units.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import LabelVector
+from .dataset import as_labels
 from .errors import DimensionMismatch, SingleClass
 
 PENALTIES = ("none", "l1", "l2")
@@ -50,8 +51,10 @@ class LogRegParams:
             raise ValueError(f"penalty must be one of {PENALTIES}")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"optimizer must be one of {OPTIMIZERS}")
-        if self.C <= 0 or self.tol <= 0 or self.max_iter < 1:
-            raise ValueError("require C > 0, tol > 0, max_iter >= 1")
+        # written so that NaN fails: every comparison with NaN is False. An
+        # infinite tol would stop after one step and report it converged.
+        if not (self.C > 0 and 0 < self.tol < math.inf) or self.max_iter < 1:
+            raise ValueError("require C > 0, finite tol > 0, max_iter >= 1")
 
 
 @dataclass(frozen=True)
@@ -69,8 +72,7 @@ class LogRegModel:
 
 
 def _as_signs(y) -> np.ndarray:
-    values = y.values if isinstance(y, LabelVector) else np.asarray(y)
-    return 2.0 * values - 1.0
+    return 2.0 * as_labels(y) - 1.0
 
 
 def _lambdas(params: LogRegParams):
@@ -319,16 +321,16 @@ def predict_proba(model: LogRegModel, X) -> np.ndarray:
     return _sigmoid(X @ model.weights + model.intercept)
 
 
-def predict_label(model: LogRegModel, X, threshold: float = 0.5) -> LabelVector:
+def predict_label(model: LogRegModel, X, threshold: float = 0.5) -> np.ndarray:
     # probability exactly at the threshold maps to class 1
-    return LabelVector((predict_proba(model, X) >= threshold).astype(int))
+    return (predict_proba(model, X) >= threshold).astype(int)
 
 
 def lasso_coefficients(X, y, lam: float) -> np.ndarray:
     """L1-penalized fit on z-scored features; returns standardized-scale
     coefficients so magnitudes are comparable across features."""
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
+    if not 0 < lam < math.inf:  # lambda = inf would give C = 0
+        raise ValueError("lambda must be positive and finite")
     params = LogRegParams(penalty="l1", C=1.0 / lam, optimizer="coordinate")
     model = fit_logreg(X, y, params)
     return model.weights_standardized

@@ -6,8 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import LabelVector
-from .errors import LengthMismatch, NonBinary, SingleClass
+from .dataset import as_labels
+from .errors import LengthMismatch, SingleClass
 
 
 @dataclass(frozen=True)
@@ -58,16 +58,9 @@ class PrCurve:
     average_precision: float
 
 
-def _as_binary(values, name):
-    arr = values.values if isinstance(values, LabelVector) else np.asarray(values)
-    if arr.size and not np.all((arr == 0) | (arr == 1)):
-        raise NonBinary(f"{name} must contain only 0/1")
-    return arr.astype(int)
-
-
 def confusion(y_true, y_pred) -> ConfusionMatrix:
-    t = _as_binary(y_true, "y_true")
-    p = _as_binary(y_pred, "y_pred")
+    t = as_labels(y_true, "y_true")
+    p = as_labels(y_pred, "y_pred")
     if t.shape[0] != p.shape[0]:
         raise LengthMismatch("y_true and y_pred differ in length")
     return ConfusionMatrix(
@@ -120,7 +113,7 @@ def classification_report(y_true, y_pred) -> ClassificationReport:
 
 def _threshold_counts(y_true, scores):
     """Cumulative tp/fp at each distinct score, descending; ties grouped."""
-    t = _as_binary(y_true, "y_true")
+    t = as_labels(y_true, "y_true")
     s = np.asarray(scores, dtype=float)
     if t.shape[0] != s.shape[0]:
         raise LengthMismatch("y_true and scores differ in length")

@@ -15,7 +15,6 @@ from . import plots
 from .config import ExperimentConfig, config_to_dict
 from .errors import PipelineError
 from .dataset import (
-    LabelVector,
     binarize_target,
     income_histogram,
     load_csv,
@@ -148,11 +147,16 @@ def run_eda(cfg: ExperimentConfig) -> dict:
     return run.finalize(report)
 
 
+def _class_counts(y) -> dict:
+    n_pos = int(np.sum(y))
+    return {"0": len(y) - n_pos, "1": n_pos}
+
+
 def _balanced_full_features(cfg: ExperimentConfig):
     table = load_csv(cfg.data_path)
     features, labels = binarize_target(table)
     X, y = smote_balance(features.rows, labels, cfg.smote)
-    return list(features.schema.names), X, y, labels
+    return list(features.names), X, y, labels
 
 
 def run_features(cfg: ExperimentConfig) -> dict:
@@ -206,12 +210,8 @@ def run_features(cfg: ExperimentConfig) -> dict:
         "config": config_to_dict(cfg),
         "dataset": {
             "n_rows": len(raw_labels),
-            "class_counts_before": {
-                "0": raw_labels.negative_count, "1": raw_labels.positive_count,
-            },
-            "class_counts_after": {
-                "0": y.negative_count, "1": y.positive_count,
-            },
+            "class_counts_before": _class_counts(raw_labels),
+            "class_counts_after": _class_counts(y),
         },
         "rfe_selected": rfe_result.selected_names(),
         "consensus_order": consensus.ordered_names(),
@@ -226,29 +226,21 @@ def _experiment_data(cfg: ExperimentConfig, experiment: str, balanced: bool):
     """load -> binarize -> select -> (SMOTE) -> split, per the configured
     order. Returns train/test matrices plus bookkeeping counts."""
     table = load_csv(cfg.data_path)
-    features, labels = binarize_target(table)
+    features, y = binarize_target(table)
     names = (
         list(cfg.health_features) if experiment == "health" else INCOME_FEATURE
     )
     X = select_columns(features, names).rows
-    before = {"0": labels.negative_count, "1": labels.positive_count}
+    before = _class_counts(y)
 
     if balanced and not cfg.split_first:
-        X, y = smote_balance(X, labels, cfg.smote)
-    else:
-        y = labels
+        X, y = smote_balance(X, y, cfg.smote)
     split = train_test_split(len(y), cfg.test_fraction, cfg.seed)
-    X_train, y_train = X[split.train_indices], y.values[split.train_indices]
-    X_test, y_test = X[split.test_indices], y.values[split.test_indices]
+    X_train, y_train = X[split.train_indices], y[split.train_indices]
+    X_test, y_test = X[split.test_indices], y[split.test_indices]
     if balanced and cfg.split_first:
-        X_train, y_train_lv = smote_balance(
-            X_train, LabelVector(y_train), cfg.smote
-        )
-        y_train = y_train_lv.values
-    after = {
-        "0": int(np.sum(y_train == 0) + np.sum(y_test == 0)),
-        "1": int(np.sum(y_train == 1) + np.sum(y_test == 1)),
-    }
+        X_train, y_train = smote_balance(X_train, y_train, cfg.smote)
+    after = _class_counts(np.concatenate([y_train, y_test]))
     return names, X_train, y_train, X_test, y_test, before, after
 
 
@@ -293,7 +285,7 @@ def _tune(cfg: ExperimentConfig, experiment: str, X_train, y_train):
         else ("tree", cfg.tree_grid)
     )
     return grid_search(
-        X_train, LabelVector(y_train), family, grid,
+        X_train, y_train, family, grid,
         CvConfig(folds=cfg.cv_folds, seed=cfg.seed),
         base=_model_params(cfg, experiment),
     )
@@ -353,10 +345,9 @@ def run_train(cfg: ExperimentConfig, experiment: str, tuned: bool,
         params = replace(params, **grid_result.best_params)
 
     if experiment == "health":
-        model = fit_logreg(X_train, LabelVector(y_train), params,
-                           feature_names=names)
+        model = fit_logreg(X_train, y_train, params, feature_names=names)
         scores = predict_proba(model, X_test)
-        y_pred = predict_label(model, X_test).values
+        y_pred = predict_label(model, X_test)
         run.write_text("model.txt", model_to_text(model))
         if not model.converged:
             warnings.append(
@@ -371,10 +362,8 @@ def run_train(cfg: ExperimentConfig, experiment: str, tuned: bool,
             "intercept": model.intercept,
         }
     else:
-        model = fit_tree(X_train, LabelVector(y_train), params,
-                         feature_names=names)
-        y_pred_lv, scores = predict_tree(model, X_test)
-        y_pred = y_pred_lv.values
+        model = fit_tree(X_train, y_train, params, feature_names=names)
+        y_pred, scores = predict_tree(model, X_test)
         run.write_text("tree.txt", tree_to_text(model))
         model_info = {"type": "tree", "params": asdict(params)}
 
@@ -459,14 +448,16 @@ def _render_report(doc: dict) -> str:
 
 def rerender_report(out_dir: str, prefix: str = "") -> str:
     """Rebuild report.txt from an existing report.json (report subcommand)."""
-    with open(os.path.join(out_dir, prefix + "report.json")) as fh:
-        doc = json.load(fh)
-    if "metrics" not in doc or "experiment" not in doc:
+    path = os.path.join(out_dir, prefix + "report.json")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        text = _render_report(doc)
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError: not JSON
         raise PipelineError(
-            "report.json was not produced by a train/baseline run; "
-            "nothing to re-render"
-        )
-    text = _render_report(doc)
+            f"{path} is not the report.json of a train/baseline run; nothing "
+            f"to re-render ({type(exc).__name__}: {exc})"
+        ) from None
     with open(os.path.join(out_dir, prefix + "report.txt"), "w") as fh:
         fh.write(text)
     return text

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .dataset import LabelVector
+from .dataset import as_labels
 from .errors import SingleClass, TooFewMinority
 
 
@@ -44,15 +44,16 @@ def _minority_neighbors(minority: np.ndarray, k: int) -> np.ndarray:
     return neighbors
 
 
-def smote_balance(X, y: LabelVector, params: SmoteParams):
+def smote_balance(X, y, params: SmoteParams):
     """Oversample the minority class until minority = majority * target_ratio.
 
     Returns ``(X_out, y_out)`` with all input rows preserved in order and the
     synthetics appended. Deterministic under ``params.seed``.
     """
     X = np.asarray(X, dtype=float)
-    labels = y.values
-    pos, neg = y.positive_count, y.negative_count
+    labels = as_labels(y)
+    pos = int(labels.sum())
+    neg = len(labels) - pos
     if pos == 0 or neg == 0:
         raise SingleClass("both classes are required for SMOTE")
     minority_label = 1 if pos < neg else 0
@@ -63,7 +64,7 @@ def smote_balance(X, y: LabelVector, params: SmoteParams):
 
     n_synthetic = int(round(majority_count * params.target_ratio)) - minority_count
     if n_synthetic <= 0:
-        return X, y
+        return X, labels
 
     k = params.k_neighbors
     if k > minority_count - 1:
@@ -87,7 +88,5 @@ def smote_balance(X, y: LabelVector, params: SmoteParams):
     synthetic = xi + gap[:, None] * (xj - xi)
 
     X_out = np.vstack([X, synthetic])
-    y_out = LabelVector(
-        np.concatenate([labels, np.full(n_synthetic, minority_label, dtype=int)])
-    )
+    y_out = np.concatenate([labels, np.full(n_synthetic, minority_label, dtype=int)])
     return X_out, y_out

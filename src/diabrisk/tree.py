@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import LabelVector
+from .dataset import as_labels
 from .errors import DimensionMismatch, EmptyNode, SingleClass
 
 
@@ -139,7 +139,7 @@ def fit_tree(X, y, params: TreeParams = TreeParams(),
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise DimensionMismatch("X must be 2-D")
-    labels = y.values if isinstance(y, LabelVector) else np.asarray(y, dtype=int)
+    labels = as_labels(y)
     if labels.shape[0] != X.shape[0]:
         raise DimensionMismatch("X and y disagree on row count")
     n_total = X.shape[0]
@@ -224,13 +224,13 @@ def predict_tree(model: DecisionTreeModel, X):
             stack.append((model.right[node], idx[~goes_left]))
     pos = model.n_pos[leaf]
     neg = model.n_samples[leaf] - pos
-    return LabelVector((pos >= neg).astype(int)), pos / (neg + pos)
+    return (pos >= neg).astype(int), pos / (neg + pos)
 
 
 def fit_forest(X, y, params: ForestParams = ForestParams(),
                feature_names=None) -> ForestModel:
     X = np.asarray(X, dtype=float)
-    labels = y.values if isinstance(y, LabelVector) else np.asarray(y, dtype=int)
+    labels = as_labels(y)
     if X.shape[0] < 2:
         raise DimensionMismatch("need at least 2 rows")
     if len(np.unique(labels)) < 2:
@@ -267,7 +267,7 @@ def predict_forest(model: ForestModel, X):
     scores = np.mean(
         [predict_tree(t, X)[1] for t in model.trees], axis=0
     )
-    return LabelVector((scores >= 0.5).astype(int)), scores
+    return (scores >= 0.5).astype(int), scores
 
 
 def _tree_raw_importance(tree: DecisionTreeModel) -> np.ndarray:

@@ -8,7 +8,6 @@ import pytest
 
 from diabrisk.dataset import (
     HEALTH_MODEL_FEATURES,
-    LabelVector,
     binarize_target,
     income_histogram,
     pearson_correlation,
@@ -103,8 +102,8 @@ def balanced_health(dataset):
     Xb, yb = smote_balance(X, labels, SmoteParams(seed=SEED))
     split = train_test_split(len(yb), 0.2, SEED)
     return (
-        Xb[split.train_indices], yb.values[split.train_indices],
-        Xb[split.test_indices], yb.values[split.test_indices],
+        Xb[split.train_indices], yb[split.train_indices],
+        Xb[split.test_indices], yb[split.test_indices],
     )
 
 
@@ -114,7 +113,7 @@ def balanced_full(dataset):
         return None
     _, features, labels = dataset
     Xb, yb = smote_balance(features.rows, labels, SmoteParams(seed=SEED))
-    return list(features.schema.names), Xb, yb
+    return list(features.names), Xb, yb
 
 
 def test_1_unbalanced_baseline(emit):
@@ -126,11 +125,11 @@ def test_1_unbalanced_baseline(emit):
     X = select_columns(features, HEALTH_MODEL_FEATURES).rows
     split = train_test_split(len(labels), 0.2, SEED)
     model = fit_logreg(
-        X[split.train_indices], LabelVector(labels.values[split.train_indices]),
+        X[split.train_indices], labels[split.train_indices],
         LogRegParams(),
     )
-    y_test = labels.values[split.test_indices]
-    y_pred = predict_label(model, X[split.test_indices]).values
+    y_test = labels[split.test_indices]
+    y_pred = predict_label(model, X[split.test_indices])
     report = classification_report(y_test, y_pred)
     ok = abs(report.accuracy - 0.848) <= 0.01 and report.class1.recall < 0.2
     check(emit, label, ok,
@@ -143,9 +142,9 @@ def test_2_balanced_health_model(emit, balanced_health):
              "precision/recall +/- 0.02, support 85482 +/- 2")
     require_dataset(emit, label)
     X_train, y_train, X_test, y_test = balanced_health
-    model = fit_logreg(X_train, LabelVector(y_train), LogRegParams())
+    model = fit_logreg(X_train, y_train, LogRegParams())
     scores = predict_proba(model, X_test)
-    report = classification_report(y_test, predict_label(model, X_test).values)
+    report = classification_report(y_test, predict_label(model, X_test))
     auc = roc_curve(y_test, scores).auc
     ok = (
         abs(auc - 0.705) <= 0.02
@@ -169,11 +168,11 @@ def test_3_income_model(emit, dataset):
     Xb, yb = smote_balance(X, labels, SmoteParams(seed=SEED))
     split = train_test_split(len(yb), 0.2, SEED)
     model = fit_tree(
-        Xb[split.train_indices], LabelVector(yb.values[split.train_indices])
+        Xb[split.train_indices], yb[split.train_indices]
     )
-    y_test = yb.values[split.test_indices]
+    y_test = yb[split.test_indices]
     y_pred, scores = predict_tree(model, Xb[split.test_indices])
-    report = classification_report(y_test, y_pred.values)
+    report = classification_report(y_test, y_pred)
     auc = roc_curve(y_test, scores).auc
     ok = (
         abs(auc - 0.601) <= 0.02
@@ -195,7 +194,7 @@ def test_4_tuning(emit, balanced_health, dataset):
     X_train, y_train, _, _ = balanced_health
     cv = CvConfig(folds=5, seed=SEED)
     logistic = grid_search(
-        X_train, LabelVector(y_train), "logistic", DEFAULT_LOGISTIC_GRID, cv
+        X_train, y_train, "logistic", DEFAULT_LOGISTIC_GRID, cv
     )
     default_logistic = next(
         c for c in logistic.cells
@@ -208,7 +207,7 @@ def test_4_tuning(emit, balanced_health, dataset):
     split = train_test_split(len(yb), 0.2, SEED)
     tree = grid_search(
         Xb[split.train_indices],
-        LabelVector(yb.values[split.train_indices]),
+        yb[split.train_indices],
         "tree", DEFAULT_TREE_GRID, cv,
     )
     default_tree = next(
@@ -389,7 +388,7 @@ def test_6_oracle_property_suite(emit):
 
     # SMOTE: segment membership, balanced counts, determinism
     X = rng.normal(size=(40, 3))
-    y = LabelVector(np.array([1] * 8 + [0] * 32))
+    y = np.array([1] * 8 + [0] * 32)
     Xa, ya = smote_balance(X, y, SmoteParams(k_neighbors=3, seed=5))
     Xb2, _ = smote_balance(X, y, SmoteParams(k_neighbors=3, seed=5))
     minority = X[:8]
@@ -413,7 +412,7 @@ def test_6_oracle_property_suite(emit):
         if not found:
             on_segment = False
             break
-    if not (on_segment and ya.positive_count == ya.negative_count
+    if not (on_segment and int(ya.sum()) == int((ya == 0).sum())
             and np.array_equal(Xa, Xb2)):
         failures.append("smote")
 

@@ -241,6 +241,19 @@ class TestReportSubcommand:
         run_cli("eda", "--data", synthetic_csv, "--out", str(out))
         assert run_cli("report", "--out", str(out)) == 3
 
+    @pytest.mark.parametrize("text", [
+        "{not json",
+        '{"metrics": {}, "experiment": "health"}',
+    ], ids=["not_json", "no_classification_report"])
+    def test_damaged_report_rejected(self, tmp_path, capsys, text):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "report.json").write_text(text)
+        assert run_cli("report", "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert str(out / "report.json") in err and "Traceback" not in err
+
 
 class TestExitCodes:
     def test_missing_data_file(self, tmp_path):
@@ -312,9 +325,22 @@ class TestExitCodes:
         (("train", "--experiment", "health"), "health_features =", "health_features"),
         (("train", "--experiment", "health"), "health_features = BMI, BMI",
          "health_features"),
+        (("train", "--experiment", "health"), "logreg.c = nan", "logreg.c"),
+        (("train", "--experiment", "health"), "logreg.tol = nan", "logreg.tol"),
+        (("features",), "lasso.lambda = nan", "lasso.lambda"),
+        (("features",), "lasso.lambda = inf", "lasso.lambda"),
+        (("train", "--experiment", "health"), "logreg.tol = inf", "logreg.tol"),
+        (("train", "--experiment", "health", "--tuned"), "grid.logistic.c = nan, 1",
+         "grid.logistic.c"),
+        (("train", "--experiment", "health", "--tuned"), "grid.logistic.c =",
+         "grid.logistic.c"),
+        (("train", "--experiment", "income", "--tuned"), "grid.tree.max_depth = ,",
+         "grid.tree.max_depth"),
     ], ids=["folds", "n_select_0", "n_select_22", "max_features", "lambda",
             "smote_seed", "seed_flag", "no_health_features",
-            "repeated_health_feature"])
+            "repeated_health_feature", "c_nan", "tol_nan", "lambda_nan",
+            "lambda_inf", "tol_inf",
+            "grid_c_nan", "grid_c_empty", "grid_depth_empty"])
     def test_bad_setting_is_config_error(
         self, synthetic_csv, tmp_path, capsys, command, setting, key
     ):
@@ -327,6 +353,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {key}: bad value ")
         assert "Traceback" not in err
+
+    def test_undecodable_config_is_config_error(
+        self, synthetic_csv, tmp_path, capsys
+    ):
+        conf = tmp_path / "exp.conf"
+        conf.write_bytes(b"seed = 1\n\xff = 2\n")
+        assert run_cli("eda", "--data", synthetic_csv,
+                       "--out", str(tmp_path / "out"),
+                       "--config", str(conf)) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {conf}: ")
+        assert "UTF-8" in err and "Traceback" not in err
 
     def test_no_data_given(self, tmp_path):
         assert run_cli("eda", "--out", str(tmp_path / "out")) == 4

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from diabrisk.dataset import (
     CANONICAL_COLUMNS,
     HEALTH_MODEL_FEATURES,
-    ColumnSchema,
     DataTable,
     binarize_target,
     income_histogram,
@@ -45,7 +44,7 @@ class TestLoadCsv:
         path = write_rows(tmp_path / "t.csv", small_rows())
         table = load_csv(path)
         assert table.n_rows == 4
-        assert table.schema.names == tuple(CANONICAL_COLUMNS)
+        assert table.names == tuple(CANONICAL_COLUMNS)
         assert table.column("BMI").tolist() == [28, 33, 41, 22]
 
     def test_trailing_point_zero_accepted(self, tmp_path):
@@ -110,7 +109,7 @@ class TestLoadCsv:
         rows = [list(reversed(row)) for row in small_rows()]
         path = write_rows(tmp_path / "t.csv", rows, header=header)
         table = load_csv(path)
-        assert table.schema.names == tuple(CANONICAL_COLUMNS)
+        assert table.names == tuple(CANONICAL_COLUMNS)
         assert table.column("BMI").tolist() == [28, 33, 41, 22]
 
     def test_round_trip(self, tmp_path):
@@ -119,7 +118,7 @@ class TestLoadCsv:
         out = tmp_path / "copy.csv"
         write_csv(table, out)
         again = load_csv(out)
-        assert again.schema.names == table.schema.names
+        assert again.names == table.names
         assert np.array_equal(again.rows, table.rows)
 
 
@@ -127,17 +126,17 @@ class TestBinarizeTarget:
     def test_codes_map_to_binary(self, tmp_path):
         table = load_csv(write_rows(tmp_path / "t.csv", small_rows()))
         features, labels = binarize_target(table)
-        assert labels.values.tolist() == [0, 1, 1, 0]
-        assert "Diabetes_012" not in features.schema.names
-        assert len(features.schema) == 21
+        assert labels.tolist() == [0, 1, 1, 0]
+        assert "Diabetes_012" not in features.names
+        assert len(features.names) == 21
 
     def test_positive_count_matches_code_count(self, tmp_path):
         rows = synthetic_rows(300, seed=11)
         table = load_csv(write_rows(tmp_path / "t.csv", rows))
         _, labels = binarize_target(table)
         expected = sum(1 for r in rows if r[0] in (1, 2))
-        assert labels.positive_count == expected
-        assert labels.negative_count == 300 - expected
+        assert int(labels.sum()) == expected
+        assert int((labels == 0).sum()) == 300 - expected
 
     def test_missing_target(self, tmp_path):
         table = load_csv(write_rows(tmp_path / "t.csv", small_rows()))
@@ -178,7 +177,7 @@ class TestSplit:
 class TestPearson:
     def _table(self, matrix, names=None):
         names = names or CANONICAL_COLUMNS[1: 1 + matrix.shape[1]]
-        return DataTable(ColumnSchema.for_names(names), matrix)
+        return DataTable(tuple(names), matrix)
 
     def test_self_correlation_is_one(self):
         rng = np.random.default_rng(0)
@@ -226,7 +225,7 @@ class TestIncomeHistogram:
 
     def test_empty_table_all_zero(self):
         table = DataTable(
-            ColumnSchema.for_names(["Income"]), np.empty((0, 1))
+            ("Income",), np.empty((0, 1))
         )
         hist = income_histogram(table)
         assert sum(hist.counts) == 0
@@ -241,7 +240,7 @@ class TestIncomeHistogram:
     @settings(max_examples=100, deadline=None)
     def test_counts_sum_property(self, incomes):
         table = DataTable(
-            ColumnSchema.for_names(["Income"]),
+            ("Income",),
             np.array(incomes, dtype=float).reshape(-1, 1),
         )
         hist = income_histogram(table)
@@ -253,14 +252,14 @@ class TestSelectColumns:
         table = load_csv(write_rows(tmp_path / "t.csv", small_rows()))
         features, _ = binarize_target(table)
         sub = select_columns(features, HEALTH_MODEL_FEATURES)
-        assert sub.schema.names == tuple(HEALTH_MODEL_FEATURES)
+        assert sub.names == tuple(HEALTH_MODEL_FEATURES)
         assert sub.n_rows == table.n_rows
 
     def test_identity_and_single(self, tmp_path):
         table = load_csv(write_rows(tmp_path / "t.csv", small_rows()))
         features, _ = binarize_target(table)
         assert np.array_equal(
-            select_columns(features, features.schema.names).rows, features.rows
+            select_columns(features, features.names).rows, features.rows
         )
         assert select_columns(features, ["Income"]).rows.shape == (4, 1)
 

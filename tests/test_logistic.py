@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from diabrisk.dataset import LabelVector
 from diabrisk.errors import DimensionMismatch, SingleClass
 from diabrisk.logistic import (
     LogRegParams,
@@ -86,7 +85,7 @@ class TestFit:
         model = fit_logreg(X, y, LogRegParams(penalty="l2", C=1.0))
         assert model.weights[0] > 0
         labels = predict_label(model, X)
-        assert np.array_equal(labels.values, y)
+        assert np.array_equal(labels, y)
 
     def test_matches_brute_force_scan_oracle(self):
         # 1 feature + intercept: exhaustive grid scan with refinement
@@ -169,7 +168,7 @@ class TestFit:
     def test_accepts_label_vector(self):
         rng = np.random.default_rng(10)
         X, y = random_instance(rng, n=40, p=2)
-        model = fit_logreg(X, LabelVector(y), LogRegParams())
+        model = fit_logreg(X, y, LogRegParams())
         assert model.weights.shape == (2,)
 
 
@@ -260,9 +259,9 @@ class TestPredict:
     def test_threshold_conventions(self):
         model = self._zero_model()
         X = np.random.default_rng(3).normal(size=(5, 3))
-        assert np.all(predict_label(model, X, threshold=0.5).values == 1)
-        assert np.all(predict_label(model, X, threshold=0.0).values == 1)
-        assert np.all(predict_label(model, X, threshold=1.0 + 1e-9).values == 0)
+        assert np.all(predict_label(model, X, threshold=0.5) == 1)
+        assert np.all(predict_label(model, X, threshold=0.0) == 1)
+        assert np.all(predict_label(model, X, threshold=1.0 + 1e-9) == 0)
 
     def test_dimension_mismatch(self):
         model = self._zero_model()

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from diabrisk.dataset import LabelVector
 from diabrisk.errors import SingleClass, TooFewMinority
 from diabrisk.smote import SmoteParams, smote_balance
 
@@ -21,15 +20,15 @@ def _segment_membership(point, a, b, tol=1e-9):
 
 def test_already_balanced_returns_input_unchanged():
     X = np.arange(8, dtype=float).reshape(4, 2)
-    y = LabelVector(np.array([0, 1, 0, 1]))
+    y = np.array([0, 1, 0, 1])
     X2, y2 = smote_balance(X, y, SmoteParams(seed=0))
     assert np.array_equal(X2, X)
-    assert np.array_equal(y2.values, y.values)
+    assert np.array_equal(y2, y)
 
 
 def test_two_point_minority_synthetics_on_diagonal():
     X = np.array([[0.0, 0.0], [1.0, 1.0]] + [[5.0, -3.0]] * 10)
-    y = LabelVector(np.array([1, 1] + [0] * 10))
+    y = np.array([1, 1] + [0] * 10)
     X2, y2 = smote_balance(X, y, SmoteParams(k_neighbors=1, seed=4))
     synthetic = X2[12:]
     assert len(synthetic) == 8
@@ -41,7 +40,7 @@ def test_two_point_minority_synthetics_on_diagonal():
 def test_synthetics_lie_on_minority_pair_segments():
     rng = np.random.default_rng(9)
     X = rng.normal(size=(40, 3))
-    y = LabelVector(np.array([1] * 12 + [0] * 28))
+    y = np.array([1] * 12 + [0] * 28)
     X2, y2 = smote_balance(X, y, SmoteParams(k_neighbors=3, seed=1))
     minority = X[:12]
     for s in X2[40:]:
@@ -58,29 +57,29 @@ def test_synthetics_lie_on_minority_pair_segments():
 def test_balance_counts(ratio):
     rng = np.random.default_rng(2)
     X = rng.normal(size=(100, 4))
-    y = LabelVector(np.array([1] * 15 + [0] * 85))
+    y = np.array([1] * 15 + [0] * 85)
     _, y2 = smote_balance(X, y, SmoteParams(seed=0, target_ratio=ratio))
-    assert abs(y2.positive_count - y2.negative_count * ratio) <= 1
+    assert abs(int(y2.sum()) - int((y2 == 0).sum()) * ratio) <= 1
 
 
 def test_originals_preserved_in_order():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(30, 2))
-    y = LabelVector((rng.random(30) < 0.3).astype(int))
+    y = (rng.random(30) < 0.3).astype(int)
     X2, y2 = smote_balance(X, y, SmoteParams(seed=5))
     assert np.array_equal(X2[:30], X)
-    assert np.array_equal(y2.values[:30], y.values)
-    assert np.all(y2.values[30:] == 1)  # only minority rows appended
+    assert np.array_equal(y2[:30], y)
+    assert np.all(y2[30:] == 1)  # only minority rows appended
 
 
 def test_bitwise_determinism():
     rng = np.random.default_rng(4)
     X = rng.normal(size=(60, 5))
-    y = LabelVector((rng.random(60) < 0.2).astype(int))
+    y = (rng.random(60) < 0.2).astype(int)
     a = smote_balance(X, y, SmoteParams(seed=11))
     b = smote_balance(X, y, SmoteParams(seed=11))
     assert np.array_equal(a[0], b[0])
-    assert np.array_equal(a[1].values, b[1].values)
+    assert np.array_equal(a[1], b[1])
     c = smote_balance(X, y, SmoteParams(seed=12))
     assert not np.array_equal(a[0], c[0])
 
@@ -88,29 +87,29 @@ def test_bitwise_determinism():
 def test_single_class_rejected():
     X = np.ones((5, 2))
     with pytest.raises(SingleClass):
-        smote_balance(X, LabelVector(np.zeros(5, dtype=int)), SmoteParams())
+        smote_balance(X, np.zeros(5, dtype=int), SmoteParams())
 
 
 def test_too_few_minority_rejected():
     X = np.arange(10, dtype=float).reshape(5, 2)
-    y = LabelVector(np.array([1, 0, 0, 0, 0]))
+    y = np.array([1, 0, 0, 0, 0])
     with pytest.raises(TooFewMinority):
         smote_balance(X, y, SmoteParams())
 
 
 def test_k_clamped_with_warning():
     X = np.vstack([np.eye(3), np.full((7, 3), 9.0)])
-    y = LabelVector(np.array([1, 1, 1] + [0] * 7))
+    y = np.array([1, 1, 1] + [0] * 7)
     with pytest.warns(UserWarning, match="clamped"):
         X2, y2 = smote_balance(X, y, SmoteParams(k_neighbors=10, seed=0))
-    assert y2.positive_count == y2.negative_count
+    assert int(y2.sum()) == int((y2 == 0).sum())
 
 
 def test_majority_can_be_class_one():
     # minority is class 0 here; it must be the oversampled one
     rng = np.random.default_rng(6)
     X = rng.normal(size=(50, 2))
-    y = LabelVector(np.array([0] * 10 + [1] * 40))
+    y = np.array([0] * 10 + [1] * 40)
     X2, y2 = smote_balance(X, y, SmoteParams(seed=0))
-    assert y2.negative_count == y2.positive_count == 40
-    assert np.all(y2.values[50:] == 0)
+    assert int((y2 == 0).sum()) == int(y2.sum()) == 40
+    assert np.all(y2[50:] == 0)

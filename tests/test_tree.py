@@ -3,7 +3,6 @@ import hashlib
 import numpy as np
 import pytest
 
-from diabrisk.dataset import LabelVector
 from diabrisk.errors import DimensionMismatch, EmptyNode, SingleClass
 from diabrisk.tree import (
     DecisionTreeModel,
@@ -121,14 +120,14 @@ class TestFitTree:
         y = rng.integers(0, 2, size=60)
         model = fit_tree(X, y)
         labels, _ = predict_tree(model, X)
-        assert np.array_equal(labels.values, y)
+        assert np.array_equal(labels, y)
 
     def test_memorizes_xor(self):
         X = np.array([[0., 0.], [0., 1.], [1., 0.], [1., 1.]])
         y = np.array([0, 1, 1, 0])
         model = fit_tree(X, y)
         labels, _ = predict_tree(model, X)
-        assert np.array_equal(labels.values, y)
+        assert np.array_equal(labels, y)
 
     def test_income_style_threshold_bound(self):
         rng = np.random.default_rng(1)
@@ -207,12 +206,12 @@ class TestPredictTree:
         assert model.feature.tolist() == [-1]
         labels, scores = predict_tree(model, np.zeros((4, 2)))
         assert np.all(scores == 0.8)
-        assert np.all(labels.values == 1)
+        assert np.all(labels == 1)
 
     def test_leaf_tie_predicts_class_one(self):
         model = fit_tree(np.ones((4, 1)), np.array([0, 0, 1, 1]))
         labels, _ = predict_tree(model, np.ones((2, 1)))
-        assert np.all(labels.values == 1)
+        assert np.all(labels == 1)
 
     def test_dimension_mismatch(self):
         model = fit_tree(np.ones((4, 2)), np.array([0, 1, 0, 1]))
@@ -276,7 +275,7 @@ class TestForest:
         forest = fit_forest(X, y, ForestParams(n_trees=10, seed=2))
         labels, scores = predict_forest(forest, X)
         assert np.all((scores >= 0) & (scores <= 1))
-        assert np.mean(labels.values == y) > 0.9
+        assert np.mean(labels == y) > 0.9
 
 
 class TestSerialization:
@@ -290,7 +289,7 @@ class TestSerialization:
         Xq = rng.integers(0, 5, size=(40, 3)).astype(float)
         la, sa = predict_tree(model, Xq)
         lb, sb = predict_tree(restored, Xq)
-        assert np.array_equal(la.values, lb.values)
+        assert np.array_equal(la, lb)
         assert np.array_equal(sa, sb)
         assert restored.feature_names == ("a", "b", "c")
         assert restored.params.max_depth == 8
@@ -324,7 +323,7 @@ class TestSerialization:
         Xq = np.arange(-1.0, depth + 2.0).reshape(-1, 1)
         la, sa = predict_tree(model, Xq)
         lb, sb = predict_tree(restored, Xq)
-        assert np.array_equal(la.values, lb.values)
+        assert np.array_equal(la, lb)
         assert np.array_equal(sa, sb)
 
 
@@ -334,7 +333,7 @@ class TestArrayOracles:
         model, Xq = oracle_trees()[name]
         labels, scores = predict_tree(model, Xq)
         want_labels, want_scores = naive_predict(model, Xq)
-        assert np.array_equal(labels.values, want_labels)
+        assert np.array_equal(labels, want_labels)
         assert np.array_equal(scores, want_scores)
 
     @pytest.mark.parametrize("name", FITTED)
