@@ -4,9 +4,9 @@
 
 OLD_SRC and NEW_SRC are ``src/`` directories of two checkouts. The script
 makes the seed-1 synthetic tables with this checkout's ``perfbench/synth.py``
-and runs the six benchmark commands with each side's sources and that side's
-``perfbench/configs/*.cfg`` (next to its ``src/``), with ``--seed 1`` and one
-BLAS thread. Both sides write under the same ``--out`` path, because
+and runs the six benchmark commands and ``tune-only --experiment health``
+with each side's sources and that side's ``perfbench/configs/*.cfg`` (next
+to its ``src/``), with ``--seed 1`` and one BLAS thread. Both sides write under the same ``--out`` path, because
 ``report.json`` echoes it. Every file is then compared byte for byte, except
 ``created_unix_time`` in each ``*manifest.json``. Each file that differs is printed;
 the exit code is 1 if any does, else 0. ``perfbench/`` is read, never written.
@@ -37,6 +37,8 @@ COMMANDS = {
                            ("train", "--experiment", "income", "--tuned",
                             "--split-first")),
     "features": (0.05, "features.cfg", ("features",)),
+    "tune-only-health": (0.10, "health-tuned.cfg",
+                         ("tune-only", "--experiment", "health")),
 }
 
 

@@ -29,7 +29,6 @@ from .logistic import (
 )
 from .metrics import (
     ClassificationReport,
-    ConfusionMatrix,
     PrCurve,
     RocCurve,
     classification_report,

@@ -95,10 +95,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except TrainingError as exc:

@@ -216,26 +216,4 @@ def parse_config(path: str = None, overrides: dict = None) -> ExperimentConfig:
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     """JSON-friendly echo of a resolved config."""
-    return {
-        "data_path": cfg.data_path,
-        "seed": cfg.seed,
-        "test_fraction": cfg.test_fraction,
-        "output_dir": cfg.output_dir,
-        "split_first": cfg.split_first,
-        "health_features": list(cfg.health_features),
-        "smote": asdict(cfg.smote),
-        "logreg": asdict(cfg.logreg),
-        "tree": asdict(cfg.tree),
-        # explicit: the echo leaves out the forest's nested tree params
-        "forest": {
-            "n_trees": cfg.forest.n_trees,
-            "max_features": cfg.forest.max_features,
-            "bootstrap": cfg.forest.bootstrap,
-            "seed": cfg.forest.seed,
-        },
-        "cv_folds": cfg.cv_folds,
-        "lasso_lambda": cfg.lasso_lambda,
-        "rfe_n_select": cfg.rfe_n_select,
-        "logistic_grid": cfg.logistic_grid,
-        "tree_grid": cfg.tree_grid,
-    }
+    return asdict(cfg)

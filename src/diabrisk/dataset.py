@@ -98,13 +98,6 @@ class DataTable:
 
 
 @dataclass(frozen=True)
-class SplitResult:
-    train_indices: np.ndarray
-    test_indices: np.ndarray
-    seed: int
-
-
-@dataclass(frozen=True)
 class CorrelationMatrix:
     labels: tuple
     values: np.ndarray       # symmetric, p x p
@@ -216,17 +209,16 @@ def select_columns(table: DataTable, names) -> DataTable:
     return DataTable(names, table.rows[:, idx])
 
 
-def train_test_split(n: int, test_fraction: float, seed: int) -> SplitResult:
-    """Plain (non-stratified) shuffled split, deterministic under seed."""
+def train_test_split(n: int, test_fraction: float, seed: int):
+    """Plain (non-stratified) shuffled split, deterministic under seed:
+    the (train, test) index arrays."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0.0 <= test_fraction <= 1.0:
         raise ValueError("test_fraction must be in [0, 1]")
     perm = np.random.default_rng(seed).permutation(n)
     n_test = int(round(n * test_fraction))
-    return SplitResult(
-        train_indices=perm[n_test:], test_indices=perm[:n_test], seed=seed
-    )
+    return perm[n_test:], perm[:n_test]
 
 
 def pearson_correlation(table: DataTable) -> CorrelationMatrix:

@@ -39,23 +39,14 @@ class RfeResult:
     def selected_names(self):
         return [n for n, s in zip(self.feature_names, self.selected) if s]
 
-    def selected_at(self, k: int):
-        """Survivor set with k features, derived from the same trace."""
-        if not len(self.selected_names()) <= k <= len(self.feature_names):
-            raise BadParams("k outside the recorded elimination trace")
-        keep = set(self.feature_names) - set(
-            self.elimination_order[: len(self.feature_names) - k]
-        )
-        return keep
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConsensusRanking:
     feature_names: tuple
-    lasso_rank: tuple
-    forest_rank: tuple
-    rfe_rank: tuple
-    mean_rank: tuple
+    lasso_rank: np.ndarray
+    forest_rank: np.ndarray
+    rfe_rank: np.ndarray
+    mean_rank: np.ndarray
 
     def ordered_names(self):
         order = np.argsort(self.mean_rank, kind="stable")
@@ -99,22 +90,14 @@ def rfe(X, y, feature_names, params: RfeParams = RfeParams()) -> RfeResult:
 
 
 def _rank_with_ties(values_desc: np.ndarray) -> np.ndarray:
-    """Rank 1 = largest value; exact ties share the average rank."""
-    values = np.asarray(values_desc, dtype=float)
-    order = np.argsort(-values, kind="stable")
-    ranks = np.empty(len(values))
-    i = 0
-    position = 1
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        avg = (position + position + (j - i)) / 2.0
-        for k in range(i, j + 1):
-            ranks[order[k]] = avg
-        position += j - i + 1
-        i = j + 1
-    return ranks
+    """Rank 1 = largest value; exact ties share the average rank. A value
+    with ``left`` values above it and ``right - left`` equal to it (itself
+    included) takes the mean of ranks left + 1 .. right."""
+    keys = -np.asarray(values_desc, dtype=float)
+    ordered = np.sort(keys)
+    left = np.searchsorted(ordered, keys, side="left")
+    right = np.searchsorted(ordered, keys, side="right")
+    return (left + right + 1) / 2
 
 
 def consensus_rank(lasso_coeffs, importance: ImportanceVector,
@@ -133,10 +116,4 @@ def consensus_rank(lasso_coeffs, importance: ImportanceVector,
     # a tied permutation of 1..p like the other two
     rfe_rank = _rank_with_ties(-np.asarray(rfe_result.ranks, dtype=float))
     mean = (lasso_rank + forest_rank + rfe_rank) / 3.0
-    return ConsensusRanking(
-        feature_names=tuple(names),
-        lasso_rank=tuple(lasso_rank),
-        forest_rank=tuple(forest_rank),
-        rfe_rank=tuple(rfe_rank),
-        mean_rank=tuple(mean),
-    )
+    return ConsensusRanking(tuple(names), lasso_rank, forest_rank, rfe_rank, mean)

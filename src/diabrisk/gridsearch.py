@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,22 +34,21 @@ class CvConfig:
             raise BadParams("folds must be >= 2")
 
 
-@dataclass(frozen=True)
-class GridCell:
-    params: dict
-    fold_scores: tuple
-    mean_score: float
-    std_score: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridResult:
     family: str
-    cells: tuple
-    best_params: dict
-    best_mean_score: float
+    combos: tuple        # each cell's grid values, in grid order
+    scores: np.ndarray   # cells x folds CV AUC
+    best: int            # index of the best mean score; the first on ties
     n_fits: int
-    cv: CvConfig = field(default=None)
+
+    @property
+    def best_params(self) -> dict:
+        return dict(self.combos[self.best])
+
+    @property
+    def best_mean_score(self) -> float:
+        return float(self.scores[self.best].mean())
 
 
 def k_fold_indices(n: int, k: int, seed: int):
@@ -123,26 +122,16 @@ def grid_search(X, y, family: str, grid: dict = None,
         raise BadParams(f"invalid {family} grid: {exc}") from None
 
     folds = _draw_folds(labels, X.shape[0], cv)
-    cells = []
-    for combo, params in zip(combos, cell_params):
-        fold_scores = [
-            score(params, X[train], labels[train], X[valid], labels[valid])
-            for train, valid in folds
-        ]
-        cells.append(GridCell(
-            params=combo,
-            fold_scores=tuple(fold_scores),
-            mean_score=float(np.mean(fold_scores)),
-            std_score=float(np.std(fold_scores)),
-        ))
-
-    # max() keeps the first cell on exact ties, i.e. grid order wins
-    best = max(range(len(cells)), key=lambda i: cells[i].mean_score)
+    scores = np.array([
+        [score(params, X[train], labels[train], X[valid], labels[valid])
+         for train, valid in folds]
+        for params in cell_params
+    ])
+    # argmax keeps the first cell on exact ties, i.e. grid order wins
     return GridResult(
         family=family,
-        cells=tuple(cells),
-        best_params=dict(cells[best].params),
-        best_mean_score=cells[best].mean_score,
-        n_fits=len(cells) * cv.folds,
-        cv=cv,
+        combos=tuple(combos),
+        scores=scores,
+        best=int(np.argmax(scores.mean(axis=1))),
+        n_fits=scores.size,
     )

@@ -2,24 +2,12 @@
 precision-recall curves with trapezoidal / step-wise areas."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import as_labels
 from .errors import LengthMismatch, SingleClass
-
-
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    tn: int
-    fp: int
-    fn: int
-    tp: int
-
-    @property
-    def total(self) -> int:
-        return self.tn + self.fp + self.fn + self.tp
 
 
 @dataclass(frozen=True)
@@ -46,29 +34,36 @@ class ClassificationReport:
     total_support: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RocCurve:
-    points: tuple  # (fpr, tpr, threshold), threshold descending
+    """Parallel arrays, one entry per threshold, threshold descending."""
+    fpr: np.ndarray
+    tpr: np.ndarray
+    thresholds: np.ndarray
     auc: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PrCurve:
-    points: tuple  # (recall, precision, threshold), threshold descending
+    """Parallel arrays, one entry per threshold, threshold descending."""
+    recall: np.ndarray
+    precision: np.ndarray
+    thresholds: np.ndarray
     average_precision: float
 
 
-def confusion(y_true, y_pred) -> ConfusionMatrix:
+def confusion(y_true, y_pred) -> dict:
+    """Counts keyed "tn", "fp", "fn", "tp", with class 1 as positive."""
     t = as_labels(y_true, "y_true")
     p = as_labels(y_pred, "y_pred")
     if t.shape[0] != p.shape[0]:
         raise LengthMismatch("y_true and y_pred differ in length")
-    return ConfusionMatrix(
-        tn=int(np.sum((t == 0) & (p == 0))),
-        fp=int(np.sum((t == 0) & (p == 1))),
-        fn=int(np.sum((t == 1) & (p == 0))),
-        tp=int(np.sum((t == 1) & (p == 1))),
-    )
+    return {
+        "tn": int(np.sum((t == 0) & (p == 0))),
+        "fp": int(np.sum((t == 0) & (p == 1))),
+        "fn": int(np.sum((t == 1) & (p == 0))),
+        "tp": int(np.sum((t == 1) & (p == 1))),
+    }
 
 
 def _class_stats(tp, fp, fn, support) -> ClassStats:
@@ -91,10 +86,11 @@ def _class_stats(tp, fp, fn, support) -> ClassStats:
 def classification_report(y_true, y_pred) -> ClassificationReport:
     cm = confusion(y_true, y_pred)
     # class 1 viewed as positive; class 0 computed symmetrically
-    c1 = _class_stats(cm.tp, cm.fp, cm.fn, cm.tp + cm.fn)
-    c0 = _class_stats(cm.tn, cm.fn, cm.fp, cm.tn + cm.fp)
-    total = cm.total
-    accuracy = (cm.tp + cm.tn) / total if total else 0.0
+    tn, fp, fn, tp = cm["tn"], cm["fp"], cm["fn"], cm["tp"]
+    c1 = _class_stats(tp, fp, fn, tp + fn)
+    c0 = _class_stats(tn, fn, fp, tn + fp)
+    total = tn + fp + fn + tp
+    accuracy = (tp + tn) / total if total else 0.0
     w0 = c0.support / total if total else 0.0
     w1 = c1.support / total if total else 0.0
     return ClassificationReport(
@@ -133,19 +129,13 @@ def _threshold_counts(y_true, scores):
 
 def roc_curve(y_true, scores) -> RocCurve:
     """One point per distinct threshold (score >= threshold predicts 1),
-    plus the (0,0) and (1,1) endpoints; AUC by the trapezoidal rule."""
+    after a (0, 0) point at +inf; the lowest threshold takes every row, so
+    the last point is (1, 1). AUC by the trapezoidal rule."""
     thresholds, tp, fp, n_pos, n_neg = _threshold_counts(y_true, scores)
-    tpr = tp / n_pos
-    fpr = fp / n_neg
-    points = [(0.0, 0.0, float("inf"))]
-    points += [(float(f), float(t), float(th))
-               for f, t, th in zip(fpr, tpr, thresholds)]
-    if points[-1][:2] != (1.0, 1.0):
-        points.append((1.0, 1.0, float("-inf")))
-    xs = np.array([p[0] for p in points])
-    ys = np.array([p[1] for p in points])
-    auc = float(np.trapezoid(ys, xs))
-    return RocCurve(tuple(points), auc)
+    fpr = np.concatenate([[0.0], fp / n_neg])
+    tpr = np.concatenate([[0.0], tp / n_pos])
+    thresholds = np.concatenate([[np.inf], thresholds])
+    return RocCurve(fpr, tpr, thresholds, float(np.trapezoid(tpr, fpr)))
 
 
 def pr_curve(y_true, scores) -> PrCurve:
@@ -153,13 +143,9 @@ def pr_curve(y_true, scores) -> PrCurve:
     thresholds, tp, fp, n_pos, _ = _threshold_counts(y_true, scores)
     recall = tp / n_pos
     precision = tp / (tp + fp)
-    points = tuple(
-        (float(r), float(p), float(th))
-        for r, p, th in zip(recall, precision, thresholds)
-    )
     prev_r = np.concatenate([[0.0], recall[:-1]])
     ap = float(np.sum((recall - prev_r) * precision))
-    return PrCurve(points, ap)
+    return PrCurve(recall, precision, thresholds, ap)
 
 
 def report_to_text(report: dict, title: str,

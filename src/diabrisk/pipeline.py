@@ -13,7 +13,7 @@ import numpy as np
 
 from . import plots
 from .config import ExperimentConfig, config_to_dict
-from .errors import PipelineError
+from .errors import ConfigError, PipelineError
 from .dataset import (
     binarize_target,
     income_histogram,
@@ -63,7 +63,10 @@ class _Run:
         self.out_dir = out_dir
         self.prefix = prefix
         self.files = []
-        os.makedirs(out_dir, exist_ok=True)
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError("output_dir", f"cannot create the directory: {exc}") from None
 
     def path(self, name: str) -> str:
         full = os.path.join(self.out_dir, self.prefix + name)
@@ -74,11 +77,19 @@ class _Run:
         with open(self.path(name), "w") as fh:
             fh.write(text)
 
-    def write_csv(self, name: str, header, rows) -> None:
+    def write_csv(self, name: str, columns: dict) -> None:
+        """Header -> equal-length column, written one row per index. A float
+        cell is written as ``repr(float(v))``; any other cell as csv.writer
+        writes it (``None`` as an empty cell)."""
+        cells = [
+            [repr(float(v)) if isinstance(v, (float, np.floating)) else v
+             for v in column]
+            for column in columns.values()
+        ]
         with open(self.path(name), "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
+            writer.writerow(columns)
+            writer.writerows(zip(*cells, strict=True))
 
     def finalize(self, report: dict) -> dict:
         """Write report.json and manifest.json; the manifest carries the
@@ -86,23 +97,10 @@ class _Run:
         report["manifest"] = sorted(
             self.files + [self.prefix + "report.json", self.prefix + "manifest.json"]
         )
-        with open(os.path.join(self.out_dir, self.prefix + "report.json"), "w") as fh:
-            json.dump(report, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-        manifest = {
-            "files": report["manifest"],
-            "created_unix_time": time.time(),
-        }
-        with open(os.path.join(self.out_dir, self.prefix + "manifest.json"), "w") as fh:
-            json.dump(manifest, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        manifest = {"files": report["manifest"], "created_unix_time": time.time()}
+        for name, doc in (("report.json", report), ("manifest.json", manifest)):
+            self.write_text(name, json.dumps(doc, sort_keys=True, indent=2) + "\n")
         return report
-
-
-def _curve_csv(run: _Run, name: str, points):
-    # points are (x, y, threshold) for ROC, (recall, precision, thr) for PR
-    rows = [(p[2], p[0], p[1]) for p in points]
-    run.write_csv(name, ["threshold", "x", "y"], rows)
 
 
 def run_eda(cfg: ExperimentConfig) -> dict:
@@ -110,12 +108,9 @@ def run_eda(cfg: ExperimentConfig) -> dict:
     run = _Run(cfg.output_dir)
 
     corr = pearson_correlation(table)
-    header = [""] + list(corr.labels)
-    rows = [
-        [label] + [repr(float(v)) for v in corr.values[i]]
-        for i, label in enumerate(corr.labels)
-    ]
-    run.write_csv("correlation.csv", header, rows)
+    run.write_csv("correlation.csv", {
+        "": corr.labels, **dict(zip(corr.labels, corr.values.T)),
+    })
     run.write_text(
         "correlation.svg",
         plots.heatmap_svg(
@@ -124,10 +119,8 @@ def run_eda(cfg: ExperimentConfig) -> dict:
     )
 
     hist = income_histogram(table)
-    run.write_csv(
-        "income_hist.csv", ["category", "count"],
-        list(zip(hist.categories, hist.counts)),
-    )
+    run.write_csv("income_hist.csv",
+                  {"category": hist.categories, "count": hist.counts})
     run.write_text(
         "income_hist.svg",
         plots.bar_svg(
@@ -164,46 +157,32 @@ def run_features(cfg: ExperimentConfig) -> dict:
     run = _Run(cfg.output_dir)
 
     coefs = lasso_coefficients(X, y, cfg.lasso_lambda)
-    run.write_csv(
-        "lasso_coefs.csv", ["name", "coefficient"],
-        [(n, repr(float(c))) for n, c in zip(names, coefs)],
-    )
+    run.write_csv("lasso_coefs.csv", {"name": names, "coefficient": coefs})
 
     lambdas = np.logspace(-4, 2, 10)
-    path_rows = []
-    for lam in lambdas:
-        path_coefs = lasso_coefficients(X, y, float(lam))
-        path_rows.append(
-            [repr(float(lam)), int(np.count_nonzero(path_coefs))]
-            + [repr(float(c)) for c in path_coefs]
-        )
-    run.write_csv("lasso_path.csv", ["lambda", "nonzero_count"] + names, path_rows)
+    path = np.array([lasso_coefficients(X, y, float(lam)) for lam in lambdas])
+    run.write_csv("lasso_path.csv", {
+        "lambda": lambdas, "nonzero_count": np.count_nonzero(path, axis=1),
+        **dict(zip(names, path.T)),
+    })
 
     forest = fit_forest(X, y, cfg.forest, feature_names=names)
     importance = impurity_importance(forest)
-    run.write_csv(
-        "forest_importance.csv", ["name", "importance"],
-        [(n, repr(float(v))) for n, v in zip(names, importance.values)],
-    )
+    run.write_csv("forest_importance.csv",
+                  {"name": names, "importance": importance.values})
 
     rfe_result = rfe(X, y, names, RfeParams(n_select=cfg.rfe_n_select))
-    run.write_csv(
-        "rfe.csv", ["name", "selected", "rank"],
-        list(zip(rfe_result.feature_names, rfe_result.selected, rfe_result.ranks)),
-    )
+    run.write_csv("rfe.csv", {
+        "name": rfe_result.feature_names, "selected": rfe_result.selected,
+        "rank": rfe_result.ranks,
+    })
 
     consensus = consensus_rank(coefs, importance, rfe_result, names)
-    run.write_csv(
-        "consensus.csv",
-        ["name", "lasso_rank", "forest_rank", "rfe_rank", "mean_rank"],
-        [
-            (n, lr, fr, rr, repr(float(mr)))
-            for n, lr, fr, rr, mr in zip(
-                consensus.feature_names, consensus.lasso_rank,
-                consensus.forest_rank, consensus.rfe_rank, consensus.mean_rank,
-            )
-        ],
-    )
+    run.write_csv("consensus.csv", {
+        "name": consensus.feature_names, "lasso_rank": consensus.lasso_rank,
+        "forest_rank": consensus.forest_rank, "rfe_rank": consensus.rfe_rank,
+        "mean_rank": consensus.mean_rank,
+    })
 
     report = {
         "command": "features",
@@ -235,9 +214,9 @@ def _experiment_data(cfg: ExperimentConfig, experiment: str, balanced: bool):
 
     if balanced and not cfg.split_first:
         X, y = smote_balance(X, y, cfg.smote)
-    split = train_test_split(len(y), cfg.test_fraction, cfg.seed)
-    X_train, y_train = X[split.train_indices], y[split.train_indices]
-    X_test, y_test = X[split.test_indices], y[split.test_indices]
+    train, test = train_test_split(len(y), cfg.test_fraction, cfg.seed)
+    X_train, y_train = X[train], y[train]
+    X_test, y_test = X[test], y[test]
     if balanced and cfg.split_first:
         X_train, y_train = smote_balance(X_train, y_train, cfg.smote)
     after = _class_counts(np.concatenate([y_train, y_test]))
@@ -245,32 +224,23 @@ def _experiment_data(cfg: ExperimentConfig, experiment: str, balanced: bool):
 
 
 def _grid_cells_csv(run: _Run, name: str, result: GridResult):
-    param_names = list(result.cells[0].params.keys())
-    k = len(result.cells[0].fold_scores)
-    header = param_names + [f"fold_{i}" for i in range(k)] + ["mean", "std"]
-    rows = []
-    for cell in result.cells:
-        rows.append(
-            [cell.params[p] for p in param_names]
-            + [repr(float(s)) for s in cell.fold_scores]
-            + [repr(cell.mean_score), repr(cell.std_score)]
-        )
-    run.write_csv(name, header, rows)
+    run.write_csv(name, {
+        **{p: [combo[p] for combo in result.combos] for p in result.combos[0]},
+        **{f"fold_{i}": fold for i, fold in enumerate(result.scores.T)},
+        "mean": result.scores.mean(axis=1),
+        "std": result.scores.std(axis=1),
+    })
 
 
 def _grid_summary(result: GridResult) -> dict:
     return {
         "family": result.family,
         "n_fits": result.n_fits,
-        "n_combinations": len(result.cells),
-        "folds": result.cv.folds,
-        "best_params": {
-            k: (v if v is None or isinstance(v, (int, float, str)) else str(v))
-            for k, v in result.best_params.items()
-        },
+        "n_combinations": len(result.combos),
+        "folds": result.scores.shape[1],
+        "best_params": result.best_params,
         "best_mean_score": result.best_mean_score,
-        "baseline_mean_score": result.cells[0].mean_score
-        if result.cells else None,
+        "baseline_mean_score": float(result.scores[0].mean()),
     }
 
 
@@ -297,29 +267,31 @@ def _evaluate_and_write(run, title, y_test, y_pred, scores):
     pr = pr_curve(y_test, scores)
     cm = confusion(y_test, y_pred)
 
-    _curve_csv(run, "roc.csv", roc.points)
+    run.write_csv("roc.csv",
+                  {"threshold": roc.thresholds, "x": roc.fpr, "y": roc.tpr})
     run.write_text(
         "roc.svg",
         plots.curve_svg(
-            [p[0] for p in roc.points], [p[1] for p in roc.points],
+            roc.fpr, roc.tpr,
             f"{title} ROC Curve", "False positive rate", "True positive rate",
             annotation=f"AUC = {roc.auc:.4f}", diagonal=True,
         ),
     )
-    _curve_csv(run, "pr.csv", pr.points)
+    run.write_csv("pr.csv",
+                  {"threshold": pr.thresholds, "x": pr.recall, "y": pr.precision})
     run.write_text(
         "pr.svg",
         plots.curve_svg(
-            [p[0] for p in pr.points], [p[1] for p in pr.points],
+            pr.recall, pr.precision,
             f"{title} Precision-Recall Curve", "Recall", "Precision",
             annotation=f"AP = {pr.average_precision:.4f}",
         ),
     )
-    run.write_csv(
-        "confusion.csv",
-        ["", "pred_0", "pred_1"],
-        [["true_0", cm.tn, cm.fp], ["true_1", cm.fn, cm.tp]],
-    )
+    run.write_csv("confusion.csv", {
+        "": ["true_0", "true_1"],
+        "pred_0": [cm["tn"], cm["fn"]],
+        "pred_1": [cm["fp"], cm["tp"]],
+    })
     return report, roc, pr, cm
 
 
@@ -395,7 +367,7 @@ def run_train(cfg: ExperimentConfig, experiment: str, tuned: bool,
             "classification_report": report_to_dict(report),
             "auc": roc.auc,
             "average_precision": pr.average_precision,
-            "confusion": {"tn": cm.tn, "fp": cm.fp, "fn": cm.fn, "tp": cm.tp},
+            "confusion": cm,
         },
         "warnings": warnings,
     }
@@ -446,18 +418,22 @@ def _render_report(doc: dict) -> str:
     return text
 
 
-def rerender_report(out_dir: str, prefix: str = "") -> str:
-    """Rebuild report.txt from an existing report.json (report subcommand)."""
-    path = os.path.join(out_dir, prefix + "report.json")
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        text = _render_report(doc)
-    except (KeyError, TypeError, ValueError) as exc:  # ValueError: not JSON
-        raise PipelineError(
-            f"{path} is not the report.json of a train/baseline run; nothing "
-            f"to re-render ({type(exc).__name__}: {exc})"
-        ) from None
-    with open(os.path.join(out_dir, prefix + "report.txt"), "w") as fh:
-        fh.write(text)
-    return text
+def rerender_report(out_dir: str) -> None:
+    """Rebuild report.txt from report.json and splitfirst_report.txt from
+    splitfirst_report.json, each where its JSON exists (report subcommand).
+    With neither present, reading report.json fails."""
+    prefixes = [p for p in ("", "splitfirst_")
+                if os.path.exists(os.path.join(out_dir, p + "report.json"))]
+    for prefix in prefixes or [""]:
+        path = os.path.join(out_dir, prefix + "report.json")
+        try:
+            with open(path, encoding="utf-8") as fh:
+                doc = json.load(fh)
+            text = _render_report(doc)
+        except (KeyError, TypeError, ValueError) as exc:  # ValueError: not JSON
+            raise PipelineError(
+                f"{path} is not the report.json of a train/baseline run; "
+                f"nothing to re-render ({type(exc).__name__}: {exc})"
+            ) from None
+        with open(os.path.join(out_dir, prefix + "report.txt"), "w") as fh:
+            fh.write(text)

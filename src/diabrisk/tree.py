@@ -18,7 +18,7 @@ a preorder list of node rows through ``_from_preorder``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,7 +61,6 @@ class ForestParams:
     max_features: int | None = None  # None -> ceil(sqrt(p))
     bootstrap: bool = True
     seed: int = 0
-    tree: TreeParams = field(default_factory=TreeParams)
 
     def __post_init__(self):
         if self.n_trees < 1:
@@ -229,6 +228,8 @@ def predict_tree(model: DecisionTreeModel, X):
 
 def fit_forest(X, y, params: ForestParams = ForestParams(),
                feature_names=None) -> ForestModel:
+    """Trees grown with the default (unbounded) ``TreeParams``, each split
+    chosen among ``max_features`` randomly drawn columns."""
     X = np.asarray(X, dtype=float)
     labels = as_labels(y)
     if X.shape[0] < 2:
@@ -251,7 +252,7 @@ def fit_forest(X, y, params: ForestParams = ForestParams(),
             Xt, yt = X, labels
         trees.append(
             fit_tree(
-                Xt, yt, params.tree, feature_names=feature_names,
+                Xt, yt, TreeParams(), feature_names=feature_names,
                 _rng=rng, _max_features=max_features,
             )
         )

@@ -1,4 +1,6 @@
+import csv
 import json
+import math
 import os
 
 import numpy as np
@@ -111,7 +113,13 @@ class TestTrain:
         assert report["dataset"]["class_counts_after"]["0"] \
             != report["dataset"]["class_counts_after"]["1"]
 
-    def test_tuned_writes_grid(self, tmp_path):
+    def test_tuned_writes_grid(self, tmp_path, monkeypatch):
+        results = {}
+        for name in ("roc_curve", "grid_search"):
+            def recording(*a, _f=getattr(pipeline, name), _name=name, **kw):
+                results[_name] = _f(*a, **kw)
+                return results[_name]
+            monkeypatch.setattr(pipeline, name, recording)
         data = write_rows(tmp_path / "d.csv", synthetic_rows(300, seed=3))
         out = tmp_path / "out"
         code = run_cli(
@@ -124,7 +132,19 @@ class TestTrain:
         assert code == 0
         report = read_json(out / "report.json")
         assert report["grid"]["n_fits"] == 6
-        assert (out / "grid.csv").exists()
+        # every float cell reads back as the value it was written from
+        roc, grid = results["roc_curve"], results["grid_search"]
+        expected = {
+            "roc.csv": {"threshold": roc.thresholds, "x": roc.fpr, "y": roc.tpr},
+            "grid.csv": {**{f"fold_{i}": f for i, f in enumerate(grid.scores.T)},
+                         "mean": grid.scores.mean(axis=1),
+                         "std": grid.scores.std(axis=1)},
+        }
+        for name, columns in expected.items():
+            with open(out / name, newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            for header, values in columns.items():
+                assert [float(row[header]) for row in rows] == values.tolist()
 
     def test_tuning_starts_from_configured_logreg(
         self, synthetic_csv, tmp_path, monkeypatch
@@ -227,14 +247,17 @@ class TestReportSubcommand:
         ("train", "--experiment", "health"),
         ("train", "--experiment", "income", "--tuned"),
         ("baseline",),
-    ], ids=["health", "income-tuned", "baseline"])
+        ("train", "--experiment", "health", "--split-first"),
+    ], ids=["health", "income-tuned", "baseline", "health-split-first"])
     def test_rerender_matches_original(self, synthetic_csv, tmp_path, command):
         out = tmp_path / "out"
         assert run_cli(*command, "--data", synthetic_csv, "--out", str(out)) == 0
-        original = (out / "report.txt").read_text()
-        (out / "report.txt").unlink()
+        text = out / ("splitfirst_report.txt" if "--split-first" in command
+                      else "report.txt")
+        original = text.read_text()
+        text.unlink()
         assert run_cli("report", "--out", str(out)) == 0
-        assert (out / "report.txt").read_text() == original
+        assert text.read_text() == original
 
     def test_non_train_report_rejected(self, synthetic_csv, tmp_path):
         out = tmp_path / "out"
@@ -260,6 +283,16 @@ class TestExitCodes:
         assert run_cli("train", "--experiment", "health",
                        "--data", str(tmp_path / "nope.csv"),
                        "--out", str(tmp_path / "out")) == 2
+
+    def test_output_dir_that_is_a_file_is_config_error(
+        self, synthetic_csv, tmp_path, capsys
+    ):
+        out = tmp_path / "F"
+        out.write_text("")
+        assert run_cli("eda", "--data", synthetic_csv, "--out", str(out)) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("config error: output_dir: ")
+        assert "Traceback" not in err
 
     def test_invalid_cell_is_data_error(self, tmp_path):
         rows = synthetic_rows(30, seed=1)
@@ -368,3 +401,22 @@ class TestExitCodes:
 
     def test_no_data_given(self, tmp_path):
         assert run_cli("eda", "--out", str(tmp_path / "out")) == 4
+
+
+class TestWriteCsv:
+    def test_cell_rule_bytes(self, tmp_path):
+        run = pipeline._Run(str(tmp_path))
+        run.write_csv("cells.csv", {
+            "": [0.1], "third": [np.float64(1 / 3)], "small": [1e-05],
+            "inf": [math.inf], "ninf": [-math.inf], "int": [np.int64(3)],
+            "flag": [True], "none": [None], "text": ["a,b"],
+        })
+        assert (tmp_path / "cells.csv").read_bytes() == (
+            b",third,small,inf,ninf,int,flag,none,text\r\n"
+            b'0.1,0.3333333333333333,1e-05,inf,-inf,3,True,,"a,b"\r\n'
+        )
+        assert run.files == ["cells.csv"]
+
+    def test_unequal_columns_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            pipeline._Run(str(tmp_path)).write_csv("bad.csv", {"a": [1, 2], "b": [1]})

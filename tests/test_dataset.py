@@ -147,19 +147,19 @@ class TestBinarizeTarget:
 
 class TestSplit:
     def test_fig6_support_arithmetic(self):
-        split = train_test_split(427_406, 0.2, seed=42)
-        assert abs(len(split.test_indices) - 85_482) <= 1
+        _, test = train_test_split(427_406, 0.2, seed=42)
+        assert abs(len(test) - 85_482) <= 1
 
     def test_zero_fraction(self):
-        split = train_test_split(10, 0.0, seed=1)
-        assert len(split.test_indices) == 0
-        assert len(split.train_indices) == 10
+        train, test = train_test_split(10, 0.0, seed=1)
+        assert len(test) == 0
+        assert len(train) == 10
 
     def test_determinism(self):
         a = train_test_split(1000, 0.3, seed=5)
         b = train_test_split(1000, 0.3, seed=5)
-        assert np.array_equal(a.test_indices, b.test_indices)
-        assert np.array_equal(a.train_indices, b.train_indices)
+        assert np.array_equal(a[1], b[1])
+        assert np.array_equal(a[0], b[0])
 
     @given(
         n=st.integers(1, 500),
@@ -168,9 +168,9 @@ class TestSplit:
     )
     @settings(max_examples=200, deadline=None)
     def test_partition_property(self, n, fraction, seed):
-        split = train_test_split(n, fraction, seed)
-        combined = np.concatenate([split.train_indices, split.test_indices])
-        assert len(split.test_indices) == round(n * fraction)
+        train, test = train_test_split(n, fraction, seed)
+        combined = np.concatenate([train, test])
+        assert len(test) == round(n * fraction)
         assert sorted(combined.tolist()) == list(range(n))
 
 

@@ -4,10 +4,27 @@ import pytest
 from diabrisk.errors import BadParams, FeatureMismatch
 from diabrisk.feature_selection import (
     RfeParams,
+    _rank_with_ties,
     consensus_rank,
     rfe,
 )
 from diabrisk.tree import ForestParams, fit_forest, impurity_importance
+
+
+def loop_rank_with_ties(values):
+    """Reference: walk the values largest first and give each run of exact
+    ties the average of the positions it covers."""
+    values = np.asarray(values, dtype=float)
+    order = np.argsort(-values, kind="stable")
+    ranks = np.empty(len(values))
+    i = 0
+    while i < len(order):
+        j = i
+        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        ranks[order[i:j + 1]] = (i + 1 + j + 1) / 2.0
+        i = j + 1
+    return ranks
 
 
 def informative_problem(seed=0, n=300, strong=(0, 1), p=6):
@@ -48,18 +65,6 @@ class TestRfe:
         a = rfe(X, y, names, RfeParams(n_select=2))
         b = rfe(X, y, names, RfeParams(n_select=2))
         assert a == b
-
-    def test_selected_at_is_nested(self):
-        X, y, names = informative_problem(seed=4)
-        result = rfe(X, y, names, RfeParams(n_select=1))
-        previous = set(names)
-        for k in range(6, 0, -1):
-            current = result.selected_at(k)
-            assert len(current) == k
-            assert current <= previous
-            previous = current
-        with pytest.raises(BadParams):
-            result.selected_at(0)
 
     def test_step_larger_than_one(self):
         X, y, names = informative_problem(seed=5)
@@ -108,6 +113,17 @@ class TestConsensus:
         # four exact zeros share ranks 3..6 -> average 4.5
         zero_ranks = [ranking.lasso_rank[i] for i in range(2, 6)]
         assert zero_ranks == [4.5] * 4
+
+    def test_tie_ranks_match_loop_reference(self):
+        rng = np.random.default_rng(0)
+        for trial in range(2000):
+            n = int(rng.integers(1, 30))
+            if trial % 2:  # many exact ties, signed zeros among them
+                values = rng.choice([-1.0, -0.0, 0.0, 0.5, 1.0, 2.0], size=n)
+            else:
+                values = rng.normal(size=n)
+            assert np.array_equal(_rank_with_ties(values),
+                                  loop_rank_with_ties(values))
 
     def test_mean_is_column_average(self):
         lasso, importance, rfe_result, names = self._inputs(seed=2)

@@ -1,3 +1,5 @@
+import statistics
+
 import numpy as np
 import pytest
 
@@ -52,8 +54,8 @@ class TestGridSearch:
                 "optimizer": ["gradient", "coordinate"]}
         result = grid_search(X, y, "logistic", grid, CvConfig(folds=5))
         assert result.n_fits == 50
-        assert len(result.cells) == 10
-        assert all(len(c.fold_scores) == 5 for c in result.cells)
+        assert len(result.combos) == 10
+        assert result.scores.shape == (10, 5)
 
     def test_single_combo(self):
         X, y = small_problem(seed=1)
@@ -65,31 +67,34 @@ class TestGridSearch:
         X, y = small_problem(seed=2)
         result = grid_search(X, y, "tree",
                              {"max_depth": [1, 3, None]}, CvConfig(folds=3))
-        assert all(result.best_mean_score >= c.mean_score
-                   for c in result.cells)
+        assert all(result.best_mean_score >= m
+                   for m in result.scores.mean(axis=1))
 
     def test_mean_and_std_recomputed(self):
         X, y = small_problem(seed=3)
         result = grid_search(X, y, "logistic", {"C": [0.5, 2.0]},
                              CvConfig(folds=4))
-        for cell in result.cells:
-            assert cell.mean_score == pytest.approx(np.mean(cell.fold_scores))
-            assert cell.std_score == pytest.approx(np.std(cell.fold_scores))
-            assert all(0.0 <= s <= 1.0 for s in cell.fold_scores)
+        for i, fold_scores in enumerate(result.scores.tolist()):
+            assert result.scores.mean(axis=1)[i] == pytest.approx(
+                sum(fold_scores) / len(fold_scores))
+            assert result.scores.std(axis=1)[i] == pytest.approx(
+                statistics.pstdev(fold_scores))
+            assert all(0.0 <= s <= 1.0 for s in fold_scores)
 
     def test_tie_prefers_grid_order(self):
         X, y = small_problem(seed=4, n=60)
         # duplicate combo guarantees an exact tie; first must win
         result = grid_search(X, y, "logistic", {"C": [1.0, 1.0]},
                              CvConfig(folds=3))
-        assert result.cells[0].fold_scores == result.cells[1].fold_scores
-        assert result.best_params == result.cells[0].params
+        assert np.array_equal(result.scores[0], result.scores[1])
+        assert result.best_params == result.combos[0]
 
     def test_deterministic_under_seed(self):
         X, y = small_problem(seed=5)
         a = grid_search(X, y, "logistic", {"C": [0.1, 1.0]}, CvConfig(seed=11))
         b = grid_search(X, y, "logistic", {"C": [0.1, 1.0]}, CvConfig(seed=11))
-        assert a == b
+        assert a.combos == b.combos and a.best == b.best
+        assert np.array_equal(a.scores, b.scores)
 
     def test_appending_best_again_keeps_winner(self):
         X, y = small_problem(seed=6)
@@ -130,7 +135,7 @@ class TestGridSearch:
                              CvConfig(folds=3),
                              base=TreeParams(min_samples_leaf=80))
         # leaves of 80 rows out of 80 training rows: no split is possible
-        assert all(s == 0.5 for c in result.cells for s in c.fold_scores)
+        assert np.all(result.scores == 0.5)
 
     @pytest.mark.parametrize("grid", [
         {"C": [1.0], "penalty_typo": ["l1"]},

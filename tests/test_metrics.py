@@ -47,8 +47,8 @@ def brute_force_ap(y_true, scores):
 class TestConfusion:
     def test_hand_example(self):
         cm = confusion([0, 0, 1, 1, 1], [0, 1, 1, 1, 0])
-        assert (cm.tn, cm.fp, cm.fn, cm.tp) == (1, 1, 1, 2)
-        assert cm.total == 5
+        assert (cm["tn"], cm["fp"], cm["fn"], cm["tp"]) == (1, 1, 1, 2)
+        assert sum(cm.values()) == 5
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
@@ -115,8 +115,8 @@ class TestRocCurve:
     def test_textbook_example(self):
         roc = roc_curve([0, 0, 1, 1], [0.1, 0.4, 0.35, 0.8])
         assert roc.auc == pytest.approx(0.75)
-        assert roc.points[0] == (0.0, 0.0, float("inf"))
-        assert roc.points[-1][:2] == (1.0, 1.0)
+        assert (roc.fpr[0], roc.tpr[0], roc.thresholds[0]) == (0.0, 0.0, float("inf"))
+        assert (roc.fpr[-1], roc.tpr[-1]) == (1.0, 1.0)
 
     def test_perfect_and_inverted(self):
         assert roc_curve([0, 0, 1, 1], [0.1, 0.2, 0.8, 0.9]).auc == 1.0
@@ -146,12 +146,12 @@ class TestRocCurve:
             return
         scores = [rnd.random() for _ in y]
         roc = roc_curve(y, scores)
-        xs = [p[0] for p in roc.points]
-        ys = [p[1] for p in roc.points]
+        xs = roc.fpr.tolist()
+        ys = roc.tpr.tolist()
         assert xs == sorted(xs) and ys == sorted(ys)
         assert (xs[0], ys[0]) == (0.0, 0.0)
         assert (xs[-1], ys[-1]) == (1.0, 1.0)
-        ths = [p[2] for p in roc.points]
+        ths = roc.thresholds.tolist()
         assert all(a > b for a, b in zip(ths, ths[1:]))
         assert 0.0 <= roc.auc <= 1.0
 
@@ -163,7 +163,7 @@ class TestRocCurve:
         a = roc_curve(y, s)
         b = roc_curve(y, np.exp(3 * s))
         assert a.auc == pytest.approx(b.auc, abs=1e-12)
-        assert [p[:2] for p in a.points] == [p[:2] for p in b.points]
+        assert np.array_equal(a.fpr, b.fpr) and np.array_equal(a.tpr, b.tpr)
 
     def test_single_class_rejected(self):
         with pytest.raises(SingleClass):
@@ -194,8 +194,8 @@ class TestPrCurve:
 
     def test_recall_reaches_one(self):
         pr = pr_curve([1, 0, 1, 0, 1], np.random.default_rng(4).random(5))
-        assert pr.points[-1][0] == 1.0
-        recalls = [p[0] for p in pr.points]
+        assert pr.recall[-1] == 1.0
+        recalls = pr.recall.tolist()
         assert recalls == sorted(recalls)
 
 

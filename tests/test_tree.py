@@ -253,13 +253,11 @@ class TestForest:
         assert importance.values.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_all_leaf_forest_uniform_flagged(self):
+        # constant columns offer no threshold, so every tree is a bare leaf
         rng = np.random.default_rng(9)
-        X = rng.normal(size=(20, 3))
+        X = np.ones((20, 3))
         y = rng.integers(0, 2, size=20)
-        forest = fit_forest(
-            X, y,
-            ForestParams(n_trees=3, tree=TreeParams(min_samples_split=100)),
-        )
+        forest = fit_forest(X, y, ForestParams(n_trees=3))
         importance = impurity_importance(forest)
         assert importance.degenerate
         assert np.allclose(importance.values, 1.0 / 3)
