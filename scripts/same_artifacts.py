@@ -59,6 +59,7 @@ def run_side(src: Path, tables: dict, out: Path, keep: Path) -> bool:
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
                PYTHONUTF8="1", PYTHONDONTWRITEBYTECODE="1")
     configs = src.parent / "perfbench" / "configs"
+    out.mkdir()  # so the move works even when every command fails
     ok = True
     for name, (scale, config, args) in COMMANDS.items():
         argv = [sys.executable, "-c", ENTRY, *args, "--data", str(tables[scale]),

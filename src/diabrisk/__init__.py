@@ -5,6 +5,7 @@ from .dataset import (
     CANONICAL_COLUMNS,
     FEATURE_COLUMNS,
     HEALTH_MODEL_FEATURES,
+    INCOME_CODES,
     DataTable,
     as_labels,
     binarize_target,
@@ -15,8 +16,7 @@ from .dataset import (
     train_test_split,
     write_csv,
 )
-from .feature_selection import ConsensusRanking, RfeParams, RfeResult, \
-    consensus_rank, rfe
+from .feature_selection import consensus_rank, rfe
 from .gridsearch import CvConfig, GridResult, grid_search, k_fold_indices
 from .logistic import (
     LogRegModel,
@@ -40,7 +40,6 @@ from .smote import SmoteParams, smote_balance
 from .tree import (
     DecisionTreeModel,
     ForestParams,
-    ImportanceVector,
     TreeParams,
     fit_forest,
     fit_tree,

@@ -52,6 +52,7 @@ _RANGES = {
 
 CANONICAL_COLUMNS = list(_RANGES)
 FEATURE_COLUMNS = CANONICAL_COLUMNS[1:]
+INCOME_CODES = tuple(range(_RANGES["Income"][0], _RANGES["Income"][1] + 1))
 
 HEALTH_MODEL_FEATURES = [
     "HighBP", "HighChol", "CholCheck", "Smoker", "HvyAlcoholConsump", "BMI",
@@ -95,19 +96,6 @@ class DataTable:
 
     def column(self, name: str) -> np.ndarray:
         return self.rows[:, self.index(name)]
-
-
-@dataclass(frozen=True)
-class CorrelationMatrix:
-    labels: tuple
-    values: np.ndarray       # symmetric, p x p
-    undefined_mask: np.ndarray  # True where a zero-variance column is involved
-
-
-@dataclass(frozen=True)
-class HistogramTable:
-    categories: tuple
-    counts: tuple
 
 
 def _parse_cell(text: str, row: int, col: str):
@@ -172,7 +160,7 @@ def _load_csv(path) -> DataTable:
         for i, raw in enumerate(reader, start=1):
             if not raw:
                 continue
-            if len(raw) < width:
+            if len(raw) != width:
                 raise DataError(f"row {i} has {len(raw)} cells, expected {width}")
             parsed = []
             for j, col in zip(order, CANONICAL_COLUMNS):
@@ -221,8 +209,10 @@ def train_test_split(n: int, test_fraction: float, seed: int):
     return perm[n_test:], perm[:n_test]
 
 
-def pearson_correlation(table: DataTable) -> CorrelationMatrix:
-    """Pairwise Pearson coefficients; zero-variance columns flagged, not fatal."""
+def pearson_correlation(table: DataTable):
+    """(values, undefined_mask): the symmetric matrix of pairwise Pearson
+    coefficients over ``table.names``, and True where a zero-variance column
+    is involved (flagged, not fatal; its coefficients read 0)."""
     if table.n_rows < 2:
         raise InsufficientRows("need at least 2 rows for correlation")
     x = table.rows
@@ -239,11 +229,10 @@ def pearson_correlation(table: DataTable) -> CorrelationMatrix:
     values[np.diag_indices_from(values)] = np.where(defined_diag, 1.0, 0.0)
     # symmetrize against float noise
     values = (values + values.T) / 2.0
-    return CorrelationMatrix(table.names, values, mask)
+    return values, mask
 
 
-def income_histogram(table: DataTable) -> HistogramTable:
+def income_histogram(table: DataTable) -> tuple:
+    """Respondents per code of ``INCOME_CODES``, as Python ints."""
     income = table.column("Income").astype(int)
-    categories = tuple(range(1, 9))
-    counts = tuple(int(np.sum(income == c)) for c in categories)
-    return HistogramTable(categories, counts)
+    return tuple(int(np.sum(income == c)) for c in INCOME_CODES)

@@ -1,92 +1,37 @@
 """Recursive feature elimination over the logistic model, and a consensus
 ranking fusing Lasso coefficients, forest importance and RFE.
 
-RFE repeatedly fits the base logistic model on the surviving features
-(z-scored, so coefficient magnitudes are comparable) and drops the features
+RFE repeatedly fits the default logistic model on the surviving features
+(z-scored, so coefficient magnitudes are comparable) and drops the feature
 with the smallest absolute coefficient. Survivors get rank 1; eliminated
 features get distinct ranks 2..(p - n_select + 1), the last one dropped
 ranked 2 and the first one dropped ranked highest.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import BadParams, FeatureMismatch
 from .logistic import LogRegParams, fit_logreg
-from .tree import ImportanceVector
 
 
-@dataclass(frozen=True)
-class RfeParams:
-    n_select: int = 10
-    step: int = 1
-    base: LogRegParams = field(default_factory=LogRegParams)
-
-    def __post_init__(self):
-        if self.n_select < 1 or self.step < 1:
-            raise BadParams("require n_select >= 1 and step >= 1")
-
-
-@dataclass(frozen=True)
-class RfeResult:
-    feature_names: tuple
-    selected: tuple          # bool per feature
-    ranks: tuple             # int per feature, 1 = selected
-    elimination_order: tuple  # feature names, first eliminated first
-
-    def selected_names(self):
-        return [n for n, s in zip(self.feature_names, self.selected) if s]
-
-
-@dataclass(frozen=True, eq=False)
-class ConsensusRanking:
-    feature_names: tuple
-    lasso_rank: np.ndarray
-    forest_rank: np.ndarray
-    rfe_rank: np.ndarray
-    mean_rank: np.ndarray
-
-    def ordered_names(self):
-        order = np.argsort(self.mean_rank, kind="stable")
-        return [self.feature_names[i] for i in order]
-
-
-def rfe(X, y, feature_names, params: RfeParams = RfeParams()) -> RfeResult:
+def rfe(X, y, n_select: int) -> np.ndarray:
+    """Int rank per column of ``X``: 1 for the ``n_select`` survivors."""
     X = np.asarray(X, dtype=float)
-    names = list(feature_names)
     p = X.shape[1]
-    if len(names) != p:
-        raise FeatureMismatch("feature_names length does not match X")
-    if params.n_select > p:
-        raise BadParams("n_select exceeds the feature count")
+    if not 1 <= n_select <= p:
+        raise BadParams(f"n_select must be in [1, {p}], got {n_select}")
 
+    ranks = np.ones(p, dtype=int)
     surviving = list(range(p))
-    eliminated: list[int] = []
-    while len(surviving) > params.n_select:
-        model = fit_logreg(X[:, surviving], y, params.base)
-        magnitudes = np.abs(model.weights_standardized)
-        n_drop = min(params.step, len(surviving) - params.n_select)
-        # smallest |coefficient| dropped first; stable order on exact ties
-        drop_local = np.argsort(magnitudes, kind="stable")[:n_drop]
-        for local in sorted(drop_local, key=lambda i: magnitudes[i]):
-            eliminated.append(surviving[local])
-        surviving = [
-            idx for pos, idx in enumerate(surviving) if pos not in set(drop_local)
-        ]
-
-    ranks = [1] * p
-    m = len(eliminated)
-    for order_pos, idx in enumerate(eliminated):
-        ranks[idx] = m - order_pos + 1
-    selected = [idx not in eliminated for idx in range(p)]
-    return RfeResult(
-        feature_names=tuple(names),
-        selected=tuple(selected),
-        ranks=tuple(ranks),
-        elimination_order=tuple(names[i] for i in eliminated),
-    )
+    while len(surviving) > n_select:
+        model = fit_logreg(X[:, surviving], y, LogRegParams())
+        # smallest |coefficient| dropped, the first one on exact ties; argsort
+        # sorts a NaN last, where argmin would pick it
+        drop = np.argsort(np.abs(model.weights_standardized), kind="stable")[0]
+        ranks[surviving[drop]] = len(surviving) - n_select + 1
+        del surviving[drop]
+    return ranks
 
 
 def _rank_with_ties(values_desc: np.ndarray) -> np.ndarray:
@@ -100,20 +45,22 @@ def _rank_with_ties(values_desc: np.ndarray) -> np.ndarray:
     return (left + right + 1) / 2
 
 
-def consensus_rank(lasso_coeffs, importance: ImportanceVector,
-                   rfe_result: RfeResult, feature_names) -> ConsensusRanking:
-    names = list(feature_names)
-    p = len(names)
-    lasso = np.asarray(lasso_coeffs, dtype=float)
-    if lasso.shape[0] != p or importance.values.shape[0] != p:
+def consensus_rank(lasso_coeffs, importance, rfe_ranks) -> dict:
+    """The ``lasso_rank``, ``forest_rank``, ``rfe_rank`` and ``mean_rank``
+    float columns, one entry per feature; each input has one entry per
+    feature too."""
+    lasso, importance, rfe_ranks = (
+        np.asarray(a, dtype=float) for a in (lasso_coeffs, importance, rfe_ranks))
+    if not len(lasso) == len(importance) == len(rfe_ranks):
         raise FeatureMismatch("inputs cover different feature counts")
-    if tuple(names) != rfe_result.feature_names:
-        raise FeatureMismatch("RFE feature list does not match")
 
     lasso_rank = _rank_with_ties(np.abs(lasso))
-    forest_rank = _rank_with_ties(importance.values)
+    forest_rank = _rank_with_ties(importance)
     # RFE ranks have ties at 1 (all selected); average them so the column is
     # a tied permutation of 1..p like the other two
-    rfe_rank = _rank_with_ties(-np.asarray(rfe_result.ranks, dtype=float))
-    mean = (lasso_rank + forest_rank + rfe_rank) / 3.0
-    return ConsensusRanking(tuple(names), lasso_rank, forest_rank, rfe_rank, mean)
+    rfe_rank = _rank_with_ties(-rfe_ranks)
+    return {
+        "lasso_rank": lasso_rank, "forest_rank": forest_rank,
+        "rfe_rank": rfe_rank,
+        "mean_rank": (lasso_rank + forest_rank + rfe_rank) / 3.0,
+    }

@@ -15,6 +15,7 @@ from . import plots
 from .config import ExperimentConfig, config_to_dict
 from .errors import ConfigError, PipelineError
 from .dataset import (
+    INCOME_CODES,
     binarize_target,
     income_histogram,
     load_csv,
@@ -22,7 +23,7 @@ from .dataset import (
     select_columns,
     train_test_split,
 )
-from .feature_selection import RfeParams, consensus_rank, rfe
+from .feature_selection import consensus_rank, rfe
 from .gridsearch import CvConfig, GridResult, grid_search
 from .logistic import (
     fit_logreg,
@@ -68,14 +69,19 @@ class _Run:
         except OSError as exc:
             raise ConfigError("output_dir", f"cannot create the directory: {exc}") from None
 
-    def path(self, name: str) -> str:
-        full = os.path.join(self.out_dir, self.prefix + name)
+    def _write(self, name: str, fill, newline=None) -> None:
+        """Open the file for writing and pass it to ``fill``. A file that
+        cannot be written is a fault of the output directory (exit 4)."""
         self.files.append(self.prefix + name)
-        return full
+        try:
+            with open(os.path.join(self.out_dir, self.prefix + name), "w",
+                      newline=newline) as fh:
+                fill(fh)
+        except OSError as exc:
+            raise ConfigError("output_dir", f"cannot write {name}: {exc}") from None
 
     def write_text(self, name: str, text: str) -> None:
-        with open(self.path(name), "w") as fh:
-            fh.write(text)
+        self._write(name, lambda fh: fh.write(text))
 
     def write_csv(self, name: str, columns: dict) -> None:
         """Header -> equal-length column, written one row per index. A float
@@ -86,10 +92,12 @@ class _Run:
              for v in column]
             for column in columns.values()
         ]
-        with open(self.path(name), "w", newline="") as fh:
+
+        def fill(fh):
             writer = csv.writer(fh)
             writer.writerow(columns)
             writer.writerows(zip(*cells, strict=True))
+        self._write(name, fill, newline="")
 
     def finalize(self, report: dict) -> dict:
         """Write report.json and manifest.json; the manifest carries the
@@ -107,24 +115,20 @@ def run_eda(cfg: ExperimentConfig) -> dict:
     table = load_csv(cfg.data_path)
     run = _Run(cfg.output_dir)
 
-    corr = pearson_correlation(table)
-    run.write_csv("correlation.csv", {
-        "": corr.labels, **dict(zip(corr.labels, corr.values.T)),
-    })
+    names = table.names
+    corr, undefined = pearson_correlation(table)
+    run.write_csv("correlation.csv", {"": names, **dict(zip(names, corr.T))})
     run.write_text(
         "correlation.svg",
-        plots.heatmap_svg(
-            corr.labels, corr.values, corr.undefined_mask, "Correlation Heatmap"
-        ),
+        plots.heatmap_svg(names, corr, undefined, "Correlation Heatmap"),
     )
 
-    hist = income_histogram(table)
-    run.write_csv("income_hist.csv",
-                  {"category": hist.categories, "count": hist.counts})
+    counts = income_histogram(table)
+    run.write_csv("income_hist.csv", {"category": INCOME_CODES, "count": counts})
     run.write_text(
         "income_hist.svg",
         plots.bar_svg(
-            hist.categories, hist.counts,
+            INCOME_CODES, counts,
             "Distribution of Income", "Income category", "Respondents",
         ),
     )
@@ -132,9 +136,7 @@ def run_eda(cfg: ExperimentConfig) -> dict:
         "command": "eda",
         "config": config_to_dict(cfg),
         "dataset": {"n_rows": table.n_rows},
-        "income_histogram": {
-            str(c): n for c, n in zip(hist.categories, hist.counts)
-        },
+        "income_histogram": {str(c): n for c, n in zip(INCOME_CODES, counts)},
         "warnings": [],
     }
     return run.finalize(report)
@@ -156,33 +158,30 @@ def run_features(cfg: ExperimentConfig) -> dict:
     names, X, y, raw_labels = _balanced_full_features(cfg)
     run = _Run(cfg.output_dir)
 
-    coefs = lasso_coefficients(X, y, cfg.lasso_lambda)
+    # the configured lambda may lie on the path; each distinct one is fit once
+    lambdas = np.logspace(-4, 2, 10).tolist()
+    fits = {lam: lasso_coefficients(X, y, lam)
+            for lam in dict.fromkeys([cfg.lasso_lambda, *lambdas])}
+    coefs = fits[cfg.lasso_lambda]
     run.write_csv("lasso_coefs.csv", {"name": names, "coefficient": coefs})
 
-    lambdas = np.logspace(-4, 2, 10)
-    path = np.array([lasso_coefficients(X, y, float(lam)) for lam in lambdas])
+    path = np.array([fits[lam] for lam in lambdas])
     run.write_csv("lasso_path.csv", {
         "lambda": lambdas, "nonzero_count": np.count_nonzero(path, axis=1),
         **dict(zip(names, path.T)),
     })
 
-    forest = fit_forest(X, y, cfg.forest, feature_names=names)
-    importance = impurity_importance(forest)
+    forest = fit_forest(X, y, cfg.forest)
+    importance, degenerate = impurity_importance(forest)
     run.write_csv("forest_importance.csv",
-                  {"name": names, "importance": importance.values})
+                  {"name": names, "importance": importance})
 
-    rfe_result = rfe(X, y, names, RfeParams(n_select=cfg.rfe_n_select))
-    run.write_csv("rfe.csv", {
-        "name": rfe_result.feature_names, "selected": rfe_result.selected,
-        "rank": rfe_result.ranks,
-    })
+    ranks = rfe(X, y, cfg.rfe_n_select)
+    selected = ranks == 1
+    run.write_csv("rfe.csv", {"name": names, "selected": selected, "rank": ranks})
 
-    consensus = consensus_rank(coefs, importance, rfe_result, names)
-    run.write_csv("consensus.csv", {
-        "name": consensus.feature_names, "lasso_rank": consensus.lasso_rank,
-        "forest_rank": consensus.forest_rank, "rfe_rank": consensus.rfe_rank,
-        "mean_rank": consensus.mean_rank,
-    })
+    consensus = consensus_rank(coefs, importance, ranks)
+    run.write_csv("consensus.csv", {"name": names, **consensus})
 
     report = {
         "command": "features",
@@ -192,10 +191,12 @@ def run_features(cfg: ExperimentConfig) -> dict:
             "class_counts_before": _class_counts(raw_labels),
             "class_counts_after": _class_counts(y),
         },
-        "rfe_selected": rfe_result.selected_names(),
-        "consensus_order": consensus.ordered_names(),
+        "rfe_selected": [n for n, s in zip(names, selected) if s],
+        "consensus_order": [
+            names[i] for i in np.argsort(consensus["mean_rank"], kind="stable")
+        ],
         "lasso_nonzero": [n for n, c in zip(names, coefs) if c != 0.0],
-        "forest_importance_degenerate": importance.degenerate,
+        "forest_importance_degenerate": degenerate,
         "warnings": [LEAKAGE_WARNING],
     }
     return run.finalize(report)

@@ -72,15 +72,7 @@ class ForestParams:
 @dataclass(frozen=True)
 class ForestModel:
     trees: tuple
-    params: ForestParams
     n_features: int
-    feature_names: tuple = None
-
-
-@dataclass(frozen=True)
-class ImportanceVector:
-    values: np.ndarray
-    degenerate: bool = False  # True when no split occurred anywhere
 
 
 def gini_impurity(class_counts) -> float:
@@ -226,8 +218,7 @@ def predict_tree(model: DecisionTreeModel, X):
     return (pos >= neg).astype(int), pos / (neg + pos)
 
 
-def fit_forest(X, y, params: ForestParams = ForestParams(),
-               feature_names=None) -> ForestModel:
+def fit_forest(X, y, params: ForestParams = ForestParams()) -> ForestModel:
     """Trees grown with the default (unbounded) ``TreeParams``, each split
     chosen among ``max_features`` randomly drawn columns."""
     X = np.asarray(X, dtype=float)
@@ -252,14 +243,10 @@ def fit_forest(X, y, params: ForestParams = ForestParams(),
             Xt, yt = X, labels
         trees.append(
             fit_tree(
-                Xt, yt, TreeParams(), feature_names=feature_names,
-                _rng=rng, _max_features=max_features,
+                Xt, yt, TreeParams(), _rng=rng, _max_features=max_features,
             )
         )
-    return ForestModel(
-        trees=tuple(trees), params=params, n_features=p,
-        feature_names=tuple(feature_names) if feature_names else None,
-    )
+    return ForestModel(trees=tuple(trees), n_features=p)
 
 
 def predict_forest(model: ForestModel, X):
@@ -277,14 +264,15 @@ def _tree_raw_importance(tree: DecisionTreeModel) -> np.ndarray:
                        minlength=tree.n_features)
 
 
-def impurity_importance(forest: ForestModel) -> ImportanceVector:
+def impurity_importance(forest: ForestModel):
+    """(values, degenerate): the mean impurity decrease per feature,
+    normalized to sum 1, and whether no split occurred anywhere."""
     raw = np.mean([_tree_raw_importance(t) for t in forest.trees], axis=0)
     total = raw.sum()
     if total <= 0.0:
         # forests of bare leaves carry no signal; report uniform, flagged
-        return ImportanceVector(np.full(forest.n_features, 1.0 / forest.n_features),
-                                degenerate=True)
-    return ImportanceVector(raw / total)
+        return np.full(forest.n_features, 1.0 / forest.n_features), True
+    return raw / total, False
 
 
 def tree_to_text(model: DecisionTreeModel) -> str:

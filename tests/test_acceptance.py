@@ -8,13 +8,14 @@ import pytest
 
 from diabrisk.dataset import (
     HEALTH_MODEL_FEATURES,
+    INCOME_CODES,
     binarize_target,
     income_histogram,
     pearson_correlation,
     select_columns,
     train_test_split,
 )
-from diabrisk.feature_selection import RfeParams, rfe
+from diabrisk.feature_selection import rfe
 from diabrisk.gridsearch import (
     DEFAULT_LOGISTIC_GRID,
     DEFAULT_TREE_GRID,
@@ -221,13 +222,13 @@ def test_5_feature_selection(emit, balanced_full):
     names, Xb, yb = balanced_full
     core = {"HighBP", "HighChol", "CholCheck"}
 
-    result = rfe(Xb, yb, names, RfeParams(n_select=10))
-    selected = set(result.selected_names())
+    ranks = rfe(Xb, yb, 10)
+    selected = {n for n, r in zip(names, ranks) if r == 1}
 
     forest = fit_forest(Xb, yb, ForestParams(n_trees=25, seed=SEED))
-    importance = impurity_importance(forest)
+    importance, _ = impurity_importance(forest)
     forest_top10 = {
-        names[i] for i in np.argsort(-importance.values)[:10]
+        names[i] for i in np.argsort(-importance)[:10]
     }
 
     coefs = lasso_coefficients(Xb, yb, 0.01)
@@ -250,20 +251,20 @@ def test_7_eda(emit, dataset):
              "< -0.2, income mode = 8")
     require_dataset(emit, label)
     table, _, _ = dataset
-    corr = pearson_correlation(table)
-    i = corr.labels.index("GenHlth")
-    j = corr.labels.index("PhysHlth")
-    k = corr.labels.index("Income")
+    corr, _ = pearson_correlation(table)
+    i = table.index("GenHlth")
+    j = table.index("PhysHlth")
+    k = table.index("Income")
     # cross-check our Pearson against an independent implementation
     reference = np.corrcoef(table.rows, rowvar=False)
-    assert abs(corr.values[i, j] - reference[i, j]) < 1e-10
-    assert abs(corr.values[i, k] - reference[i, k]) < 1e-10
-    hist = income_histogram(table)
-    mode = hist.categories[int(np.argmax(hist.counts))]
-    ok = corr.values[i, j] > 0.3 and corr.values[i, k] < -0.2 and mode == 8
+    assert abs(corr[i, j] - reference[i, j]) < 1e-10
+    assert abs(corr[i, k] - reference[i, k]) < 1e-10
+    counts = income_histogram(table)
+    mode = INCOME_CODES[int(np.argmax(counts))]
+    ok = corr[i, j] > 0.3 and corr[i, k] < -0.2 and mode == 8
     check(emit, label, ok,
-          f"corr(GenHlth,PhysHlth)={corr.values[i, j]:.4f}, "
-          f"corr(GenHlth,Income)={corr.values[i, k]:.4f}, mode={mode}")
+          f"corr(GenHlth,PhysHlth)={corr[i, j]:.4f}, "
+          f"corr(GenHlth,Income)={corr[i, k]:.4f}, mode={mode}")
 
 
 def test_8_reproducibility(emit, tmp_path):

@@ -224,6 +224,29 @@ class TestFeatures:
                      "forest_importance.csv", "rfe.csv", "consensus.csv"):
             assert (out / name).exists()
 
+    @pytest.mark.parametrize("lam, n_fits", [(0.01, 10), (0.03, 11)])
+    def test_each_lasso_lambda_fit_once(self, tmp_path, monkeypatch, lam, n_fits):
+        # 0.01 lies on the 10-point path, 0.03 does not
+        fits = []
+        lasso = pipeline.lasso_coefficients
+
+        def recording(X, y, value):
+            fits.append((value, lasso(X, y, value)))
+            return fits[-1][1]
+        monkeypatch.setattr(pipeline, "lasso_coefficients", recording)
+        data = write_rows(tmp_path / "d.csv", synthetic_rows(200, seed=5))
+        out = tmp_path / "out"
+        code = run_cli("features", "--data", data, "--out", str(out),
+                       "--config", str(write_config(
+                           tmp_path, f"forest.n_trees = 2\nlasso.lambda = {lam}\n")))
+        assert code == 0
+        lams = [fit_lam for fit_lam, _ in fits]
+        assert len(lams) == n_fits == len(set(lams))
+        assert lam in lams
+        with open(out / "lasso_coefs.csv") as fh:
+            written = [float(row["coefficient"]) for row in csv.DictReader(fh)]
+        assert written == dict(fits)[lam].tolist()
+
 
 class TestTuneOnly:
     def test_grid_only_run(self, tmp_path):
@@ -294,6 +317,16 @@ class TestExitCodes:
         assert err.startswith("config error: output_dir: ")
         assert "Traceback" not in err
 
+    def test_unwritable_artifact_is_config_error(
+        self, synthetic_csv, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        (out / "correlation.csv").mkdir(parents=True)
+        assert run_cli("eda", "--data", synthetic_csv, "--out", str(out)) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("config error: output_dir: cannot write correlation.csv")
+        assert "Traceback" not in err
+
     def test_invalid_cell_is_data_error(self, tmp_path):
         rows = synthetic_rows(30, seed=1)
         rows[4][3] = "banana"
@@ -301,11 +334,13 @@ class TestExitCodes:
         assert run_cli("eda", "--data", data,
                        "--out", str(tmp_path / "out")) == 2
 
-    @pytest.mark.parametrize("defect", ["short_row", "bad_byte"])
+    @pytest.mark.parametrize("defect", ["short_row", "long_row", "bad_byte"])
     def test_malformed_csv_is_data_error(self, tmp_path, capsys, defect):
         rows = synthetic_rows(30, seed=1)
         if defect == "short_row":
             rows[4] = rows[4][:-2]
+        if defect == "long_row":
+            rows[4].insert(19, 1)  # before the Age cell
         data = write_rows(tmp_path / "bad.csv", rows)
         if defect == "bad_byte":
             raw = (tmp_path / "bad.csv").read_bytes().split(b"\n")

@@ -2,12 +2,8 @@ import numpy as np
 import pytest
 
 from diabrisk.errors import BadParams, FeatureMismatch
-from diabrisk.feature_selection import (
-    RfeParams,
-    _rank_with_ties,
-    consensus_rank,
-    rfe,
-)
+from diabrisk.feature_selection import _rank_with_ties, consensus_rank, rfe
+from diabrisk.logistic import LogRegParams, fit_logreg
 from diabrisk.tree import ForestParams, fit_forest, impurity_importance
 
 
@@ -39,79 +35,79 @@ def informative_problem(seed=0, n=300, strong=(0, 1), p=6):
 
 class TestRfe:
     def test_select_all_gives_rank_one_everywhere(self):
-        X, y, names = informative_problem()
-        result = rfe(X, y, names, RfeParams(n_select=6))
-        assert result.ranks == (1,) * 6
-        assert result.selected == (True,) * 6
-        assert result.elimination_order == ()
+        X, y, _ = informative_problem()
+        ranks = rfe(X, y, 6)
+        assert ranks.tolist() == [1] * 6
 
     def test_keeps_informative_pair(self):
-        X, y, names = informative_problem(seed=1)
-        result = rfe(X, y, names, RfeParams(n_select=2))
-        assert set(result.selected_names()) == {"f0", "f1"}
+        X, y, _ = informative_problem(seed=1)
+        assert np.flatnonzero(rfe(X, y, 2) == 1).tolist() == [0, 1]
 
     def test_ranks_form_expected_multiset(self):
-        X, y, names = informative_problem(seed=2)
-        result = rfe(X, y, names, RfeParams(n_select=3))
+        X, y, _ = informative_problem(seed=2)
+        ranks = rfe(X, y, 3)
         # 3 survivors at rank 1, eliminated at distinct ranks 2..4
-        assert sorted(result.ranks) == [1, 1, 1, 2, 3, 4]
-        last_dropped = result.elimination_order[-1]
-        assert result.ranks[names.index(last_dropped)] == 2
-        first_dropped = result.elimination_order[0]
-        assert result.ranks[names.index(first_dropped)] == 4
+        assert ranks.dtype.kind == "i"
+        assert sorted(ranks.tolist()) == [1, 1, 1, 2, 3, 4]
 
     def test_deterministic(self):
-        X, y, names = informative_problem(seed=3)
-        a = rfe(X, y, names, RfeParams(n_select=2))
-        b = rfe(X, y, names, RfeParams(n_select=2))
-        assert a == b
+        X, y, _ = informative_problem(seed=3)
+        assert np.array_equal(rfe(X, y, 2), rfe(X, y, 2))
 
-    def test_step_larger_than_one(self):
-        X, y, names = informative_problem(seed=5)
-        result = rfe(X, y, names, RfeParams(n_select=2, step=2))
-        assert len(result.selected_names()) == 2
-        assert len(result.elimination_order) == 4
-
-    def test_feature_name_mismatch(self):
-        X, y, names = informative_problem()
-        with pytest.raises(FeatureMismatch):
-            rfe(X, y, names[:-1])
+    def test_drops_first_smallest_standardized_weight(self):
+        """Oracle: the feature ranked r was dropped from the columns ranked
+        1 or <= r, as the first smallest |standardized weight| of a refit."""
+        rng = np.random.default_rng(11)
+        for trial in range(5):
+            X = rng.normal(size=(200, 7))
+            w = rng.normal(size=7)
+            y = (X @ w + rng.normal(size=200) > 0).astype(int)
+            ranks = rfe(X, y, 2)
+            for r in range(2, ranks.max() + 1):
+                columns = np.flatnonzero(ranks <= r)
+                model = fit_logreg(X[:, columns], y, LogRegParams())
+                magnitudes = np.abs(model.weights_standardized)
+                dropped = columns[np.flatnonzero(magnitudes == magnitudes.min())[0]]
+                assert ranks[dropped] == r, (trial, r)
 
     def test_n_select_too_large(self):
-        X, y, names = informative_problem()
+        X, y, _ = informative_problem()
         with pytest.raises(BadParams):
-            rfe(X, y, names, RfeParams(n_select=7))
+            rfe(X, y, 7)
+
+    def test_n_select_zero(self):
+        X, y, _ = informative_problem()
+        with pytest.raises(BadParams):
+            rfe(X, y, 0)
 
 
 class TestConsensus:
     def _inputs(self, seed=0):
         X, y, names = informative_problem(seed=seed)
         forest = fit_forest(X, y, ForestParams(n_trees=15, seed=seed))
-        importance = impurity_importance(forest)
-        rfe_result = rfe(X, y, names, RfeParams(n_select=2))
+        importance, _ = impurity_importance(forest)
         lasso = np.zeros(6)
         lasso[0], lasso[1] = 2.0, -1.5
-        return lasso, importance, rfe_result, names
+        return lasso, importance, rfe(X, y, 2)
 
     def test_unanimous_features_lead(self):
-        lasso, importance, rfe_result, names = self._inputs()
-        ranking = consensus_rank(lasso, importance, rfe_result, names)
-        assert set(ranking.ordered_names()[:2]) == {"f0", "f1"}
+        ranking = consensus_rank(*self._inputs())
+        assert set(np.argsort(ranking["mean_rank"], kind="stable")[:2]) == {0, 1}
 
     def test_each_column_is_tied_permutation(self):
-        lasso, importance, rfe_result, names = self._inputs(seed=1)
-        ranking = consensus_rank(lasso, importance, rfe_result, names)
-        p = len(names)
-        for column in (ranking.lasso_rank, ranking.forest_rank,
-                       ranking.rfe_rank):
+        ranking = consensus_rank(*self._inputs(seed=1))
+        p = 6
+        assert list(ranking) == ["lasso_rank", "forest_rank", "rfe_rank",
+                                 "mean_rank"]
+        for column in (ranking["lasso_rank"], ranking["forest_rank"],
+                       ranking["rfe_rank"]):
             assert sum(column) == pytest.approx(p * (p + 1) / 2)
             assert min(column) >= 1 and max(column) <= p
 
     def test_lasso_ties_averaged(self):
-        lasso, importance, rfe_result, names = self._inputs()
-        ranking = consensus_rank(lasso, importance, rfe_result, names)
+        ranking = consensus_rank(*self._inputs())
         # four exact zeros share ranks 3..6 -> average 4.5
-        zero_ranks = [ranking.lasso_rank[i] for i in range(2, 6)]
+        zero_ranks = [ranking["lasso_rank"][i] for i in range(2, 6)]
         assert zero_ranks == [4.5] * 4
 
     def test_tie_ranks_match_loop_reference(self):
@@ -126,19 +122,16 @@ class TestConsensus:
                                   loop_rank_with_ties(values))
 
     def test_mean_is_column_average(self):
-        lasso, importance, rfe_result, names = self._inputs(seed=2)
-        ranking = consensus_rank(lasso, importance, rfe_result, names)
-        for i in range(len(names)):
+        ranking = consensus_rank(*self._inputs(seed=2))
+        for i in range(6):
             expected = (
-                ranking.lasso_rank[i]
-                + ranking.forest_rank[i]
-                + ranking.rfe_rank[i]
+                ranking["lasso_rank"][i]
+                + ranking["forest_rank"][i]
+                + ranking["rfe_rank"][i]
             ) / 3.0
-            assert ranking.mean_rank[i] == pytest.approx(expected)
+            assert ranking["mean_rank"][i] == pytest.approx(expected)
 
     def test_name_mismatch_rejected(self):
-        lasso, importance, rfe_result, names = self._inputs()
+        lasso, importance, ranks = self._inputs()
         with pytest.raises(FeatureMismatch):
-            consensus_rank(lasso, importance, rfe_result, list(reversed(names)))
-        with pytest.raises(FeatureMismatch):
-            consensus_rank(lasso[:-1], importance, rfe_result, names[:-1])
+            consensus_rank(lasso[:-1], importance, ranks)

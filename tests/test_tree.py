@@ -248,9 +248,10 @@ class TestForest:
         flip = rng.random(300) < 0.05
         y[flip] = 1 - y[flip]
         forest = fit_forest(X, y, ForestParams(n_trees=30, seed=1))
-        importance = impurity_importance(forest)
-        assert int(np.argmax(importance.values)) == 0
-        assert importance.values.sum() == pytest.approx(1.0, abs=1e-9)
+        values, degenerate = impurity_importance(forest)
+        assert int(np.argmax(values)) == 0
+        assert values.sum() == pytest.approx(1.0, abs=1e-9)
+        assert degenerate is False
 
     def test_all_leaf_forest_uniform_flagged(self):
         # constant columns offer no threshold, so every tree is a bare leaf
@@ -258,9 +259,9 @@ class TestForest:
         X = np.ones((20, 3))
         y = rng.integers(0, 2, size=20)
         forest = fit_forest(X, y, ForestParams(n_trees=3))
-        importance = impurity_importance(forest)
-        assert importance.degenerate
-        assert np.allclose(importance.values, 1.0 / 3)
+        values, degenerate = impurity_importance(forest)
+        assert degenerate is True
+        assert np.allclose(values, 1.0 / 3)
 
     def test_single_class_rejected(self):
         with pytest.raises(SingleClass):
