@@ -7,7 +7,9 @@ codes that may carry a trailing ``.0``.
 from __future__ import annotations
 
 import csv
+import io
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,6 +101,9 @@ class DataTable:
 
 
 def _parse_cell(text: str, row: int, col: str):
+    # float() also reads "3_0" and full-width digits; a code is plain ASCII
+    if "_" in text or not text.isascii():
+        raise NonNumericCell(row, col, text)
     try:
         value = float(text)
     except ValueError:
@@ -117,16 +122,15 @@ def _check_range(value: float, row: int, col: str):
         raise OutOfRange(row, col, value, desc)
 
 
-def _undecodable_row(path) -> int:
+def _undecodable_row(data: bytes) -> int:
     """Number of the first line that is not UTF-8 (0 = header); lines split
     exactly on bytes because a newline byte never occurs inside a UTF-8
     sequence."""
-    with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh):
-            try:
-                line.decode("utf-8")
-            except UnicodeDecodeError:
-                return lineno
+    for lineno, line in enumerate(data.split(b"\n")):
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError:
+            return lineno
     return 0
 
 
@@ -135,42 +139,91 @@ def load_csv(path) -> DataTable:
 
     Row numbers in errors are 1-based data rows (header excluded).
     """
+    # opened once and read whole: a pipe cannot be read from its start twice
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        return _load_csv(path)
+        return DataTable(CANONICAL_COLUMNS, _load_csv(data))
     except UnicodeDecodeError:
-        row = _undecodable_row(path)
+        row = _undecodable_row(data)
         where = f"row {row}" if row else "the header"
         raise DataError(f"{where} is not valid UTF-8 text") from None
 
 
-def _load_csv(path) -> DataTable:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyData("file is empty") from None
-        header = [h.strip() for h in header]
-        for name in CANONICAL_COLUMNS:
-            if name not in header:
-                raise MissingColumn(name)
-        order = [header.index(name) for name in CANONICAL_COLUMNS]
-        width = len(header)
-        data = []
-        for i, raw in enumerate(reader, start=1):
-            if not raw:
-                continue
-            if len(raw) != width:
-                raise DataError(f"row {i} has {len(raw)} cells, expected {width}")
-            parsed = []
-            for j, col in zip(order, CANONICAL_COLUMNS):
-                value = _parse_cell(raw[j].strip(), i, col)
-                _check_range(value, i, col)
-                parsed.append(value)
-            data.append(parsed)
+def _text(data: bytes):
+    """The file's bytes as a text stream, decoded as ``open`` decodes it."""
+    return io.TextIOWrapper(io.BytesIO(data), newline="", encoding="utf-8")
+
+
+def _load_csv(data: bytes) -> np.ndarray:
+    fh = _text(data)
+    reader = csv.reader(fh)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise EmptyData("file is empty") from None
+    header = [h.strip() for h in header]
+    for name in CANONICAL_COLUMNS:
+        if name not in header:
+            raise MissingColumn(name)
+    order = [header.index(name) for name in CANONICAL_COLUMNS]
+    width = len(header)
+    rows = _parse_whole(fh, width, order)
+    if rows is not None:
+        return rows
+    reader = csv.reader(_text(data))
+    next(reader)  # the header, read above
+    return _parse_rows(reader, width, order)
+
+
+def _parse_whole(fh, width: int, order: list):
+    """The data rows after the header, parsed by numpy in one call and
+    checked as whole columns, or None when anything is off. Then
+    ``_parse_rows`` decides: it locates the first bad cell, and it also
+    reads the layouts numpy does not (quoted cells, text in a column
+    outside the 22)."""
+    try:
+        with warnings.catch_warnings():
+            # a header-only file; _parse_rows reports it as EmptyData
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            # comments=None: "#" is a bad cell, not a comment. No usecols:
+            # with it, loadtxt accepts a row longer than the header.
+            body = np.loadtxt(fh, delimiter=",", dtype=float, comments=None,
+                              ndmin=2)
+    except ValueError:  # UnicodeDecodeError is a ValueError
+        return None
+    if body.shape[0] == 0 or body.shape[1] != width:
+        return None
+    # C-contiguous like the loop's np.array(data); body[:, order] would be
+    # Fortran-ordered, and BLAS sums in another order on it
+    rows = body.take(order, axis=1)
+    low, high = zip(*_RANGES.values())
+    # no upper bound is read as the largest float, so nan and inf fail too
+    high = [np.finfo(float).max if h is None else h for h in high]
+    if ((rows == np.trunc(rows)).all() and (rows >= low).all()
+            and (rows <= high).all()):
+        return rows
+    return None
+
+
+def _parse_rows(reader, width: int, order: list) -> np.ndarray:
+    """Parse and check the data rows cell by cell; the first bad cell
+    raises with its 1-based data row and column."""
+    data = []
+    for i, raw in enumerate(reader, start=1):
+        if not raw:
+            continue
+        if len(raw) != width:
+            raise DataError(f"row {i} has {len(raw)} cells, expected {width}")
+        parsed = []
+        for j, col in zip(order, CANONICAL_COLUMNS):
+            value = _parse_cell(raw[j].strip(), i, col)
+            _check_range(value, i, col)
+            parsed.append(value)
+        data.append(parsed)
     if not data:
         raise EmptyData("no data rows")
-    return DataTable(CANONICAL_COLUMNS, np.array(data, dtype=float))
+    return np.array(data, dtype=float)
 
 
 def write_csv(table: DataTable, path) -> None:

@@ -436,5 +436,4 @@ def rerender_report(out_dir: str) -> None:
                 f"{path} is not the report.json of a train/baseline run; "
                 f"nothing to re-render ({type(exc).__name__}: {exc})"
             ) from None
-        with open(os.path.join(out_dir, prefix + "report.txt"), "w") as fh:
-            fh.write(text)
+        _Run(out_dir).write_text(prefix + "report.txt", text)

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -326,6 +327,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: output_dir: cannot write correlation.csv")
         assert "Traceback" not in err
+
+    def test_unwritable_rerendered_report_is_config_error(
+        self, synthetic_csv, tmp_path, capsys
+    ):
+        out = tmp_path / "o"
+        assert run_cli("train", "--experiment", "health",
+                       "--data", synthetic_csv, "--out", str(out)) == 0
+        (out / "report.txt").unlink()
+        (out / "report.txt").mkdir()
+        assert run_cli("report", "--out", str(out)) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("config error: output_dir: cannot write report.txt")
+
+    def test_header_only_csv_is_one_line_data_error(self, tmp_path, capsys):
+        data = write_rows(tmp_path / "empty.csv", [])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would reach stderr
+            code = run_cli("eda", "--data", data, "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert capsys.readouterr().err == "data error: no data rows\n"
 
     def test_invalid_cell_is_data_error(self, tmp_path):
         rows = synthetic_rows(30, seed=1)

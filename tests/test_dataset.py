@@ -1,8 +1,12 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diabrisk import dataset
 from diabrisk.dataset import (
     CANONICAL_COLUMNS,
     HEALTH_MODEL_FEATURES,
@@ -68,6 +72,26 @@ class TestLoadCsv:
         assert exc.value.row == 3
         assert exc.value.col == "BMI"
 
+    @pytest.mark.parametrize("cell", ["inf", "nan", "1e999"])
+    def test_non_finite_in_unbounded_column_is_located(self, tmp_path, cell):
+        rows = small_rows()
+        rows[3][CANONICAL_COLUMNS.index("BMI")] = cell
+        path = write_rows(tmp_path / "t.csv", rows)
+        with pytest.raises(NonNumericCell) as exc:
+            load_csv(path)
+        assert (exc.value.row, exc.value.col) == (4, "BMI")
+
+    @pytest.mark.parametrize("cell", ["3_0", "\uff13\uff10"],
+                             ids=["underscore", "full_width"])
+    def test_python_only_number_forms_rejected(self, tmp_path, cell):
+        # float() reads both as 30; neither is a numeric CSV code
+        rows = small_rows()
+        rows[1][CANONICAL_COLUMNS.index("BMI")] = cell
+        path = write_rows(tmp_path / "t.csv", rows)
+        with pytest.raises(NonNumericCell) as exc:
+            load_csv(path)
+        assert (exc.value.row, exc.value.col, exc.value.value) == (2, "BMI", cell)
+
     def test_missing_column_rejected(self, tmp_path):
         header = [c for c in CANONICAL_COLUMNS if c != "Income"]
         rows = [row[:-1] for row in small_rows()]
@@ -113,6 +137,44 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="row 300 is not valid UTF-8"):
             load_csv(path)
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a FIFO")
+    @pytest.mark.parametrize("bad_line", [None, 300], ids=["clean", "bad_byte"])
+    def test_pipe_read_once(self, tmp_path, bad_line):
+        # over 8 KiB, so a second open of the pipe would start after the
+        # first chunk; a pipe cannot be read from its start again
+        path = write_rows(tmp_path / "t.csv", synthetic_rows(400, seed=1))
+        data = (tmp_path / "t.csv").read_bytes()
+        if bad_line is not None:
+            lines = data.split(b"\n")
+            lines[bad_line] = b"\xff" + lines[bad_line]
+            data = b"\n".join(lines)
+            (tmp_path / "t.csv").write_bytes(data)
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        outcomes = []
+
+        def read():
+            try:
+                outcomes.append(load_csv(str(fifo)).rows)
+            except DataError as exc:
+                outcomes.append(str(exc))
+
+        def write():
+            with open(fifo, "wb") as fh:
+                fh.write(data)
+
+        # daemon threads: a reader blocked on a second open cannot hang the run
+        threads = [threading.Thread(target=f, daemon=True) for f in (read, write)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert len(data) > 8192 and len(outcomes) == 1
+        if bad_line is None:
+            assert np.array_equal(outcomes[0], load_csv(path).rows)
+        else:
+            assert outcomes[0] == "row 300 is not valid UTF-8 text"
+
     def test_shuffled_header_accepted(self, tmp_path):
         header = list(reversed(CANONICAL_COLUMNS))
         rows = [list(reversed(row)) for row in small_rows()]
@@ -129,6 +191,122 @@ class TestLoadCsv:
         again = load_csv(out)
         assert again.names == table.names
         assert np.array_equal(again.rows, table.rows)
+
+
+DEFECTS = [
+    "clean", "padded", "short_row", "long_row", "text", "nan", "inf", "hash",
+    "fraction", "out_of_range", "underscore", "full_width", "bad_byte",
+    "blank_lines", "whitespace_line", "crlf", "quoted", "bom", "shuffled",
+    "extra_column", "wide_rows", "multiline_header", "header_only", "empty",
+]
+
+
+def defective_csv(path, rng, defects):
+    """Write a small random table with the given defects; return the path."""
+    # a bad byte in the first 8 KiB already fails the header read
+    n_rows = int(rng.integers(250, 400) if "bad_byte" in defects
+                 else rng.integers(1, 30))
+    rows = [[str(v) for v in row]
+            for row in synthetic_rows(n_rows, seed=int(rng.integers(1000)))]
+    header = list(CANONICAL_COLUMNS)
+    if "shuffled" in defects:
+        perm = rng.permutation(len(header))
+        header = [header[k] for k in perm]
+        rows = [[row[k] for k in perm] for row in rows]
+    if "extra_column" in defects:
+        header.insert(int(rng.integers(len(header) + 1)), "Extra")
+        extra = str(rng.choice(["7", "x", "2.5", "nan", ""]))
+        for row in rows:
+            row.insert(header.index("Extra"), extra)
+    if "wide_rows" in defects:  # every row, so loadtxt sees no ragged line
+        for row in rows:
+            row.append("1")
+    if "multiline_header" in defects:  # a quoted name with a line break
+        header.append('"Ex\ntra"')
+        for row in rows:
+            row.append("1")
+    row = rows[int(rng.integers(len(rows)))]
+    col = int(rng.integers(len(row)))
+    edits = {
+        "padded": f" {row[col]}.0 ",
+        "text": "abc",
+        "nan": "nan",
+        "inf": "inf",
+        "hash": "#",
+        "fraction": f"{row[col]}.5",
+        "out_of_range": str(rng.choice(["-1", "31", "99"])),
+        "underscore": f"0_{row[col]}",
+        "full_width": "".join(chr(ord(ch) + 0xFEE0) for ch in row[col]),
+        "quoted": f'"{row[col]}"',
+    }
+    for defect in defects:
+        if defect in edits:
+            row[col] = edits[defect]
+    if "short_row" in defects:
+        del row[col]
+    if "long_row" in defects:
+        row.insert(col, "1")
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    for filler in (("" if "blank_lines" in defects else None),
+                   (" \t" if "whitespace_line" in defects else None)):
+        if filler is not None:
+            lines.insert(int(rng.integers(1, len(lines) + 1)), filler)
+    if "header_only" in defects:
+        lines = lines[:1]
+    end = "\r\n" if "crlf" in defects else "\n"
+    data = "".join(line + end for line in lines).encode()
+    if "bad_byte" in defects:
+        split = data.split(b"\n")
+        line = int(rng.integers(len(split) // 2, len(split)))
+        split[line] = b"\xff" + split[line]
+        data = b"\n".join(split)
+    if "bom" in defects:
+        data = b"\xef\xbb\xbf" + data
+    if "empty" in defects:
+        data = b""
+    path.write_bytes(data)
+    return str(path)
+
+
+def load_outcome(path):
+    """The table bytes load_csv gives, or the type and text of its error."""
+    try:
+        table = load_csv(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return table.rows.shape, table.rows.flags.c_contiguous, table.rows.tobytes()
+
+
+class TestWholeFileParse:
+    """The numpy parse must give what the per-cell loop alone gives."""
+
+    @pytest.mark.parametrize("defect", DEFECTS)
+    def test_matches_per_cell_loop(self, tmp_path, monkeypatch, defect):
+        rng = np.random.default_rng(DEFECTS.index(defect))
+        for trial in range(12):
+            # half the trials add a second, random defect
+            defects = {defect, str(rng.choice(DEFECTS))} if trial % 2 else {defect}
+            path = defective_csv(tmp_path / f"{trial}.csv", rng, defects)
+            fast = load_outcome(path)
+            with monkeypatch.context() as patch:
+                patch.setattr(dataset, "_parse_whole", lambda *args: None)
+                slow = load_outcome(path)
+            assert fast == slow, (defects, slow[:2])
+
+    @pytest.mark.parametrize("defect,loops", [
+        ("clean", 0), ("padded", 0), ("blank_lines", 0), ("crlf", 0),
+        ("shuffled", 0), ("multiline_header", 0), ("quoted", 1),
+    ])
+    def test_only_what_numpy_cannot_read_takes_loop(
+        self, tmp_path, monkeypatch, defect, loops
+    ):
+        calls = []
+        parse_rows = dataset._parse_rows
+        monkeypatch.setattr(dataset, "_parse_rows",
+                            lambda *args: calls.append(1) or parse_rows(*args))
+        path = defective_csv(tmp_path / "t.csv", np.random.default_rng(0), {defect})
+        assert load_csv(path).n_rows > 0
+        assert len(calls) == loops
 
 
 class TestBinarizeTarget:
