@@ -7,6 +7,7 @@ from .dataset import (
     HEALTH_MODEL_FEATURES,
     INCOME_CODES,
     DataTable,
+    as_counts,
     as_labels,
     binarize_target,
     income_histogram,

@@ -15,7 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    BadParams,
     DataError,
+    DimensionMismatch,
     EmptyData,
     InsufficientRows,
     MissingColumn,
@@ -67,6 +69,19 @@ def as_labels(y, name: str = "y") -> np.ndarray:
     if labels.ndim != 1 or not np.all((labels == 0) | (labels == 1)):
         raise NonBinary(f"{name} must be a 1-D vector of 0/1 labels")
     return labels.astype(np.int64)
+
+
+def as_counts(counts, n_rows: int) -> np.ndarray:
+    """A row-count argument as a 1-D int64 array: one integer >= 1 per row.
+    A zero count would still make its row's value a candidate cut."""
+    counts = np.asarray(counts)
+    if counts.ndim != 1 or counts.shape[0] != n_rows:
+        raise DimensionMismatch("counts must be a 1-D vector with one count per row")
+    if not np.issubdtype(counts.dtype, np.integer):
+        raise BadParams("counts must be integers")
+    if counts.size and counts.min() < 1:
+        raise BadParams("every count must be at least 1")
+    return counts.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -162,6 +177,8 @@ def _load_csv(data: bytes) -> np.ndarray:
         header = next(reader)
     except StopIteration:
         raise EmptyData("file is empty") from None
+    except csv.Error as exc:
+        raise DataError(f"the header: {exc}") from None
     header = [h.strip() for h in header]
     for name in CANONICAL_COLUMNS:
         if name not in header:
@@ -210,17 +227,21 @@ def _parse_rows(reader, width: int, order: list) -> np.ndarray:
     """Parse and check the data rows cell by cell; the first bad cell
     raises with its 1-based data row and column."""
     data = []
-    for i, raw in enumerate(reader, start=1):
-        if not raw:
-            continue
-        if len(raw) != width:
-            raise DataError(f"row {i} has {len(raw)} cells, expected {width}")
-        parsed = []
-        for j, col in zip(order, CANONICAL_COLUMNS):
-            value = _parse_cell(raw[j].strip(), i, col)
-            _check_range(value, i, col)
-            parsed.append(value)
-        data.append(parsed)
+    i = 0
+    try:
+        for i, raw in enumerate(reader, start=1):
+            if not raw:
+                continue
+            if len(raw) != width:
+                raise DataError(f"row {i} has {len(raw)} cells, expected {width}")
+            parsed = []
+            for j, col in zip(order, CANONICAL_COLUMNS):
+                value = _parse_cell(raw[j].strip(), i, col)
+                _check_range(value, i, col)
+                parsed.append(value)
+            data.append(parsed)
+    except csv.Error as exc:  # raised while reading the row after row i
+        raise DataError(f"row {i + 1}: {exc}") from None
     if not data:
         raise EmptyData("no data rows")
     return np.array(data, dtype=float)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import as_labels
+from .dataset import as_counts, as_labels
 from .errors import LengthMismatch, SingleClass
 
 
@@ -107,31 +107,36 @@ def classification_report(y_true, y_pred) -> ClassificationReport:
     )
 
 
-def _threshold_counts(y_true, scores):
-    """Cumulative tp/fp at each distinct score, descending; ties grouped."""
+def _threshold_counts(y_true, scores, counts=None):
+    """Cumulative tp/fp at each distinct score, descending; ties grouped.
+    ``counts`` weighs each row as that many rows (one each when None)."""
     t = as_labels(y_true, "y_true")
     s = np.asarray(scores, dtype=float)
     if t.shape[0] != s.shape[0]:
         raise LengthMismatch("y_true and scores differ in length")
-    n_pos = int(t.sum())
-    n_neg = t.shape[0] - n_pos
+    c = (np.ones(t.shape[0], np.int64) if counts is None
+         else as_counts(counts, t.shape[0]))
+    n_pos = int((c * t).sum())
+    n_neg = int(c.sum()) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise SingleClass("both classes are required for a curve")
     order = np.argsort(-s, kind="stable")
     s_sorted = s[order]
-    t_sorted = t[order]
+    c_sorted = c[order]
     distinct = np.nonzero(np.diff(s_sorted))[0]
     last = np.concatenate([distinct, [s.shape[0] - 1]])
-    tp = np.cumsum(t_sorted)[last]
-    fp = (last + 1) - tp
+    tp = np.cumsum(c_sorted * t[order])[last]
+    fp = np.cumsum(c_sorted)[last] - tp
     return s_sorted[last], tp, fp, n_pos, n_neg
 
 
-def roc_curve(y_true, scores) -> RocCurve:
+def roc_curve(y_true, scores, counts=None) -> RocCurve:
     """One point per distinct threshold (score >= threshold predicts 1),
     after a (0, 0) point at +inf; the lowest threshold takes every row, so
-    the last point is (1, 1). AUC by the trapezoidal rule."""
-    thresholds, tp, fp, n_pos, n_neg = _threshold_counts(y_true, scores)
+    the last point is (1, 1). AUC by the trapezoidal rule. ``counts`` (one
+    integer >= 1 per row) gives the curve of the rows repeated that many
+    times, bit for bit."""
+    thresholds, tp, fp, n_pos, n_neg = _threshold_counts(y_true, scores, counts)
     fpr = np.concatenate([[0.0], fp / n_neg])
     tpr = np.concatenate([[0.0], tp / n_pos])
     thresholds = np.concatenate([[np.inf], thresholds])

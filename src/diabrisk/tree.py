@@ -14,6 +14,13 @@ scikit-learn's ``Tree``): ``feature`` (-1 at a leaf), ``threshold``,
 left child is the node right after it, and its right child follows the
 left subtree. ``fit_tree`` and ``tree_from_text`` both build the arrays from
 a preorder list of node rows through ``_from_preorder``.
+
+``fit_tree`` also fits a count table: distinct rows, each with an integer
+count >= 1. The split search reads only the rows and positives on each side
+of a cut, so the tree equals the fit on the rows repeated that many times,
+array for array and float for float. Tree tuning (``grid_search``) fits and
+scores each fold's count table; without counts the kernel does no count
+arithmetic.
 """
 from __future__ import annotations
 
@@ -22,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import as_labels
+from .dataset import as_counts, as_labels
 from .errors import DimensionMismatch, EmptyNode, SingleClass
 
 
@@ -87,11 +94,13 @@ def gini_impurity(class_counts) -> float:
     return 1.0 - (f0 * f0 + f1 * f1)
 
 
-def _best_split(X, y, feature_indices, min_leaf):
-    """Best (feature, threshold, decrease, left_mask) over the candidates,
-    or None when no valid split exists."""
-    n = y.shape[0]
-    n_pos = int(y.sum())
+def _best_split(X, pos, counts, feature_indices, min_leaf):
+    """Best ``(feature, threshold, decrease, parent impurity)`` over the
+    candidate features, or None when no valid split exists. ``pos`` holds
+    each row's positives (its label, times its count on a count table);
+    ``counts`` is None when every row counts once."""
+    n = pos.shape[0] if counts is None else int(counts.sum())
+    n_pos = int(pos.sum())
     parent = gini_impurity((n - n_pos, n_pos))
     best = None
     best_decrease = -1.0
@@ -99,11 +108,12 @@ def _best_split(X, y, feature_indices, min_leaf):
         col = X[:, j]
         order = np.argsort(col, kind="stable")
         xs = col[order]
-        cum_pos = np.cumsum(y[order])
+        cum_pos = np.cumsum(pos[order])
         cuts = np.nonzero(xs[:-1] != xs[1:])[0]
         if cuts.size == 0:
             continue
-        n_left = cuts + 1
+        # rows at or below each cut
+        n_left = cuts + 1 if counts is None else np.cumsum(counts[order])[cuts]
         n_right = n - n_left
         valid = (n_left >= min_leaf) & (n_right >= min_leaf)
         if not valid.any():
@@ -124,16 +134,24 @@ def _best_split(X, y, feature_indices, min_leaf):
     return best
 
 
-def fit_tree(X, y, params: TreeParams = TreeParams(),
-             feature_names=None, _rng=None, _max_features=None) -> DecisionTreeModel:
-    """Grow a CART tree. Degenerate inputs yield a single leaf."""
+def fit_tree(X, y, params: TreeParams = TreeParams(), feature_names=None,
+             counts=None, _rng=None, _max_features=None) -> DecisionTreeModel:
+    """Grow a CART tree. Degenerate inputs yield a single leaf. ``counts``
+    (one integer >= 1 per row) fits a count table: the tree is the one
+    grown on the rows repeated that many times."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise DimensionMismatch("X must be 2-D")
     labels = as_labels(y)
     if labels.shape[0] != X.shape[0]:
         raise DimensionMismatch("X and y disagree on row count")
-    n_total = X.shape[0]
+    if counts is None:
+        pos = labels
+        n_total = X.shape[0]
+    else:
+        counts = as_counts(counts, X.shape[0])
+        pos = counts * labels
+        n_total = int(counts.sum())
     p = X.shape[1]
 
     def candidate_features():
@@ -144,23 +162,25 @@ def fit_tree(X, y, params: TreeParams = TreeParams(),
     rows = []
     # stack of (row indices, depth); processed LIFO with left pushed last, so
     # nodes are appended (and any features sampled) in preorder
-    stack = [(np.arange(n_total), 0)]
+    stack = [(np.arange(X.shape[0]), 0)]
     while stack:
         idx, depth = stack.pop()
-        pos = int(labels[idx].sum())
+        size = idx.size if counts is None else int(counts[idx].sum())
+        n_pos = int(pos[idx].sum())
         found = None
-        pure = pos == 0 or pos == idx.size
+        pure = n_pos == 0 or n_pos == size
         depth_capped = params.max_depth is not None and depth >= params.max_depth
-        if not (pure or depth_capped or idx.size < params.min_samples_split):
+        if not (pure or depth_capped or size < params.min_samples_split):
             found = _best_split(
-                X[idx], labels[idx], candidate_features(), params.min_samples_leaf
+                X[idx], pos[idx], None if counts is None else counts[idx],
+                candidate_features(), params.min_samples_leaf,
             )
         if found is None:
-            rows.append(_leaf_row(idx.size - pos, pos))
+            rows.append(_leaf_row(size - n_pos, n_pos))
             continue
         j, threshold, decrease, impurity = found
-        rows.append((j, threshold, idx.size, pos, impurity,
-                     (idx.size / n_total) * decrease))
+        rows.append((j, threshold, size, n_pos, impurity,
+                     (size / n_total) * decrease))
         goes_left = X[idx, j] <= threshold
         stack.append((idx[~goes_left], depth + 1))
         stack.append((idx[goes_left], depth + 1))

@@ -9,6 +9,7 @@ import pytest
 
 from diabrisk import gridsearch, pipeline
 from diabrisk.cli import main
+from diabrisk.dataset import CANONICAL_COLUMNS
 from diabrisk.logistic import model_from_text
 from diabrisk.tree import tree_from_text
 
@@ -371,6 +372,23 @@ class TestExitCodes:
                        "--out", str(tmp_path / "out")) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "row 5" in err
+
+    def test_cell_over_csv_field_limit_is_data_error(self, tmp_path, capsys):
+        rows = synthetic_rows(5, seed=1)
+        bmi = CANONICAL_COLUMNS.index("BMI")
+        lines = [",".join(CANONICAL_COLUMNS)]
+        for i, row in enumerate(rows, start=1):
+            cells = [str(v) for v in row]
+            if i == 3:  # 200,002 characters, over csv.field_size_limit()
+                cells[bmi] = '"' + "0" * 200_000 + '30"'
+            lines.append(",".join(cells))
+        data = tmp_path / "long_cell.csv"
+        data.write_text("\n".join(lines) + "\n")
+        assert run_cli("eda", "--data", str(data),
+                       "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: row 3: field larger than field limit")
+        assert "Traceback" not in err
 
     def test_single_class_is_training_error(self, tmp_path):
         rows = synthetic_rows(50, seed=2, diabetes_rate=0.0)

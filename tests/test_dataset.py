@@ -63,6 +63,13 @@ class TestLoadCsv:
         with pytest.raises(EmptyData):
             load_csv(path)
 
+    def test_header_cell_over_csv_field_limit_is_data_error(self, tmp_path):
+        path = tmp_path / "t.csv"
+        header = ",".join(CANONICAL_COLUMNS) + ',"' + "x" * 200_000 + '"'
+        path.write_text(header + "\n" + ",".join(map(str, small_rows()[0])) + "\n")
+        with pytest.raises(DataError, match="^the header: field larger"):
+            load_csv(path)
+
     def test_non_numeric_cell_is_located(self, tmp_path):
         rows = small_rows()
         rows[2][CANONICAL_COLUMNS.index("BMI")] = "abc"

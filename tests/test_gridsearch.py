@@ -3,13 +3,15 @@ import statistics
 import numpy as np
 import pytest
 
+from diabrisk import gridsearch
 from diabrisk.errors import BadParams, FoldDegenerate, SingleClass
 from diabrisk.gridsearch import (
     CvConfig,
     grid_search,
     k_fold_indices,
 )
-from diabrisk.tree import TreeParams
+from diabrisk.metrics import roc_curve
+from diabrisk.tree import TreeParams, fit_tree, predict_tree
 
 
 def small_problem(seed=0, n=120, p=3):
@@ -151,3 +153,54 @@ class TestGridSearch:
         X, y = small_problem()
         with pytest.raises(BadParams):
             grid_search(X, y, "logistic", {"C": []})
+
+
+class TestTreeCountTables:
+    """The tree family fits and scores count tables; its scores equal
+    fitting and scoring each fold's rows."""
+
+    GRID = {"max_depth": [None, 2], "min_samples_leaf": [1, 12],
+            "min_samples_split": [2, 40]}
+    CV = CvConfig(folds=4, seed=3)
+
+    @staticmethod
+    def duplicated_problem():
+        rng = np.random.default_rng(8)
+        X = np.column_stack([rng.integers(1, 9, size=400),
+                             rng.integers(0, 2, size=400),
+                             rng.integers(0, 4, size=400)]).astype(float)
+        y = ((9 - X[:, 0]) * 0.3 + X[:, 1] + rng.logistic(size=400) > 2.0)
+        return X, y.astype(int)
+
+    def test_scores_equal_fits_on_rows(self):
+        X, y = self.duplicated_problem()
+        assert np.unique(X, axis=0).shape[0] < 70  # heavily duplicated
+        result = grid_search(X, y, "tree", self.GRID, self.CV)
+        folds = gridsearch._draw_folds(y, X.shape[0], self.CV)
+        want = np.array([
+            [roc_curve(y[valid], predict_tree(
+                fit_tree(X[train], y[train], TreeParams(**cell)), X[valid])[1]).auc
+             for train, valid in folds]
+            for cell in result.combos
+        ])
+        assert result.scores.dtype == want.dtype
+        assert result.scores.tobytes() == want.tobytes()
+        assert len(np.unique(want)) > 4  # the cells do differ
+
+    def test_every_fit_goes_through_module_globals(self, monkeypatch):
+        calls = {"fit_tree": 0, "predict_tree": 0, "roc_curve": 0}
+
+        def counted(name):
+            func = getattr(gridsearch, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(gridsearch, name, counted(name))
+        X, y = self.duplicated_problem()
+        result = grid_search(X, y, "tree", self.GRID, self.CV)
+        assert result.n_fits == 8 * 4
+        assert calls == {name: result.n_fits for name in calls}

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diabrisk.errors import LengthMismatch, NonBinary, SingleClass
+from diabrisk.errors import (
+    BadParams,
+    DimensionMismatch,
+    LengthMismatch,
+    NonBinary,
+    SingleClass,
+)
 from diabrisk.metrics import (
     classification_report,
     confusion,
@@ -168,6 +174,53 @@ class TestRocCurve:
     def test_single_class_rejected(self):
         with pytest.raises(SingleClass):
             roc_curve([1, 1, 1], [0.1, 0.2, 0.3])
+
+
+class TestWeightedRocCurve:
+    """``roc_curve`` with counts equals ``roc_curve`` on the repeated rows,
+    bit for bit."""
+
+    @staticmethod
+    def assert_same_curve(got, want):
+        for name in ("fpr", "tpr", "thresholds"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert got.auc == want.auc
+
+    def test_shared_score(self):
+        # 0.5 is held by both labels, with different counts
+        y, s, c = [0, 1, 1, 0, 1], [0.5, 0.5, 0.9, 0.2, 0.2], [3, 2, 1, 4, 2]
+        want = roc_curve(np.repeat(y, c), np.repeat(s, c))
+        self.assert_same_curve(roc_curve(y, s, counts=c), want)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_equals_repeated_rows(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 30))
+        y = rng.integers(0, 2, size=n)
+        y[:2] = [0, 1]
+        scores = rng.choice([0.0, 0.2, 1 / 3, 0.5, 0.8, 1.0], size=n)
+        counts = rng.integers(1, 6, size=n)
+        order = rng.permutation(counts.sum())
+        want = roc_curve(np.repeat(y, counts)[order],
+                         np.repeat(scores, counts)[order])
+        self.assert_same_curve(roc_curve(y, scores, counts=counts), want)
+
+    def test_counts_decide_single_class(self):
+        with pytest.raises(SingleClass):
+            roc_curve([1, 1], [0.1, 0.2], counts=[3, 4])
+
+    @pytest.mark.parametrize("counts, error", [
+        (np.ones((3, 1), dtype=int), DimensionMismatch),
+        (np.ones(2, dtype=int), DimensionMismatch),
+        (np.ones(3), BadParams),
+        (np.ones(3, dtype=bool), BadParams),
+        (np.array([1, 0, 2]), BadParams),
+        (np.array([1, -2, 2]), BadParams),
+    ], ids=["2d", "short", "float", "bool", "zero", "negative"])
+    def test_bad_counts_rejected(self, counts, error):
+        with pytest.raises(error):
+            roc_curve([0, 1, 1], [0.1, 0.4, 0.8], counts=counts)
 
 
 class TestPrCurve:

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from diabrisk.errors import DimensionMismatch, EmptyNode, SingleClass
+from diabrisk.errors import BadParams, DimensionMismatch, EmptyNode, SingleClass
 from diabrisk.tree import (
     DecisionTreeModel,
     ForestParams,
@@ -395,3 +395,90 @@ class TestPinnedText:
             for name, model in self.fits().items()
         }
         assert digests == self.PINNED
+
+
+def duplicated_rows(seed, n_cols):
+    """Raw rows drawn from a few codes per column, and their count table:
+    (X, y, distinct X, distinct y, counts)."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(60, 400))
+    X = rng.integers(0, int(rng.integers(2, 6)), size=(n, n_cols)).astype(float)
+    y = (X.sum(axis=1) + rng.normal(scale=1.5, size=n) > n_cols).astype(int)
+    table, counts = np.unique(np.column_stack([X, y]), axis=0, return_counts=True)
+    return X, y, table[:, :-1], table[:, -1].astype(int), counts
+
+
+COUNTED_PARAMS = {
+    "default": TreeParams(),
+    "depth2": TreeParams(max_depth=2),
+    # minimums that a node's counted rows meet where its distinct rows
+    # often do not
+    "leaf25": TreeParams(min_samples_leaf=25),
+    "split40": TreeParams(min_samples_split=40),
+    "all": TreeParams(max_depth=4, min_samples_split=30, min_samples_leaf=9),
+}
+
+
+class TestCountTable:
+    """A fit on a count table equals the fit on its rows, bit for bit."""
+
+    @staticmethod
+    def assert_same_tree(got, want):
+        assert tree_to_text(got) == tree_to_text(want)
+        for array in ARRAYS:
+            a, b = getattr(got, array), getattr(want, array)
+            assert a.dtype == b.dtype, array
+            assert a.tobytes() == b.tobytes(), array
+
+    @pytest.mark.parametrize("name", sorted(COUNTED_PARAMS))
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equals_fit_on_rows(self, name, seed):
+        X, y, Xd, yd, counts = duplicated_rows(seed, n_cols=1 + seed % 3)
+        params = COUNTED_PARAMS[name]
+        self.assert_same_tree(fit_tree(Xd, yd, params, counts=counts),
+                              fit_tree(X, y, params))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_repeated_rows(self, seed):
+        _, _, Xd, yd, counts = duplicated_rows(seed, n_cols=2)
+        order = np.random.default_rng(seed).permutation(counts.sum())
+        X = np.repeat(Xd, counts, axis=0)[order]
+        y = np.repeat(yd, counts)[order]
+        params = TreeParams(min_samples_leaf=5)
+        self.assert_same_tree(fit_tree(Xd, yd, params, counts=counts),
+                              fit_tree(X, y, params))
+
+    def test_counted_rows_pass_min_samples_leaf(self):
+        _, _, Xd, yd, counts = duplicated_rows(3, n_cols=2)
+        params = COUNTED_PARAMS["leaf25"]
+        assert Xd.shape[0] < 2 * params.min_samples_leaf < counts.sum()
+        model = fit_tree(Xd, yd, params, counts=counts)
+        assert (model.feature >= 0).any()
+        assert model.n_samples[0] == counts.sum()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_max_features_draws_unchanged(self, seed):
+        X, y, Xd, yd, counts = duplicated_rows(seed, n_cols=3)
+        got = fit_tree(Xd, yd, counts=counts,
+                       _rng=np.random.default_rng([seed, 9]), _max_features=1)
+        want = fit_tree(X, y, _rng=np.random.default_rng([seed, 9]),
+                        _max_features=1)
+        self.assert_same_tree(got, want)
+
+    def test_unit_counts_equal_no_counts(self):
+        X, y, *_ = duplicated_rows(5, n_cols=3)
+        self.assert_same_tree(
+            fit_tree(X, y, counts=np.ones(len(y), dtype=int)), fit_tree(X, y))
+
+    @pytest.mark.parametrize("counts, error", [
+        (np.ones((4, 1), dtype=int), DimensionMismatch),
+        (np.ones(3, dtype=int), DimensionMismatch),
+        (np.ones(4), BadParams),
+        (np.ones(4, dtype=bool), BadParams),
+        (np.array([1, 2, 0, 1]), BadParams),
+        (np.array([1, -1, 2, 1]), BadParams),
+    ], ids=["2d", "short", "float", "bool", "zero", "negative"])
+    def test_bad_counts_rejected(self, counts, error):
+        X = np.array([[0.0], [1.0], [2.0], [3.0]])
+        with pytest.raises(error):
+            fit_tree(X, [0, 1, 0, 1], counts=counts)
