@@ -4,12 +4,15 @@
 
 OLD_SRC and NEW_SRC are ``src/`` directories of two checkouts. The script
 makes the seed-1 synthetic tables with this checkout's ``perfbench/synth.py``
-and runs the six benchmark commands and ``tune-only --experiment health``
-with each side's sources and that side's ``perfbench/configs/*.cfg`` (next
-to its ``src/``), with ``--seed 1`` and one BLAS thread. Both sides write under the same ``--out`` path, because
-``report.json`` echoes it. Every file is then compared byte for byte, except
-``created_unix_time`` in each ``*manifest.json``. Each file that differs is printed;
-the exit code is 1 if any does, else 0. ``perfbench/`` is read, never written.
+and runs the six benchmark commands, ``tune-only --experiment health`` and
+``train --experiment health --split-first`` with each side's sources and
+that side's ``perfbench/configs/*.cfg`` (next to its ``src/``), with
+``--seed 1`` and one BLAS thread. The last one covers the split-first SMOTE
+path of the health model and the ``splitfirst_`` file names. Both sides
+write under the same ``--out`` path, because ``report.json`` echoes it.
+Every file is then compared byte for byte, except ``created_unix_time`` in
+each ``*manifest.json``. Each file that differs is printed; the exit code is
+1 if any does, else 0. ``perfbench/`` is read, never written.
 """
 from __future__ import annotations
 
@@ -39,6 +42,9 @@ COMMANDS = {
     "features": (0.05, "features.cfg", ("features",)),
     "tune-only-health": (0.10, "health-tuned.cfg",
                          ("tune-only", "--experiment", "health")),
+    "train-health-split-first": (0.16, "survey.cfg",
+                                 ("train", "--experiment", "health",
+                                  "--split-first")),
 }
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 from .dataset import FEATURE_COLUMNS, HEALTH_MODEL_FEATURES
 from .errors import ConfigError
@@ -56,19 +56,14 @@ class ExperimentConfig:
         if not 1 <= self.rfe_n_select <= len(FEATURE_COLUMNS):
             raise ValueError(
                 f"n_select must be in 1..{len(FEATURE_COLUMNS)} (the feature count)")
-
-    def resolved(self) -> "ExperimentConfig":
-        """Fill in the seed-dependent and environment-dependent defaults."""
-        cfg = self
-        if cfg.smote is None:
-            cfg = replace(cfg, smote=SmoteParams(seed=cfg.seed))
-        if cfg.forest is None:
-            cfg = replace(cfg, forest=ForestParams(seed=cfg.seed))
-        if cfg.output_dir is None:
-            cfg = replace(
-                cfg, output_dir=os.environ.get("DIABRISK_OUT", "out")
-            )
-        return cfg
+        # the seed-dependent and environment-dependent defaults
+        if self.smote is None:
+            object.__setattr__(self, "smote", SmoteParams(seed=self.seed))
+        if self.forest is None:
+            object.__setattr__(self, "forest", ForestParams(seed=self.seed))
+        if self.output_dir is None:
+            object.__setattr__(
+                self, "output_dir", os.environ.get("DIABRISK_OUT", "out"))
 
 
 def _parse_bool(key, text):
@@ -177,43 +172,35 @@ def parse_config(path: str = None, overrides: dict = None) -> ExperimentConfig:
         raw.update({k: v for k, v in overrides.items() if v is not None})
 
     cfg = ExperimentConfig()
-    # params group -> {field: (key, value)}
-    groups = {g: {} for g in ("smote", "logreg", "tree", "forest",
-                              "logistic_grid", "tree_grid")}
+    fields = []  # (key, params group, field, value)
+    grids = {"logistic_grid": {}, "tree_grid": {}}  # field -> (key, values)
     for key, value in raw.items():
         if key not in _KEYS:
             raise ConfigError(key, "unknown key")
         group, name, parse = _KEYS[key]
         if group == "config":
             cfg = _with_field(key, cfg, name, parse(key, value))
-        elif group.endswith("_grid"):
+        elif group in grids:
             values = _csv_list(value, lambda v: parse(key, v))
             if not values:
                 raise ConfigError(
                     key, f"bad value {value!r}: a grid needs at least one value")
-            groups[group][name] = (key, values)
+            grids[group][name] = (key, values)
         else:
-            groups[group][name] = (key, parse(key, value))
+            fields.append((key, group, name, parse(key, value)))
 
-    # params start from the defaults (seeded by the master seed) or, for the
-    # grids, from the configured params; each value is checked under its key
-    bases = {"smote": SmoteParams(seed=cfg.seed), "logreg": cfg.logreg,
-             "tree": cfg.tree, "forest": ForestParams(seed=cfg.seed)}
-    for group, base in bases.items():
-        if groups[group]:
-            for name, (key, value) in groups[group].items():
-                base = _with_field(key, base, name, value)
-            cfg = replace(cfg, **{group: base})
+    # at None, smote and forest are rebuilt from the final master seed; each
+    # params value and each grid value (against the configured params) is
+    # then checked under its key
+    cfg = replace(cfg, smote=None, forest=None)
+    for key, group, name, value in fields:
+        cfg = replace(cfg, **{group: _with_field(
+            key, getattr(cfg, group), name, value)})
     for group, base in (("logistic_grid", cfg.logreg), ("tree_grid", cfg.tree)):
-        if groups[group]:
-            for name, (key, values) in groups[group].items():
-                for value in values:
-                    _with_field(key, base, name, value)
+        for name, (key, values) in grids[group].items():
+            for value in values:
+                _with_field(key, base, name, value)
+        if grids[group]:
             cfg = replace(cfg, **{group: {
-                name: values for name, (_, values) in groups[group].items()}})
-    return cfg.resolved()
-
-
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    """JSON-friendly echo of a resolved config."""
-    return asdict(cfg)
+                name: values for name, (_, values) in grids[group].items()}})
+    return cfg

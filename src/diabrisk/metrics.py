@@ -2,7 +2,7 @@
 precision-recall curves with trapezoidal / step-wise areas."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -21,16 +21,20 @@ class ClassStats:
 
 
 @dataclass(frozen=True)
+class AverageStats:
+    precision: float
+    recall: float
+    f1: float
+
+
+@dataclass(frozen=True)
 class ClassificationReport:
+    """Laid out as ``report.json``'s ``classification_report`` object."""
     class0: ClassStats
     class1: ClassStats
     accuracy: float
-    macro_precision: float
-    macro_recall: float
-    macro_f1: float
-    weighted_precision: float
-    weighted_recall: float
-    weighted_f1: float
+    macro: AverageStats
+    weighted: AverageStats
     total_support: int
 
 
@@ -97,12 +101,11 @@ def classification_report(y_true, y_pred) -> ClassificationReport:
         class0=c0,
         class1=c1,
         accuracy=accuracy,
-        macro_precision=(c0.precision + c1.precision) / 2,
-        macro_recall=(c0.recall + c1.recall) / 2,
-        macro_f1=(c0.f1 + c1.f1) / 2,
-        weighted_precision=w0 * c0.precision + w1 * c1.precision,
-        weighted_recall=w0 * c0.recall + w1 * c1.recall,
-        weighted_f1=w0 * c0.f1 + w1 * c1.f1,
+        macro=AverageStats((c0.precision + c1.precision) / 2,
+                           (c0.recall + c1.recall) / 2, (c0.f1 + c1.f1) / 2),
+        weighted=AverageStats(w0 * c0.precision + w1 * c1.precision,
+                              w0 * c0.recall + w1 * c1.recall,
+                              w0 * c0.f1 + w1 * c1.f1),
         total_support=total,
     )
 
@@ -180,28 +183,6 @@ def report_to_text(report: dict, title: str,
 
 
 def report_to_dict(report: ClassificationReport) -> dict:
-    def cls(stats: ClassStats) -> dict:
-        return {
-            "precision": stats.precision,
-            "recall": stats.recall,
-            "f1": stats.f1,
-            "support": stats.support,
-            "zero_division_flags": list(stats.zero_division_flags),
-        }
-
-    return {
-        "class0": cls(report.class0),
-        "class1": cls(report.class1),
-        "accuracy": report.accuracy,
-        "macro": {
-            "precision": report.macro_precision,
-            "recall": report.macro_recall,
-            "f1": report.macro_f1,
-        },
-        "weighted": {
-            "precision": report.weighted_precision,
-            "recall": report.weighted_recall,
-            "f1": report.weighted_f1,
-        },
-        "total_support": report.total_support,
-    }
+    """The report as plain dicts; ``json.dumps`` writes its
+    ``zero_division_flags`` tuples as lists."""
+    return asdict(report)

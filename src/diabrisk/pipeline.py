@@ -12,7 +12,7 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import plots
-from .config import ExperimentConfig, config_to_dict
+from .config import ExperimentConfig
 from .errors import ConfigError, PipelineError
 from .dataset import (
     INCOME_CODES,
@@ -54,6 +54,8 @@ LEAKAGE_WARNING = (
 # published values this pipeline tracks; reported for comparison, never gated on
 REFERENCE_TUNED_AUC = {"health": 0.7743, "income": 0.633}
 INCOME_FEATURE = ["Income"]
+# the file-name prefix of every artifact of a split-first train or tune-only run
+SPLIT_FIRST_PREFIX = "splitfirst_"
 TITLES = {"health": "Health Indicators Model", "income": "Income Model"}
 
 
@@ -134,7 +136,7 @@ def run_eda(cfg: ExperimentConfig) -> dict:
     )
     report = {
         "command": "eda",
-        "config": config_to_dict(cfg),
+        "config": asdict(cfg),
         "dataset": {"n_rows": table.n_rows},
         "income_histogram": {str(c): n for c, n in zip(INCOME_CODES, counts)},
         "warnings": [],
@@ -171,8 +173,8 @@ def run_features(cfg: ExperimentConfig) -> dict:
         **dict(zip(names, path.T)),
     })
 
-    forest = fit_forest(X, y, cfg.forest)
-    importance, degenerate = impurity_importance(forest)
+    trees = fit_forest(X, y, cfg.forest)
+    importance, degenerate = impurity_importance(trees)
     run.write_csv("forest_importance.csv",
                   {"name": names, "importance": importance})
 
@@ -185,7 +187,7 @@ def run_features(cfg: ExperimentConfig) -> dict:
 
     report = {
         "command": "features",
-        "config": config_to_dict(cfg),
+        "config": asdict(cfg),
         "dataset": {
             "n_rows": len(raw_labels),
             "class_counts_before": _class_counts(raw_labels),
@@ -245,6 +247,12 @@ def _grid_summary(result: GridResult) -> dict:
     }
 
 
+def _experiment_run(cfg: ExperimentConfig) -> _Run:
+    """The run of a train or tune-only command; a split-first run's artifacts
+    carry ``SPLIT_FIRST_PREFIX``."""
+    return _Run(cfg.output_dir, SPLIT_FIRST_PREFIX if cfg.split_first else "")
+
+
 def _model_params(cfg: ExperimentConfig, experiment: str):
     """The configured params of an experiment's model; tuning starts here."""
     return cfg.logreg if experiment == "health" else cfg.tree
@@ -300,8 +308,7 @@ def run_train(cfg: ExperimentConfig, experiment: str, tuned: bool,
               balanced: bool = True) -> dict:
     if experiment not in ("health", "income"):
         raise ValueError("experiment must be health or income")
-    prefix = "splitfirst_" if cfg.split_first else ""
-    run = _Run(cfg.output_dir, prefix=prefix)
+    run = _experiment_run(cfg)
     names, X_train, y_train, X_test, y_test, before, after = _experiment_data(
         cfg, experiment, balanced
     )
@@ -356,7 +363,7 @@ def run_train(cfg: ExperimentConfig, experiment: str, tuned: bool,
         "experiment": experiment,
         "tuned": tuned,
         "balanced": balanced,
-        "config": config_to_dict(cfg),
+        "config": asdict(cfg),
         "dataset": {
             "class_counts_before": before,
             "class_counts_after": after,
@@ -385,7 +392,7 @@ def run_baseline(cfg: ExperimentConfig) -> dict:
 
 
 def run_tune_only(cfg: ExperimentConfig, experiment: str) -> dict:
-    run = _Run(cfg.output_dir)
+    run = _experiment_run(cfg)
     _, X_train, y_train, _, _, before, after = _experiment_data(
         cfg, experiment, balanced=True
     )
@@ -394,7 +401,7 @@ def run_tune_only(cfg: ExperimentConfig, experiment: str) -> dict:
     doc = {
         "command": "tune-only",
         "experiment": experiment,
-        "config": config_to_dict(cfg),
+        "config": asdict(cfg),
         "dataset": {
             "class_counts_before": before, "class_counts_after": after,
         },
@@ -423,7 +430,7 @@ def rerender_report(out_dir: str) -> None:
     """Rebuild report.txt from report.json and splitfirst_report.txt from
     splitfirst_report.json, each where its JSON exists (report subcommand).
     With neither present, reading report.json fails."""
-    prefixes = [p for p in ("", "splitfirst_")
+    prefixes = [p for p in ("", SPLIT_FIRST_PREFIX)
                 if os.path.exists(os.path.join(out_dir, p + "report.json"))]
     for prefix in prefixes or [""]:
         path = os.path.join(out_dir, prefix + "report.json")

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import as_counts, as_labels
-from .errors import DimensionMismatch, EmptyNode, SingleClass
+from .errors import DataError, DimensionMismatch, EmptyNode, SingleClass
 
 
 @dataclass(frozen=True)
@@ -76,10 +76,14 @@ class ForestParams:
             raise ValueError("max_features must be >= 1")
 
 
-@dataclass(frozen=True)
-class ForestModel:
-    trees: tuple
-    n_features: int
+def check_finite(X):
+    """Raise ``DataError`` at the first NaN or infinity in X: a NaN cut
+    would send every row right and leave an empty node."""
+    finite = np.isfinite(X)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise DataError(
+            f"X holds a non-finite value at row {row}, column {col}")
 
 
 def gini_impurity(class_counts) -> float:
@@ -142,6 +146,7 @@ def fit_tree(X, y, params: TreeParams = TreeParams(), feature_names=None,
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise DimensionMismatch("X must be 2-D")
+    check_finite(X)
     labels = as_labels(y)
     if labels.shape[0] != X.shape[0]:
         raise DimensionMismatch("X and y disagree on row count")
@@ -238,13 +243,14 @@ def predict_tree(model: DecisionTreeModel, X):
     return (pos >= neg).astype(int), pos / (neg + pos)
 
 
-def fit_forest(X, y, params: ForestParams = ForestParams()) -> ForestModel:
-    """Trees grown with the default (unbounded) ``TreeParams``, each split
-    chosen among ``max_features`` randomly drawn columns."""
+def fit_forest(X, y, params: ForestParams = ForestParams()) -> tuple:
+    """The fitted trees, grown with the default (unbounded) ``TreeParams``,
+    each split chosen among ``max_features`` randomly drawn columns."""
     X = np.asarray(X, dtype=float)
     labels = as_labels(y)
     if X.shape[0] < 2:
         raise DimensionMismatch("need at least 2 rows")
+    check_finite(X)  # before the bootstrap, so the error gives X's row
     if len(np.unique(labels)) < 2:
         raise SingleClass("both classes are required to fit a forest")
     p = X.shape[1]
@@ -266,15 +272,13 @@ def fit_forest(X, y, params: ForestParams = ForestParams()) -> ForestModel:
                 Xt, yt, TreeParams(), _rng=rng, _max_features=max_features,
             )
         )
-    return ForestModel(trees=tuple(trees), n_features=p)
+    return tuple(trees)
 
 
-def predict_forest(model: ForestModel, X):
+def predict_forest(trees, X):
     """Mean of per-tree leaf positive fractions; label by 0.5 threshold
     (ties to class 1)."""
-    scores = np.mean(
-        [predict_tree(t, X)[1] for t in model.trees], axis=0
-    )
+    scores = np.mean([predict_tree(t, X)[1] for t in trees], axis=0)
     return (scores >= 0.5).astype(int), scores
 
 
@@ -284,14 +288,15 @@ def _tree_raw_importance(tree: DecisionTreeModel) -> np.ndarray:
                        minlength=tree.n_features)
 
 
-def impurity_importance(forest: ForestModel):
+def impurity_importance(trees):
     """(values, degenerate): the mean impurity decrease per feature,
     normalized to sum 1, and whether no split occurred anywhere."""
-    raw = np.mean([_tree_raw_importance(t) for t in forest.trees], axis=0)
+    raw = np.mean([_tree_raw_importance(t) for t in trees], axis=0)
     total = raw.sum()
     if total <= 0.0:
         # forests of bare leaves carry no signal; report uniform, flagged
-        return np.full(forest.n_features, 1.0 / forest.n_features), True
+        n_features = trees[0].n_features
+        return np.full(n_features, 1.0 / n_features), True
     return raw / total, False
 
 

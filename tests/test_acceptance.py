@@ -275,7 +275,7 @@ def test_8_reproducibility(emit, tmp_path):
 
     cfg = ExperimentConfig(
         data_path=path, seed=SEED, output_dir=str(tmp_path / "run")
-    ).resolved()
+    )
     run_train(cfg, "health", tuned=False)
     first = (tmp_path / "run" / "report.json").read_bytes()
     run_train(cfg, "health", tuned=False)

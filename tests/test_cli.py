@@ -9,6 +9,7 @@ import pytest
 
 from diabrisk import gridsearch, pipeline
 from diabrisk.cli import main
+from diabrisk.config import ExperimentConfig
 from diabrisk.dataset import CANONICAL_COLUMNS
 from diabrisk.logistic import model_from_text
 from diabrisk.tree import tree_from_text
@@ -100,6 +101,12 @@ class TestTrain:
         assert reports[0]["config"]["seed"] == 42
         assert reports[1]["config"]["seed"] == 7
         assert reports[0]["metrics"] != reports[1]["metrics"]
+
+    def test_directly_built_config_runs(self, synthetic_csv, tmp_path):
+        cfg = ExperimentConfig(data_path=synthetic_csv,
+                               output_dir=str(tmp_path / "out"))
+        report = pipeline.run_train(cfg, "health", tuned=False)
+        assert report["config"]["smote"]["seed"] == 42
 
     def test_split_first_prefix_and_no_leakage_warning(
         self, synthetic_csv, tmp_path
@@ -265,6 +272,58 @@ class TestTuneOnly:
         report = read_json(out / "report.json")
         assert report["grid"]["n_fits"] == 6
         assert not (out / "model.txt").exists()
+
+    def test_split_first_prefix_and_no_leakage_warning(self, tmp_path):
+        data = write_rows(tmp_path / "d.csv", synthetic_rows(250, seed=9))
+        out = tmp_path / "out"
+        code = run_cli(
+            "tune-only", "--experiment", "income", "--split-first",
+            "--data", data, "--out", str(out),
+            "--config", str(write_config(
+                tmp_path, "grid.tree.max_depth = 2, 4\ncv.folds = 3\n"
+            )),
+        )
+        assert code == 0
+        listing = sorted(os.listdir(out))
+        assert listing == ["splitfirst_grid.csv", "splitfirst_manifest.json",
+                           "splitfirst_report.json"]
+        report = read_json(out / "splitfirst_report.json")
+        assert report["manifest"] == listing
+        assert report["grid"]["n_fits"] == 6
+        assert not any("before the train/test split" in w
+                       for w in report["warnings"])
+
+
+class TestWarnings:
+    """Each warning of a train/baseline run is in report.json and in the
+    Warnings block of report.txt."""
+
+    @staticmethod
+    def assert_warned(out, start):
+        warned = [w for w in read_json(out / "report.json")["warnings"]
+                  if w.startswith(start)]
+        assert len(warned) == 1
+        text = (out / "report.txt").read_text()
+        assert "\nWarnings:\n" in text and f"\n- {warned[0]}\n" in text
+
+    def test_degenerate_minority_recall(self, tmp_path):
+        data = write_rows(tmp_path / "d.csv",
+                          synthetic_rows(600, seed=7, diabetes_rate=0.1))
+        out = tmp_path / "out"
+        assert run_cli("baseline", "--data", data, "--out", str(out)) == 0
+        report = read_json(out / "report.json")
+        assert report["metrics"]["classification_report"]["class1"]["recall"] == 0.0
+        self.assert_warned(out, "degenerate minority recall 0.000: ")
+
+    def test_stopped_before_convergence(self, synthetic_csv, tmp_path):
+        out = tmp_path / "out"
+        code = run_cli("train", "--experiment", "health",
+                       "--data", synthetic_csv, "--out", str(out),
+                       "--config", str(write_config(tmp_path,
+                                                    "logreg.max_iter = 1\n")))
+        assert code == 0
+        assert read_json(out / "report.json")["model"]["converged"] is False
+        self.assert_warned(out, "logistic fit stopped after 1 iterations ")
 
 
 class TestReportSubcommand:

@@ -1,6 +1,8 @@
+from dataclasses import asdict
+
 import pytest
 
-from diabrisk.config import ExperimentConfig, config_to_dict, parse_config
+from diabrisk.config import ExperimentConfig, parse_config
 from diabrisk.errors import ConfigError
 
 
@@ -112,17 +114,13 @@ class TestValidation:
 class TestEcho:
     def test_dict_round_trips_key_fields(self):
         cfg = parse_config(overrides={"seed": "5", "logreg.c": "2.0"})
-        d = config_to_dict(cfg)
+        d = asdict(cfg)
         assert d["seed"] == 5
         assert d["logreg"]["C"] == 2.0
         assert d["smote"]["seed"] == 5
         assert d["health_features"][0] == "HighBP"
 
-    def test_resolved_is_idempotent(self):
-        cfg = parse_config()
-        assert cfg.resolved() == cfg
-
     def test_direct_construction_resolves(self):
-        cfg = ExperimentConfig(seed=3).resolved()
+        cfg = ExperimentConfig(seed=3)
         assert cfg.smote.seed == 3
         assert cfg.output_dir is not None

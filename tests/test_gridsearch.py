@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from diabrisk import gridsearch
-from diabrisk.errors import BadParams, FoldDegenerate, SingleClass
+from diabrisk.errors import BadParams, DataError, FoldDegenerate, SingleClass
 from diabrisk.gridsearch import (
     CvConfig,
     grid_search,
@@ -186,6 +186,13 @@ class TestTreeCountTables:
         assert result.scores.dtype == want.dtype
         assert result.scores.tobytes() == want.tobytes()
         assert len(np.unique(want)) > 4  # the cells do differ
+
+    def test_non_finite_x_is_data_error(self):
+        # a NaN once gave a cut with a NaN threshold and an unrelated EmptyNode
+        X, y = small_problem(n=200, p=2)
+        X[::7, 1] = np.nan
+        with pytest.raises(DataError, match="non-finite value at row 0, column 1"):
+            grid_search(X, y, "tree", {"max_depth": [None, 2]}, CvConfig(folds=3))
 
     def test_every_fit_goes_through_module_globals(self, monkeypatch):
         calls = {"fit_tree": 0, "predict_tree": 0, "roc_curve": 0}

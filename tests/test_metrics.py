@@ -70,7 +70,7 @@ class TestClassificationReport:
         r = classification_report([0, 1, 1], [0, 1, 1])
         assert r.accuracy == 1.0
         assert r.class0.precision == 1.0 and r.class1.recall == 1.0
-        assert r.macro_f1 == 1.0
+        assert r.macro.f1 == 1.0
 
     def test_exhaustive_four_element_arithmetic(self):
         # every 0/1 pair of length-4 vectors with both classes predicted
@@ -93,9 +93,9 @@ class TestClassificationReport:
                 r0 = tn / (tn + fp) if tn + fp else 0.0
                 assert r.class0.precision == pytest.approx(p0)
                 assert r.class0.recall == pytest.approx(r0)
-                assert r.macro_precision == pytest.approx((p0 + p1) / 2)
+                assert r.macro.precision == pytest.approx((p0 + p1) / 2)
                 w0, w1 = (tn + fp) / 4, (tp + fn) / 4
-                assert r.weighted_recall == pytest.approx(w0 * r0 + w1 * r1)
+                assert r.weighted.recall == pytest.approx(w0 * r0 + w1 * r1)
                 assert r.total_support == 4
 
     def test_zero_division_flags(self):
@@ -114,7 +114,7 @@ class TestClassificationReport:
         assert a.class1.precision == pytest.approx(b.class0.precision)
         assert a.class1.recall == pytest.approx(b.class0.recall)
         assert a.accuracy == pytest.approx(b.accuracy)
-        assert a.macro_f1 == pytest.approx(b.macro_f1)
+        assert a.macro.f1 == pytest.approx(b.macro.f1)
 
 
 class TestRocCurve:
@@ -265,5 +265,5 @@ class TestRendering:
         d = report_to_dict(r)
         assert d["accuracy"] == r.accuracy
         assert d["class1"]["support"] == 2
-        assert d["macro"]["f1"] == r.macro_f1
+        assert d["macro"]["f1"] == r.macro.f1
         assert math.isfinite(d["weighted"]["precision"])

@@ -3,7 +3,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from diabrisk.errors import BadParams, DimensionMismatch, EmptyNode, SingleClass
+from diabrisk.errors import (
+    BadParams, DataError, DimensionMismatch, EmptyNode, SingleClass,
+)
 from diabrisk.tree import (
     DecisionTreeModel,
     ForestParams,
@@ -81,7 +83,7 @@ def oracle_trees():
     return {
         "bounded": (fit_tree(X, y, TreeParams(max_depth=4, min_samples_leaf=5)), Xq),
         "unbounded": (fit_tree(X, y, feature_names=list("abcd")), Xq),
-        "forest": (forest.trees[1], Xq),
+        "forest": (forest[1], Xq),
         "root_leaf": (fit_tree(X, y, TreeParams(min_samples_split=500)), Xq),
         "no_rows": (fit_tree(X, y), np.empty((0, 4))),
     }
@@ -199,6 +201,15 @@ class TestFitTree:
         _, scores = predict_tree(model, grid)
         assert len(np.unique(scores)) <= 8
 
+    def test_non_finite_x_is_data_error(self):
+        X = np.zeros((10, 3))
+        X[4, 2] = np.inf
+        y = np.arange(10) % 2
+        with pytest.raises(DataError, match="non-finite value at row 4, column 2"):
+            fit_tree(X, y)
+        with pytest.raises(DataError, match="non-finite value at row 4, column 2"):
+            fit_forest(X, y, ForestParams(n_trees=2))
+
 
 class TestPredictTree:
     def test_single_leaf_scores(self):
@@ -228,7 +239,7 @@ class TestForest:
             X, y, ForestParams(n_trees=1, bootstrap=False, max_features=4)
         )
         single = fit_tree(X, y)
-        assert tree_to_text(forest.trees[0]) == tree_to_text(single)
+        assert tree_to_text(forest[0]) == tree_to_text(single)
 
     def test_seed_determinism(self):
         rng = np.random.default_rng(7)
@@ -238,7 +249,7 @@ class TestForest:
         b = fit_forest(X, y, ForestParams(n_trees=5, seed=9))
         assert all(
             tree_to_text(ta) == tree_to_text(tb)
-            for ta, tb in zip(a.trees, b.trees)
+            for ta, tb in zip(a, b)
         )
 
     def test_informative_feature_dominates_importance(self):
@@ -385,8 +396,8 @@ class TestPinnedText:
         return {
             "unbounded": fit_tree(X, y, feature_names=["Income", "BMI", "noise"]),
             "bounded": fit_tree(X, y, TreeParams(max_depth=5, min_samples_leaf=20)),
-            "forest0": forest.trees[0],
-            "forest1": forest.trees[1],
+            "forest0": forest[0],
+            "forest1": forest[1],
         }
 
     def test_text_bytes_unchanged(self):
