@@ -11,11 +11,15 @@ that side's ``perfbench/configs/*.cfg`` (next to its ``src/``), with
 path of the health model and the ``splitfirst_`` file names. Both sides
 write under the same ``--out`` path, because ``report.json`` echoes it.
 Every file is then compared byte for byte, except ``created_unix_time`` in
-each ``*manifest.json``. Each file that differs is printed; the exit code is
-1 if any does, else 0. ``perfbench/`` is read, never written.
+each ``*manifest.json``. Each file that differs is printed; for a CSV or JSON
+file the line adds the largest absolute difference between numbers in the
+same place, and says when other cells or values differ too (text, keys, or
+a shape). The exit code is 1 if any file differs, else 0. ``perfbench/`` is
+read, never written.
 """
 from __future__ import annotations
 
+import csv
 import json
 import os
 import shutil
@@ -80,13 +84,64 @@ def run_side(src: Path, tables: dict, out: Path, keep: Path) -> bool:
     return ok
 
 
+def _is_manifest(path: Path) -> bool:
+    return path.name.endswith("manifest.json")  # also splitfirst_manifest.json
+
+
+def _parsed(path: Path):
+    """A JSON file's document, less a manifest's timestamp, or a CSV file's
+    rows."""
+    if path.suffix == ".json":
+        doc = json.loads(path.read_text())
+        if _is_manifest(path):
+            doc.pop("created_unix_time", None)
+        return doc
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
 def same_file(a: Path, b: Path) -> bool:
-    if not a.name.endswith("manifest.json"):  # also splitfirst_manifest.json
+    if not _is_manifest(a):
         return a.read_bytes() == b.read_bytes()
-    docs = [json.loads(p.read_text()) for p in (a, b)]
-    for doc in docs:
-        doc.pop("created_unix_time", None)
-    return docs[0] == docs[1]
+    return _parsed(a) == _parsed(b)
+
+
+def _number(v):
+    """v as a float if it is a JSON number or a numeric CSV cell, else None."""
+    if isinstance(v, bool):
+        return None
+    try:
+        return float(v)
+    except (TypeError, ValueError):
+        return None
+
+
+def _walk(a, b, found):
+    """Fold the differences between two parsed values into ``found``:
+    [largest absolute numeric difference, whether anything else differs]."""
+    x, y = _number(a), _number(b)
+    if x is not None and y is not None:
+        found[0] = max(found[0], abs(x - y))
+    elif isinstance(a, dict) and isinstance(b, dict):
+        found[1] |= a.keys() != b.keys()
+        for key in a.keys() & b.keys():
+            _walk(a[key], b[key], found)
+    elif isinstance(a, list) and isinstance(b, list):
+        found[1] |= len(a) != len(b)
+        for u, v in zip(a, b):
+            _walk(u, v, found)
+    else:
+        found[1] |= a != b
+
+
+def describe(a: Path, b: Path) -> str:
+    """How a CSV or JSON file present on both sides differs; '' otherwise."""
+    if a.suffix not in (".csv", ".json") or not (a.is_file() and b.is_file()):
+        return ""
+    found = [0.0, False]
+    _walk(_parsed(a), _parsed(b), found)
+    text = f" (largest numeric difference {found[0]:.3g}"
+    return text + ("; other values differ too)" if found[1] else ")")
 
 
 def differing(old: Path, new: Path) -> list:
@@ -110,7 +165,7 @@ def main(argv=None) -> int:
         ok = run_side(new_src, tables, work / "out", work / "new") and ok
         diff = differing(work / "old", work / "new")
         for rel in diff:
-            print(f"differs: {rel}")
+            print(f"differs: {rel}{describe(work / 'old' / rel, work / 'new' / rel)}")
         n_files = sum(1 for p in (work / "old").rglob("*") if p.is_file())
         print(f"{len(diff)} of {n_files} files differ")
         return 0 if ok and not diff else 1

@@ -199,7 +199,7 @@ def run_features(cfg: ExperimentConfig) -> dict:
         ],
         "lasso_nonzero": [n for n, c in zip(names, coefs) if c != 0.0],
         "forest_importance_degenerate": degenerate,
-        "warnings": [LEAKAGE_WARNING],
+        "warnings": [],
     }
     return run.finalize(report)
 

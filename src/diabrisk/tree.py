@@ -66,7 +66,6 @@ class DecisionTreeModel:
 class ForestParams:
     n_trees: int = 100
     max_features: int | None = None  # None -> ceil(sqrt(p))
-    bootstrap: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -244,8 +243,9 @@ def predict_tree(model: DecisionTreeModel, X):
 
 
 def fit_forest(X, y, params: ForestParams = ForestParams()) -> tuple:
-    """The fitted trees, grown with the default (unbounded) ``TreeParams``,
-    each split chosen among ``max_features`` randomly drawn columns."""
+    """The fitted trees, each grown on its own bootstrap sample of the rows
+    with the default (unbounded) ``TreeParams``, each split chosen among
+    ``max_features`` randomly drawn columns."""
     X = np.asarray(X, dtype=float)
     labels = as_labels(y)
     if X.shape[0] < 2:
@@ -262,14 +262,11 @@ def fit_forest(X, y, params: ForestParams = ForestParams()) -> tuple:
     for t in range(params.n_trees):
         # per-tree stream keyed on (seed, index): scheduling-independent
         rng = np.random.default_rng([params.seed, t])
-        if params.bootstrap:
-            sample = rng.integers(0, X.shape[0], size=X.shape[0])
-            Xt, yt = X[sample], labels[sample]
-        else:
-            Xt, yt = X, labels
+        sample = rng.integers(0, X.shape[0], size=X.shape[0])
         trees.append(
             fit_tree(
-                Xt, yt, TreeParams(), _rng=rng, _max_features=max_features,
+                X[sample], labels[sample], TreeParams(), _rng=rng,
+                _max_features=max_features,
             )
         )
     return tuple(trees)

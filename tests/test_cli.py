@@ -233,6 +233,17 @@ class TestFeatures:
                      "forest_importance.csv", "rfe.csv", "consensus.csv"):
             assert (out / name).exists()
 
+    def test_no_leakage_warning(self, tmp_path):
+        # features has no test set for synthetic rows to leak into, and no
+        # --split-first flag for a warning to point to
+        data = write_rows(tmp_path / "d.csv", synthetic_rows(200, seed=5))
+        out = tmp_path / "out"
+        code = run_cli("features", "--data", data, "--out", str(out),
+                       "--config", str(write_config(tmp_path,
+                                                    "forest.n_trees = 2\n")))
+        assert code == 0
+        assert read_json(out / "report.json")["warnings"] == []
+
     @pytest.mark.parametrize("lam, n_fits", [(0.01, 10), (0.03, 11)])
     def test_each_lasso_lambda_fit_once(self, tmp_path, monkeypatch, lam, n_fits):
         # 0.01 lies on the 10-point path, 0.03 does not

@@ -205,6 +205,151 @@ class TestConvergedFlag:
         assert model.n_iter == 1
 
 
+def _parent_fit_coordinate(X, s, params):
+    """The coordinate solver as it stood before its Newton outer step, frozen
+    as an oracle: cyclic coordinate steps on the 0.25 curvature majorizer of
+    each coordinate, one sigmoid over all rows per coordinate, stopping once
+    no coefficient moves by more than tol. Its update loop and stop rule are
+    kept as they were; the recorded path and converged flag are dropped.
+    Returns the standardized (w, b)."""
+    def sigmoid(t):
+        out = np.empty_like(t, dtype=float)
+        pos = t >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+        e = np.exp(t[~pos])
+        out[~pos] = e / (1.0 + e)
+        return out
+
+    n, p = X.shape
+    y01 = (s + 1.0) / 2.0
+    w = np.zeros(p)
+    b = 0.0
+    margins = np.zeros(n)
+    h = 0.25 * (X * X).sum(axis=0)
+    h = np.where(h > 0, h, 1.0)
+    hb = 0.25 * n
+    lam = 1.0 / params.C
+    lam_l1 = lam if params.penalty == "l1" else 0.0
+    lam_l2 = lam if params.penalty == "l2" else 0.0
+    for _ in range(params.max_iter):
+        max_change = 0.0
+        for j in range(p):
+            residual = sigmoid(margins) - y01
+            g = float(X[:, j] @ residual)
+            if lam_l1:
+                z = h[j] * w[j] - g
+                new_wj = np.sign(z) * max(abs(z) - lam_l1, 0.0) / h[j]
+            elif lam_l2:
+                new_wj = w[j] - (g + lam_l2 * w[j]) / (h[j] + lam_l2)
+            else:
+                new_wj = w[j] - g / h[j]
+            delta = new_wj - w[j]
+            if delta != 0.0:
+                margins += delta * X[:, j]
+                max_change = max(max_change, abs(delta))
+                w[j] = new_wj
+        residual = sigmoid(margins) - y01
+        gb = float(residual.sum())
+        delta_b = -gb / hb
+        if delta_b != 0.0:
+            margins += delta_b
+            b += delta_b
+            max_change = max(max_change, abs(delta_b))
+        if max_change <= params.tol:
+            break
+    return w, b
+
+
+def _standardized(X, model):
+    """(Z, w, b): the rows and fitted point on the scale the fit ran on."""
+    Z = (X - model.feature_means) / model.feature_stds
+    w = model.weights_standardized
+    b = model.intercept + float(
+        (w * model.feature_means / model.feature_stds).sum())
+    return Z, w, b
+
+
+def _row_gap(w, b, Z, y, params):
+    """Max-norm of the objective's minimal-norm subgradient, per row."""
+    _, g = loss_and_gradient(w, b, Z, y, params)
+    if params.penalty == "l1":
+        lam = 1.0 / params.C
+        zero = np.append(w == 0, False)
+        g[zero] = np.sign(g[zero]) * np.maximum(np.abs(g[zero]) - lam, 0.0)
+    return float(np.max(np.abs(g))) / Z.shape[0]
+
+
+@pytest.fixture(scope="module")
+def parent_objectives(planted_30k):
+    """Objective of the frozen parent coordinate solver per penalty."""
+    X, y = planted_30k
+    Z = (X - X.mean(axis=0)) / X.std(axis=0)
+    out = {}
+    for penalty in ("none", "l1", "l2"):
+        params = LogRegParams(penalty=penalty)
+        w, b = _parent_fit_coordinate(Z, 2.0 * y - 1.0, params)
+        out[penalty] = loss_and_gradient(w, b, Z, y, params)[0]
+    return out
+
+
+@pytest.fixture(scope="module")
+def near_separable():
+    # x0 separates the classes but for one row repeated with the other label,
+    # so the unpenalized optimum is finite while almost every row ends far
+    # from the boundary: x0's Hessian diagonal falls about 1000-fold during
+    # the fit. The parent solver used up max_iter here, 45% above the optimum
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(400, 3))
+    y = (X[:, 0] > 0).astype(int)
+    return np.vstack([X, X[:1]]), np.append(y, 1 - y[0])
+
+
+class TestNewtonCoordinateOracle:
+    @pytest.mark.parametrize("optimizer", ["gradient", "coordinate"])
+    @pytest.mark.parametrize("penalty", ["none", "l1", "l2"])
+    def test_gap_and_objective_against_parent(self, planted_30k,
+                                              parent_objectives, optimizer,
+                                              penalty):
+        X, y = planted_30k
+        params = LogRegParams(penalty=penalty, optimizer=optimizer)
+        model = fit_logreg(X, y, params)
+        Z, w, b = _standardized(X, model)
+        assert _row_gap(w, b, Z, y, params) <= 10 * params.tol
+        loss, _ = loss_and_gradient(w, b, Z, y, params)
+        parent = parent_objectives[penalty]
+        assert loss <= parent + 1e-9 * abs(parent)
+
+    def test_near_separable_unpenalized_is_finite_and_optimal(self,
+                                                              near_separable):
+        X, y = near_separable
+        params = LogRegParams(penalty="none", optimizer="coordinate")
+        model = fit_logreg(X, y, params)
+        assert model.converged
+        assert np.all(np.isfinite(model.weights))
+        assert np.isfinite(model.intercept)
+        Z, w, b = _standardized(X, model)
+        assert _row_gap(w, b, Z, y, params) <= 10 * params.tol
+        parent, _ = loss_and_gradient(
+            *_parent_fit_coordinate(Z, 2.0 * y - 1.0, params), Z, y, params)
+        loss, _ = loss_and_gradient(w, b, Z, y, params)
+        assert loss <= parent + 1e-9 * parent
+
+    def test_line_search_stall_is_not_converged(self, near_separable):
+        # no float point meets a gap of 1e-299 per row: the fit runs to the
+        # optimum, then no halving of the step lowers the objective
+        X, y = near_separable
+        params = LogRegParams(penalty="none", optimizer="coordinate",
+                              tol=1e-300)
+        model = fit_logreg(X, y, params)
+        assert not model.converged
+        assert model.n_iter < params.max_iter
+        assert np.all(np.isfinite(model.weights))
+        assert np.isfinite(model.intercept)
+        flat = fit_logreg(X, y, LogRegParams(penalty="none",
+                                             optimizer="coordinate"))
+        assert model.objective_path[-1] <= flat.objective_path[-1]
+
+
 class TestObjectiveAgreesWithOracle:
     @pytest.mark.parametrize("optimizer", ["gradient", "coordinate"])
     @pytest.mark.parametrize("penalty", ["none", "l1", "l2"])

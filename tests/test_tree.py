@@ -236,9 +236,11 @@ class TestForest:
         X = rng.normal(size=(80, 4))
         y = (X[:, 2] > 0).astype(int)
         forest = fit_forest(
-            X, y, ForestParams(n_trees=1, bootstrap=False, max_features=4)
+            X, y, ForestParams(n_trees=1, max_features=4, seed=3)
         )
-        single = fit_tree(X, y)
+        # the forest's one tree is a plain fit on its bootstrap rows
+        sample = np.random.default_rng([3, 0]).integers(0, 80, size=80)
+        single = fit_tree(X[sample], y[sample])
         assert tree_to_text(forest[0]) == tree_to_text(single)
 
     def test_seed_determinism(self):
