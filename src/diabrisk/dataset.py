@@ -84,6 +84,17 @@ def as_counts(counts, n_rows: int) -> np.ndarray:
     return counts.astype(np.int64)
 
 
+def check_finite(X):
+    """Raise ``DataError`` at the first NaN or infinity in X, naming its row
+    and column. A tree would cut on a NaN and leave an empty node, and SMOTE
+    gives a row with many copies no neighbour search that could reject it."""
+    finite = np.isfinite(X)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise DataError(
+            f"X holds a non-finite value at row {row}, column {col}")
+
+
 @dataclass(frozen=True)
 class DataTable:
     """Immutable numeric matrix with one name per column."""

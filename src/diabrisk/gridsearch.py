@@ -16,11 +16,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import as_labels
+from .dataset import as_labels, check_finite
 from .errors import BadParams, FoldDegenerate, SingleClass
 from .logistic import LogRegParams, fit_logreg, predict_proba
 from .metrics import roc_curve
-from .tree import TreeParams, check_finite, fit_tree, predict_tree
+from .tree import TreeParams, fit_tree, predict_tree
 
 DEFAULT_LOGISTIC_GRID = {
     "C": [0.01, 0.1, 1.0, 10.0, 100.0],

@@ -3,6 +3,11 @@
 Synthetic rows are convex interpolants between a minority row and one of its
 k nearest minority neighbours (Euclidean distance on raw feature values).
 Originals are kept first, in their input order; synthetics are appended.
+
+A row with k or more other copies has k of them, at distance 0, as its
+nearest neighbours. SMOTE reads only a neighbour's values, so such a row lists
+itself k times instead. Only the rows with fewer copies need a k-d tree
+search, and scipy is imported only when there is one.
 """
 from __future__ import annotations
 
@@ -10,9 +15,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .dataset import as_labels
+from .dataset import as_labels, check_finite
 from .errors import SingleClass, TooFewMinority
 
 
@@ -33,14 +37,31 @@ class SmoteParams:
 
 def _minority_neighbors(minority: np.ndarray, k: int) -> np.ndarray:
     """Index matrix of the k nearest minority neighbours of each minority row,
-    self excluded."""
-    tree = cKDTree(minority)
-    _, idx = tree.query(minority, k=k + 1)
-    neighbors = np.empty((minority.shape[0], k), dtype=int)
-    for i, row in enumerate(idx):
-        others = row[row != i]
-        # duplicates of row i can push the self index out of the result
-        neighbors[i] = others[:k]
+    self excluded, or a row's own index k times when it has k or more other
+    copies.
+
+    Such a row's k nearest neighbours are copies at distance 0, and any copy
+    gives the same synthetic row as the row itself, bit for bit. Every other
+    row is queried against a k-d tree of all minority rows, so it gets the
+    neighbours a query of every row would give it."""
+    n, p = minority.shape
+    # one bytes key per row; + 0.0 turns -0.0 into 0.0, so rows are equal
+    # exactly when their keys are (np.unique(axis=0) compares field by field
+    # and is about 7x slower on 21 columns)
+    keys = np.ascontiguousarray(minority + 0.0).view(np.dtype((np.void, 8 * p)))
+    _, inverse, counts = np.unique(
+        keys.reshape(-1), return_inverse=True, return_counts=True)
+    neighbors = np.repeat(np.arange(n)[:, None], k, axis=1)
+    queried = np.flatnonzero(counts[inverse] <= k)
+    if queried.size:
+        from scipy.spatial import cKDTree
+
+        _, idx = cKDTree(minority).query(minority[queried], k=k + 1)
+        # drop self, or the last column when more than k + 1 rows sit at
+        # distance 0 and self is not among them (squares that underflow)
+        drop = idx == queried[:, None]
+        drop[~drop.any(axis=1), -1] = True
+        neighbors[queried] = idx[~drop].reshape(-1, k)
     return neighbors
 
 
@@ -51,6 +72,7 @@ def smote_balance(X, y, params: SmoteParams):
     synthetics appended. Deterministic under ``params.seed``.
     """
     X = np.asarray(X, dtype=float)
+    check_finite(X)
     labels = as_labels(y)
     pos = int(labels.sum())
     neg = len(labels) - pos

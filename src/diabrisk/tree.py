@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import as_counts, as_labels
-from .errors import DataError, DimensionMismatch, EmptyNode, SingleClass
+from .dataset import as_counts, as_labels, check_finite
+from .errors import DimensionMismatch, EmptyNode, SingleClass
 
 
 @dataclass(frozen=True)
@@ -73,16 +73,6 @@ class ForestParams:
             raise ValueError("n_trees must be >= 1")
         if self.max_features is not None and self.max_features < 1:
             raise ValueError("max_features must be >= 1")
-
-
-def check_finite(X):
-    """Raise ``DataError`` at the first NaN or infinity in X: a NaN cut
-    would send every row right and leave an empty node."""
-    finite = np.isfinite(X)
-    if not finite.all():
-        row, col = np.argwhere(~finite)[0]
-        raise DataError(
-            f"X holds a non-finite value at row {row}, column {col}")
 
 
 def gini_impurity(class_counts) -> float:

@@ -1,8 +1,17 @@
+import os
+import subprocess
+import sys
+import warnings
+
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
-from diabrisk.errors import SingleClass, TooFewMinority
+from diabrisk import smote
+from diabrisk.errors import DataError, SingleClass, TooFewMinority
 from diabrisk.smote import SmoteParams, smote_balance
+
+from conftest import REPO_ROOT, synthetic_rows, write_rows
 
 
 def _segment_membership(point, a, b, tol=1e-9):
@@ -113,3 +122,145 @@ def test_majority_can_be_class_one():
     X2, y2 = smote_balance(X, y, SmoteParams(seed=0))
     assert int((y2 == 0).sum()) == int(y2.sum()) == 40
     assert np.all(y2[50:] == 0)
+
+
+def test_non_finite_cell_is_data_error_naming_its_place():
+    # four copies of one NaN row: with k = 2 no neighbour search sees them
+    X = np.zeros((12, 2))
+    X[:4, 1] = np.nan
+    X[7, 0] = np.inf
+    y = np.array([1] * 4 + [0] * 8)
+    with pytest.raises(DataError, match="row 0, column 1"):
+        smote_balance(X, y, SmoteParams(k_neighbors=2))
+    X[:4, 1] = 0.0
+    with pytest.raises(DataError, match="row 7, column 0"):
+        smote_balance(X, y, SmoteParams(k_neighbors=2))
+
+
+def _kdtree_neighbors(minority, k):
+    """Reference: every minority row queried against a k-d tree, self
+    dropped, the first k of the rest kept."""
+    _, idx = cKDTree(minority).query(minority, k=k + 1)
+    neighbors = np.empty((minority.shape[0], k), dtype=int)
+    for i, row in enumerate(idx):
+        neighbors[i] = row[row != i][:k]
+    return neighbors
+
+
+def _copies(rng, values, times):
+    """Each row of ``values`` repeated ``times`` times, shuffled."""
+    rows = np.repeat(np.asarray(values, dtype=float), times, axis=0)
+    return rows[rng.permutation(len(rows))]
+
+
+def _k_and_k_plus_one_copies(rng):
+    # k = 5: one value with exactly 5 copies, one with 6, plus singletons
+    minority = np.vstack([_copies(rng, [[1.0, 2.0]], 5),
+                          _copies(rng, [[3.0, 1.0]], 6),
+                          rng.integers(5, 9, size=(9, 2))])
+    return minority, 5
+
+
+def _clamped_k(rng):
+    # 4 minority rows clamp k = 5 to 3; the 3 copies of (0, 0) are queried
+    return np.array([[0.0, 0.0], [2.0, 1.0], [0.0, 0.0], [0.0, 0.0]]), 5
+
+
+def _all_distinct(rng):
+    return rng.normal(size=(30, 3)), 4
+
+
+def _signed_zeros(rng):
+    column = rng.choice([0.0, -0.0, 1.0], size=40)
+    return np.column_stack([column, rng.integers(0, 2, size=40)]), 3
+
+
+def _one_column_some_queried(rng):
+    return _copies(rng, [[1.0], [2.0], [3.0], [5.0]], [8, 2, 6, 1]), 5
+
+
+def _one_column_none_queried(rng):
+    return _copies(rng, [[v] for v in range(1, 9)], 7), 5
+
+
+def _underflowing_distances(rng):
+    # every squared distance among the first five rows is 0.0, so a query
+    # can return two other rows and leave self out
+    return np.array([[0.0], [1e-200], [-1e-200], [2e-200], [3e-200], [5.0]]), 1
+
+
+def _twenty_one_columns(rng):
+    patterns = rng.integers(0, 3, size=(4, 21))
+    return np.vstack([_copies(rng, patterns, [9, 6, 5, 2]),
+                      rng.integers(0, 3, size=(15, 21))]), 5
+
+
+@pytest.mark.parametrize("case", [
+    _k_and_k_plus_one_copies, _clamped_k, _all_distinct, _signed_zeros,
+    _one_column_some_queried, _one_column_none_queried,
+    _underflowing_distances, _twenty_one_columns,
+])
+def test_equals_kdtree_only_neighbors_bitwise(case, monkeypatch):
+    rng = np.random.default_rng(21)
+    minority, k = case(rng)
+    n_major = 3 * len(minority)
+    majority = np.full((n_major, minority.shape[1]), 7.0)
+    X = np.vstack([majority, minority])
+    y = np.array([0] * n_major + [1] * len(minority))
+    params = SmoteParams(k_neighbors=k, seed=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # k clamped
+        fast = smote_balance(X, y, params)
+        monkeypatch.setattr(smote, "_minority_neighbors", _kdtree_neighbors)
+        reference = smote_balance(X, y, params)
+    for got, want in zip(fast, reference):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def _loads_scipy(code, *argv):
+    """Run ``code`` in a fresh interpreter; did it import scipy?"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    script = code + "\nimport sys\nprint('scipy' in sys.modules)\n"
+    out = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                         capture_output=True, text=True, check=True)
+    return out.stdout.splitlines()[-1] == "True"
+
+
+class TestScipyImport:
+    """scipy is imported only for a k-d tree search, when a minority row has
+    at most k copies."""
+
+    def test_cli_import(self):
+        assert not _loads_scipy("import diabrisk.cli")
+
+    def test_eda(self, synthetic_csv, tmp_path):
+        code = ("import sys\nfrom diabrisk.cli import main\n"
+                "assert main(['eda', '--data', sys.argv[1], "
+                "'--out', sys.argv[2]]) == 0")
+        assert not _loads_scipy(code, synthetic_csv, str(tmp_path / "out"))
+
+    def test_malformed_input_exit(self, tmp_path):
+        rows = synthetic_rows(30, seed=1)
+        rows[4][3] = "banana"
+        data = write_rows(tmp_path / "bad.csv", rows)
+        code = ("import sys\nfrom diabrisk.cli import main\n"
+                "assert main(['eda', '--data', sys.argv[1], "
+                "'--out', sys.argv[2]]) == 2")
+        assert not _loads_scipy(code, data, str(tmp_path / "out"))
+
+    SMOTE_ONE_COLUMN = (
+        "import numpy as np\n"
+        "from diabrisk.smote import SmoteParams, smote_balance\n"
+        "X = np.array({values}, dtype=float)[:, None]\n"
+        "y = np.array([1] * 12 + [0] * 30)\n"
+        "smote_balance(X, y, SmoteParams(k_neighbors=5))")
+
+    def test_smote_on_repeated_values(self):
+        values = [1] * 6 + [4] * 6 + [2] * 30
+        assert not _loads_scipy(self.SMOTE_ONE_COLUMN.format(values=values))
+
+    def test_smote_with_a_row_of_few_copies(self):
+        values = [1] * 6 + [4] * 5 + [3] + [2] * 30
+        assert _loads_scipy(self.SMOTE_ONE_COLUMN.format(values=values))
