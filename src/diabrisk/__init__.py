@@ -9,6 +9,7 @@ from .dataset import (
     DataTable,
     as_counts,
     as_labels,
+    as_matrix,
     binarize_target,
     income_histogram,
     load_csv,

@@ -63,11 +63,15 @@ HEALTH_MODEL_FEATURES = [
 ]
 
 
-def as_labels(y, name: str = "y") -> np.ndarray:
-    """A label argument as a 1-D int array; every value must be 0 or 1."""
+def as_labels(y, name: str = "y", n_rows: int | None = None) -> np.ndarray:
+    """A label argument as a 1-D int array; every value must be 0 or 1, and
+    with ``n_rows`` given there must be one label per row."""
     labels = np.asarray(y)
     if labels.ndim != 1 or not np.all((labels == 0) | (labels == 1)):
         raise NonBinary(f"{name} must be a 1-D vector of 0/1 labels")
+    if n_rows is not None and labels.shape[0] != n_rows:
+        raise DimensionMismatch(
+            f"{name} has {labels.shape[0]} entries for {n_rows} rows")
     return labels.astype(np.int64)
 
 
@@ -84,15 +88,26 @@ def as_counts(counts, n_rows: int) -> np.ndarray:
     return counts.astype(np.int64)
 
 
-def check_finite(X):
-    """Raise ``DataError`` at the first NaN or infinity in X, naming its row
-    and column. A tree would cut on a NaN and leave an empty node, and SMOTE
-    gives a row with many copies no neighbour search that could reject it."""
+def as_matrix(X, n_features: int | None = None, name: str = "X") -> np.ndarray:
+    """A matrix argument as ``np.asarray(X, dtype=float)``: 2-D, with
+    ``n_features`` columns when given, and finite. It is neither copied nor
+    reordered, since BLAS sums a Fortran-ordered copy in another order.
+
+    ``DataError`` names the row and column of the first NaN or infinity: a
+    tree would cut on a NaN and leave an empty node, and SMOTE gives a row
+    with many copies no neighbour search that could reject it."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise DimensionMismatch(f"{name} must be 2-D, got {X.ndim}-D")
+    if n_features is not None and X.shape[1] != n_features:
+        raise DimensionMismatch(
+            f"{name} has {X.shape[1]} columns, expected {n_features}")
     finite = np.isfinite(X)
     if not finite.all():
         row, col = np.argwhere(~finite)[0]
         raise DataError(
-            f"X holds a non-finite value at row {row}, column {col}")
+            f"{name} holds a non-finite value at row {row}, column {col}")
+    return X
 
 
 @dataclass(frozen=True)
@@ -104,13 +119,9 @@ class DataTable:
 
     def __post_init__(self):
         object.__setattr__(self, "names", tuple(self.names))
-        rows = np.asarray(self.rows, dtype=float)
+        rows = as_matrix(self.rows, len(self.names), "the table")
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
-        if rows.ndim != 2 or rows.shape[1] != len(self.names):
-            raise ValueError("row matrix shape does not match the column names")
-        if not np.all(np.isfinite(rows)):
-            raise ValueError("non-finite cell in table")
 
     @property
     def n_rows(self) -> int:

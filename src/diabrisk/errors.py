@@ -1,7 +1,11 @@
 """Exception hierarchy shared across the pipeline.
 
 Exit-code mapping used by the CLI: DataError -> 2, TrainingError -> 3,
-ConfigError -> 4.
+ConfigError -> 4, any other PipelineError -> 3.
+
+DimensionMismatch is every disagreement in shape or length between
+arguments: X that is not 2-D or has the wrong width, labels, counts or scores
+with one entry too many or too few, consensus inputs of unequal length.
 """
 
 
@@ -61,10 +65,6 @@ class DimensionMismatch(PipelineError):
     pass
 
 
-class LengthMismatch(PipelineError):
-    pass
-
-
 class NonBinary(PipelineError):
     pass
 
@@ -74,10 +74,6 @@ class EmptyNode(PipelineError):
 
 
 class BadParams(PipelineError):
-    pass
-
-
-class FeatureMismatch(PipelineError):
     pass
 
 

@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BadParams, FeatureMismatch
+from .dataset import as_labels, as_matrix
+from .errors import BadParams, DimensionMismatch
 from .logistic import LogRegParams, fit_logreg
 
 
 def rfe(X, y, n_select: int) -> np.ndarray:
     """Int rank per column of ``X``: 1 for the ``n_select`` survivors."""
-    X = np.asarray(X, dtype=float)
+    X = as_matrix(X)
+    y = as_labels(y, n_rows=X.shape[0])
     p = X.shape[1]
     if not 1 <= n_select <= p:
         raise BadParams(f"n_select must be in [1, {p}], got {n_select}")
@@ -52,7 +54,7 @@ def consensus_rank(lasso_coeffs, importance, rfe_ranks) -> dict:
     lasso, importance, rfe_ranks = (
         np.asarray(a, dtype=float) for a in (lasso_coeffs, importance, rfe_ranks))
     if not len(lasso) == len(importance) == len(rfe_ranks):
-        raise FeatureMismatch("inputs cover different feature counts")
+        raise DimensionMismatch("inputs cover different feature counts")
 
     lasso_rank = _rank_with_ties(np.abs(lasso))
     forest_rank = _rank_with_ties(importance)

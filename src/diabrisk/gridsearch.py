@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import as_labels, check_finite
+from .dataset import as_labels, as_matrix
 from .errors import BadParams, FoldDegenerate, SingleClass
 from .logistic import LogRegParams, fit_logreg, predict_proba
 from .metrics import roc_curve
@@ -92,7 +92,6 @@ def _counted(X, y):
     """Fold builder of the tree family: each side as a count table
     ``(distinct rows, labels, counts)``. A tree fitted and scored on them
     equals one fitted and scored on the fold's rows."""
-    check_finite(X)  # here, so the error gives X's row
     distinct, code = np.unique(X, axis=0, return_inverse=True)
     key = 2 * code.reshape(-1) + y  # one bin per (distinct row, label)
 
@@ -151,8 +150,8 @@ def grid_search(X, y, family: str, grid: dict = None,
     if family not in FAMILIES:
         raise BadParams(f"unknown model family: {family}")
     params_type, fold_builder, score, default_grid = FAMILIES[family]
-    X = np.asarray(X, dtype=float)
-    labels = as_labels(y)
+    X = as_matrix(X)
+    labels = as_labels(y, n_rows=X.shape[0])
     if len(np.unique(labels)) < 2:
         raise SingleClass("both classes are required for tuning")
     grid = default_grid if grid is None else grid

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import as_labels
+from .dataset import as_labels, as_matrix
 from .errors import DimensionMismatch, SingleClass
 
 PENALTIES = ("none", "l1", "l2")
@@ -76,8 +76,8 @@ class LogRegModel:
     feature_names: tuple = None
 
 
-def _as_signs(y) -> np.ndarray:
-    return 2.0 * as_labels(y) - 1.0
+def _as_signs(y, n_rows: int) -> np.ndarray:
+    return 2.0 * as_labels(y, n_rows=n_rows) - 1.0
 
 
 def _lambdas(params: LogRegParams):
@@ -94,14 +94,11 @@ def _with_bias(X):
 def _smooth(theta, X1, s, lam_l2, margins=None):
     """Data term plus L2 penalty at theta = (w, b), and its gradient.
 
-    ``X1`` ends in a bias column. With ``X1=None`` and the margins X1 @ theta
-    given, the value alone is returned (gradient None), without a data pass."""
+    ``X1`` ends in a bias column."""
     if margins is None:
         margins = X1 @ theta
     w = theta[:-1]
     value = float(np.logaddexp(0.0, -s * margins).sum()) + 0.5 * lam_l2 * float(w @ w)
-    if X1 is None:
-        return value, None
     grad = X1.T @ (_sigmoid(margins) - (s + 1.0) / 2.0)
     if lam_l2:
         grad[:-1] += lam_l2 * w
@@ -113,14 +110,9 @@ def loss_and_gradient(weights, intercept, X, y, params: LogRegParams):
 
     For L1 the returned gradient uses the subgradient that is 0 at w_j = 0.
     """
-    X = np.asarray(X, dtype=float)
     w = np.asarray(weights, dtype=float)
-    if X.ndim != 2 or X.shape[1] != w.shape[0]:
-        raise DimensionMismatch("X and weights disagree on feature count")
-    s = _as_signs(y)
-    if s.shape[0] != X.shape[0]:
-        raise DimensionMismatch("X and y disagree on row count")
-
+    X = as_matrix(X, w.shape[0])
+    s = _as_signs(y, X.shape[0])
     lam_l1, lam_l2 = _lambdas(params)
     loss, grad = _smooth(np.append(w, intercept), _with_bias(X), s, lam_l2)
     grad[:-1] += lam_l1 * np.sign(w)
@@ -321,10 +313,10 @@ def _newton_direction(hess, grad, theta, lam_l1, stop, max_sweeps):
 
 def fit_logreg(X, y, params: LogRegParams = LogRegParams(),
                feature_names=None) -> LogRegModel:
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] < 2:
-        raise DimensionMismatch("X must be 2-D with at least 2 rows")
-    s = _as_signs(y)
+    X = as_matrix(X)
+    if X.shape[0] < 2:
+        raise DimensionMismatch("X must have at least 2 rows")
+    s = _as_signs(y, X.shape[0])
     if len(np.unique(s)) < 2:
         raise SingleClass("both classes are required to fit")
 
@@ -359,9 +351,7 @@ def fit_logreg(X, y, params: LogRegParams = LogRegParams(),
 
 
 def predict_proba(model: LogRegModel, X) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != model.weights.shape[0]:
-        raise DimensionMismatch("X column count does not match model weights")
+    X = as_matrix(X, model.weights.shape[0])
     return _sigmoid(X @ model.weights + model.intercept)
 
 

@@ -6,8 +6,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dataset import as_counts, as_labels
-from .errors import LengthMismatch, SingleClass
+from .dataset import as_counts, as_labels, as_matrix
+from .errors import SingleClass
 
 
 @dataclass(frozen=True)
@@ -59,9 +59,7 @@ class PrCurve:
 def confusion(y_true, y_pred) -> dict:
     """Counts keyed "tn", "fp", "fn", "tp", with class 1 as positive."""
     t = as_labels(y_true, "y_true")
-    p = as_labels(y_pred, "y_pred")
-    if t.shape[0] != p.shape[0]:
-        raise LengthMismatch("y_true and y_pred differ in length")
+    p = as_labels(y_pred, "y_pred", n_rows=t.shape[0])
     return {
         "tn": int(np.sum((t == 0) & (p == 0))),
         "fp": int(np.sum((t == 0) & (p == 1))),
@@ -113,10 +111,10 @@ def classification_report(y_true, y_pred) -> ClassificationReport:
 def _threshold_counts(y_true, scores, counts=None):
     """Cumulative tp/fp at each distinct score, descending; ties grouped.
     ``counts`` weighs each row as that many rows (one each when None)."""
-    t = as_labels(y_true, "y_true")
-    s = np.asarray(scores, dtype=float)
-    if t.shape[0] != s.shape[0]:
-        raise LengthMismatch("y_true and scores differ in length")
+    # one column, so that as_matrix rejects a NaN, which would otherwise
+    # sort as the lowest threshold
+    s = as_matrix(np.reshape(scores, (-1, 1)), 1, "scores")[:, 0]
+    t = as_labels(y_true, "y_true", n_rows=s.shape[0])
     c = (np.ones(t.shape[0], np.int64) if counts is None
          else as_counts(counts, t.shape[0]))
     n_pos = int((c * t).sum())

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import plots
 from .config import ExperimentConfig
-from .errors import ConfigError, PipelineError
+from .errors import BadParams, ConfigError, PipelineError
 from .dataset import (
     INCOME_CODES,
     binarize_target,
@@ -207,6 +207,9 @@ def run_features(cfg: ExperimentConfig) -> dict:
 def _experiment_data(cfg: ExperimentConfig, experiment: str, balanced: bool):
     """load -> binarize -> select -> (SMOTE) -> split, per the configured
     order. Returns train/test matrices plus bookkeeping counts."""
+    if experiment not in TITLES:
+        raise BadParams(
+            f"experiment must be health or income, got {experiment!r}")
     table = load_csv(cfg.data_path)
     features, y = binarize_target(table)
     names = (
@@ -306,12 +309,10 @@ def _evaluate_and_write(run, title, y_test, y_pred, scores):
 
 def run_train(cfg: ExperimentConfig, experiment: str, tuned: bool,
               balanced: bool = True) -> dict:
-    if experiment not in ("health", "income"):
-        raise ValueError("experiment must be health or income")
-    run = _experiment_run(cfg)
     names, X_train, y_train, X_test, y_test, before, after = _experiment_data(
         cfg, experiment, balanced
     )
+    run = _experiment_run(cfg)
 
     warnings = []
     if balanced and not cfg.split_first:
@@ -392,10 +393,10 @@ def run_baseline(cfg: ExperimentConfig) -> dict:
 
 
 def run_tune_only(cfg: ExperimentConfig, experiment: str) -> dict:
-    run = _experiment_run(cfg)
     _, X_train, y_train, _, _, before, after = _experiment_data(
         cfg, experiment, balanced=True
     )
+    run = _experiment_run(cfg)
     grid_result = _tune(cfg, experiment, X_train, y_train)
     _grid_cells_csv(run, "grid.csv", grid_result)
     doc = {

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import as_labels, check_finite
+from .dataset import as_labels, as_matrix
 from .errors import SingleClass, TooFewMinority
 
 
@@ -71,9 +71,8 @@ def smote_balance(X, y, params: SmoteParams):
     Returns ``(X_out, y_out)`` with all input rows preserved in order and the
     synthetics appended. Deterministic under ``params.seed``.
     """
-    X = np.asarray(X, dtype=float)
-    check_finite(X)
-    labels = as_labels(y)
+    X = as_matrix(X)
+    labels = as_labels(y, n_rows=X.shape[0])
     pos = int(labels.sum())
     neg = len(labels) - pos
     if pos == 0 or neg == 0:

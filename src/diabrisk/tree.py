@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import as_counts, as_labels, check_finite
+from .dataset import as_counts, as_labels, as_matrix
 from .errors import DimensionMismatch, EmptyNode, SingleClass
 
 
@@ -132,13 +132,8 @@ def fit_tree(X, y, params: TreeParams = TreeParams(), feature_names=None,
     """Grow a CART tree. Degenerate inputs yield a single leaf. ``counts``
     (one integer >= 1 per row) fits a count table: the tree is the one
     grown on the rows repeated that many times."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise DimensionMismatch("X must be 2-D")
-    check_finite(X)
-    labels = as_labels(y)
-    if labels.shape[0] != X.shape[0]:
-        raise DimensionMismatch("X and y disagree on row count")
+    X = as_matrix(X)
+    labels = as_labels(y, n_rows=X.shape[0])
     if counts is None:
         pos = labels
         n_total = X.shape[0]
@@ -211,9 +206,7 @@ def _from_preorder(rows, params, n_features, feature_names) -> DecisionTreeModel
 def predict_tree(model: DecisionTreeModel, X):
     """Route rows to leaves; returns (labels, leaf positive fractions).
     A leaf with as many positives as negatives predicts class 1."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != model.n_features:
-        raise DimensionMismatch("X column count does not match the tree")
+    X = as_matrix(X, model.n_features)
     leaf = np.zeros(X.shape[0], dtype=int)
     stack = [(0, np.arange(X.shape[0]))]
     while stack:
@@ -236,11 +229,10 @@ def fit_forest(X, y, params: ForestParams = ForestParams()) -> tuple:
     """The fitted trees, each grown on its own bootstrap sample of the rows
     with the default (unbounded) ``TreeParams``, each split chosen among
     ``max_features`` randomly drawn columns."""
-    X = np.asarray(X, dtype=float)
-    labels = as_labels(y)
+    X = as_matrix(X)
+    labels = as_labels(y, n_rows=X.shape[0])
     if X.shape[0] < 2:
         raise DimensionMismatch("need at least 2 rows")
-    check_finite(X)  # before the bootstrap, so the error gives X's row
     if len(np.unique(labels)) < 2:
         raise SingleClass("both classes are required to fit a forest")
     p = X.shape[1]

@@ -11,6 +11,7 @@ from diabrisk import gridsearch, pipeline
 from diabrisk.cli import main
 from diabrisk.config import ExperimentConfig
 from diabrisk.dataset import CANONICAL_COLUMNS
+from diabrisk.errors import BadParams
 from diabrisk.logistic import model_from_text
 from diabrisk.tree import tree_from_text
 
@@ -303,6 +304,19 @@ class TestTuneOnly:
         assert report["grid"]["n_fits"] == 6
         assert not any("before the train/test split" in w
                        for w in report["warnings"])
+
+    @pytest.mark.parametrize("run", [
+        lambda cfg: pipeline.run_tune_only(cfg, "foo"),
+        lambda cfg: pipeline.run_train(cfg, "foo", tuned=True),
+    ], ids=["tune-only", "train"])
+    def test_unknown_experiment_rejected_before_any_work(
+        self, synthetic_csv, tmp_path, run
+    ):
+        out = tmp_path / "out"
+        cfg = ExperimentConfig(data_path=synthetic_csv, output_dir=str(out))
+        with pytest.raises(BadParams, match="got 'foo'"):
+            run(cfg)
+        assert not out.exists()
 
 
 class TestWarnings:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from diabrisk.errors import BadParams, FeatureMismatch
+from diabrisk.errors import BadParams, DimensionMismatch
 from diabrisk.feature_selection import _rank_with_ties, consensus_rank, rfe
 from diabrisk.logistic import LogRegParams, fit_logreg
 from diabrisk.tree import ForestParams, fit_forest, impurity_importance
@@ -133,5 +133,5 @@ class TestConsensus:
 
     def test_name_mismatch_rejected(self):
         lasso, importance, ranks = self._inputs()
-        with pytest.raises(FeatureMismatch):
+        with pytest.raises(DimensionMismatch):
             consensus_rank(lasso[:-1], importance, ranks)

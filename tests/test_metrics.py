@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from diabrisk.errors import (
     BadParams,
     DimensionMismatch,
-    LengthMismatch,
     NonBinary,
     SingleClass,
 )
@@ -57,7 +56,7 @@ class TestConfusion:
         assert sum(cm.values()) == 5
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(DimensionMismatch):
             confusion([0, 1], [0])
 
     def test_non_binary(self):
