@@ -10,6 +10,7 @@ from .dataset import (
     as_counts,
     as_labels,
     as_matrix,
+    as_names,
     binarize_target,
     income_histogram,
     load_csv,

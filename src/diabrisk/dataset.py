@@ -110,6 +110,17 @@ def as_matrix(X, n_features: int | None = None, name: str = "X") -> np.ndarray:
     return X
 
 
+def as_names(names, n_features: int):
+    """A feature-name argument as a tuple with one name per column, or None."""
+    if names is None:
+        return None
+    names = tuple(names)
+    if len(names) != n_features:
+        raise DimensionMismatch(
+            f"{len(names)} feature names for {n_features} columns")
+    return names
+
+
 @dataclass(frozen=True)
 class DataTable:
     """Immutable numeric matrix with one name per column."""

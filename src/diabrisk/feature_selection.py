@@ -53,6 +53,8 @@ def consensus_rank(lasso_coeffs, importance, rfe_ranks) -> dict:
     feature too."""
     lasso, importance, rfe_ranks = (
         np.asarray(a, dtype=float) for a in (lasso_coeffs, importance, rfe_ranks))
+    if any(a.ndim != 1 for a in (lasso, importance, rfe_ranks)):
+        raise DimensionMismatch("each input must be a 1-D vector, one entry per feature")
     if not len(lasso) == len(importance) == len(rfe_ranks):
         raise DimensionMismatch("inputs cover different feature counts")
 

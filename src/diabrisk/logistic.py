@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import as_labels, as_matrix
+from .dataset import as_labels, as_matrix, as_names
 from .errors import DimensionMismatch, SingleClass
 
 PENALTIES = ("none", "l1", "l2")
@@ -314,6 +314,7 @@ def _newton_direction(hess, grad, theta, lam_l1, stop, max_sweeps):
 def fit_logreg(X, y, params: LogRegParams = LogRegParams(),
                feature_names=None) -> LogRegModel:
     X = as_matrix(X)
+    feature_names = as_names(feature_names, X.shape[1])
     if X.shape[0] < 2:
         raise DimensionMismatch("X must have at least 2 rows")
     s = _as_signs(y, X.shape[0])

@@ -135,3 +135,10 @@ class TestConsensus:
         lasso, importance, ranks = self._inputs()
         with pytest.raises(DimensionMismatch):
             consensus_rank(lasso[:-1], importance, ranks)
+
+    @pytest.mark.parametrize("which", range(3))
+    def test_matrix_input_rejected(self, which):
+        inputs = [np.ones(2), np.ones(2), np.ones(2)]
+        inputs[which] = np.ones((2, 2))
+        with pytest.raises(DimensionMismatch, match="1-D"):
+            consensus_rank(*inputs)

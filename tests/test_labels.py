@@ -2,8 +2,9 @@
 ``as_labels``, so each accepts a 1-D vector of 0/1 (list, bool or int array)
 and rejects anything else with ``NonBinary``. Every entry point that takes a
 matrix reads it through ``as_matrix``: X that is not 2-D, has the wrong width
-or another row count than its labels raises ``DimensionMismatch``, and a NaN
-or infinity raises ``DataError`` naming its row and column."""
+or another row count than its labels raises ``DimensionMismatch``, as do
+feature names of another count than its columns, and a NaN or infinity
+raises ``DataError`` naming its row and column."""
 import numpy as np
 import pytest
 
@@ -154,6 +155,34 @@ BAD_SCORES = {
 def test_bad_scores_rejected(curve, scores, error, match):
     with pytest.raises(error, match=match):
         curve([0, 1, 0, 1], scores)
+
+
+# entry points that name the 2 columns of X
+NAMES_ENTRY_POINTS = {
+    "fit_tree": lambda names: fit_tree(X, Y, feature_names=names),
+    "fit_logreg": lambda names: fit_logreg(X, Y, feature_names=names),
+}
+
+BAD_NAMES = {
+    "empty": ([], "0 feature names for 2 columns"),
+    "short": (["a"], "1 feature names for 2 columns"),
+    "long": (["a", "b", "c"], "3 feature names for 2 columns"),
+}
+
+
+@pytest.mark.parametrize("names, match", BAD_NAMES.values(), ids=BAD_NAMES.keys())
+@pytest.mark.parametrize("entry", NAMES_ENTRY_POINTS.values(),
+                         ids=NAMES_ENTRY_POINTS.keys())
+def test_bad_feature_names_rejected(entry, names, match):
+    with pytest.raises(DimensionMismatch, match=match):
+        entry(names)
+
+
+@pytest.mark.parametrize("entry", NAMES_ENTRY_POINTS.values(),
+                         ids=NAMES_ENTRY_POINTS.keys())
+def test_feature_names_kept(entry):
+    assert entry(["a", "b"]).feature_names == ("a", "b")
+    assert entry(None).feature_names is None
 
 
 @pytest.mark.parametrize("order", ["C", "F"])

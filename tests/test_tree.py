@@ -1,11 +1,23 @@
+import faulthandler
 import hashlib
+import math
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
 
+from conftest import REPO_ROOT
+from diabrisk import tree
+from diabrisk.dataset import as_counts, as_labels, as_matrix
 from diabrisk.errors import (
     BadParams, DataError, DimensionMismatch, EmptyNode, SingleClass,
 )
+from diabrisk.gridsearch import DEFAULT_TREE_GRID
 from diabrisk.tree import (
     DecisionTreeModel,
     ForestParams,
@@ -18,6 +30,8 @@ from diabrisk.tree import (
     predict_tree,
     tree_from_text,
     tree_to_text,
+    _from_preorder,
+    _leaf_row,
     _tree_raw_importance,
 )
 
@@ -495,3 +509,374 @@ class TestCountTable:
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         with pytest.raises(error):
             fit_tree(X, [0, 1, 0, 1], counts=counts)
+
+
+# ---------------------------------------------------------------- oracle
+# A frozen copy of the per-node grower that the presorted one replaced: one
+# stable argsort per node per candidate feature. The presorted grower must
+# equal it array for array, dtype included.
+
+def reference_best_split(X, pos, counts, feature_indices, min_leaf):
+    n = pos.shape[0] if counts is None else int(counts.sum())
+    n_pos = int(pos.sum())
+    parent = gini_impurity((n - n_pos, n_pos))
+    best = None
+    best_decrease = -1.0
+    for j in feature_indices:
+        col = X[:, j]
+        order = np.argsort(col, kind="stable")
+        xs = col[order]
+        cum_pos = np.cumsum(pos[order])
+        cuts = np.nonzero(xs[:-1] != xs[1:])[0]
+        if cuts.size == 0:
+            continue
+        n_left = cuts + 1 if counts is None else np.cumsum(counts[order])[cuts]
+        n_right = n - n_left
+        valid = (n_left >= min_leaf) & (n_right >= min_leaf)
+        if not valid.any():
+            continue
+        cuts = cuts[valid]
+        n_left = n_left[valid]
+        n_right = n_right[valid]
+        pos_left = cum_pos[cuts]
+        pos_right = n_pos - pos_left
+        gini_left = 1.0 - ((pos_left / n_left) ** 2 + ((n_left - pos_left) / n_left) ** 2)
+        gini_right = 1.0 - ((pos_right / n_right) ** 2 + ((n_right - pos_right) / n_right) ** 2)
+        decrease = parent - (n_left * gini_left + n_right * gini_right) / n
+        k = int(np.argmax(decrease))
+        if decrease[k] > best_decrease + 1e-15:
+            threshold = (xs[cuts[k]] + xs[cuts[k] + 1]) / 2.0
+            best_decrease = float(decrease[k])
+            best = (j, threshold, best_decrease, parent)
+    return best
+
+
+def reference_fit_tree(X, y, params=TreeParams(), feature_names=None,
+                       counts=None, _rng=None, _max_features=None):
+    X = as_matrix(X)
+    labels = as_labels(y, n_rows=X.shape[0])
+    if counts is None:
+        pos = labels
+        n_total = X.shape[0]
+    else:
+        counts = as_counts(counts, X.shape[0])
+        pos = counts * labels
+        n_total = int(counts.sum())
+    p = X.shape[1]
+
+    def candidate_features():
+        if _max_features is None or _max_features >= p:
+            return range(p)
+        return sorted(_rng.choice(p, size=_max_features, replace=False))
+
+    rows = []
+    stack = [(np.arange(X.shape[0]), 0)]
+    while stack:
+        idx, depth = stack.pop()
+        size = idx.size if counts is None else int(counts[idx].sum())
+        n_pos = int(pos[idx].sum())
+        found = None
+        pure = n_pos == 0 or n_pos == size
+        depth_capped = params.max_depth is not None and depth >= params.max_depth
+        if not (pure or depth_capped or size < params.min_samples_split):
+            found = reference_best_split(
+                X[idx], pos[idx], None if counts is None else counts[idx],
+                candidate_features(), params.min_samples_leaf,
+            )
+        if found is None:
+            rows.append(_leaf_row(size - n_pos, n_pos))
+            continue
+        j, threshold, decrease, impurity = found
+        rows.append((j, threshold, size, n_pos, impurity,
+                     (size / n_total) * decrease))
+        goes_left = X[idx, j] <= threshold
+        stack.append((idx[~goes_left], depth + 1))
+        stack.append((idx[goes_left], depth + 1))
+    return _from_preorder(rows, params, p, feature_names)
+
+
+def reference_forest(X, y, params):
+    """The per-tree recipe: tree t is grown on the bootstrap rows that
+    ``default_rng([seed, t])`` draws, and draws its candidates from it."""
+    p = X.shape[1]
+    max_features = min(params.max_features or math.ceil(math.sqrt(p)), p)
+    trees = []
+    for t in range(params.n_trees):
+        rng = np.random.default_rng([params.seed, t])
+        sample = rng.integers(0, X.shape[0], size=X.shape[0])
+        trees.append(reference_fit_tree(X[sample], y[sample], _rng=rng,
+                                        _max_features=max_features))
+    return trees
+
+
+def assert_same_tree(got, want):
+    TestCountTable.assert_same_tree(got, want)
+    assert got.n_features == want.n_features
+    assert got.feature_names == want.feature_names
+    assert got.params == want.params
+
+
+def tied_table(seed):
+    """A table of few distinct values per column (0.0 and -0.0 among them)
+    and labels with some signal: (X, y)."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 250))
+    p = int(rng.integers(1, 6))
+    X = rng.integers(-1, int(rng.integers(1, 4)), size=(n, p)) * 1.5
+    X[rng.random((n, p)) < 0.2] = -0.0
+    y = (X.sum(axis=1) + rng.normal(scale=2.0, size=n) > 0).astype(int)
+    return X, y
+
+
+def income_table(seed, n):
+    """One Income-like column of eight codes: raw rows and their count
+    table, (X, y, distinct X, distinct y, counts)."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(1, 9, size=n).astype(float)
+    y = (x + rng.normal(scale=2.0, size=n) < 4).astype(int)
+    table, counts = np.unique(np.column_stack([x, y]), axis=0, return_counts=True)
+    return x[:, None], y, table[:, :1], table[:, 1].astype(int), counts
+
+
+GRID_CELLS = [
+    TreeParams(max_depth=d, min_samples_split=s, min_samples_leaf=leaf)
+    for d in DEFAULT_TREE_GRID["max_depth"]
+    for s in DEFAULT_TREE_GRID["min_samples_split"]
+    for leaf in DEFAULT_TREE_GRID["min_samples_leaf"]
+]
+
+
+class TestPresortedOracle:
+    """The presorted grower equals the per-node grower it replaced."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_tied_tables(self, seed):
+        X, y = tied_table(seed)
+        params = TreeParams(min_samples_leaf=1 + seed % 4,
+                            max_depth=None if seed % 3 else 4)
+        for args in [(), (params,)]:
+            assert_same_tree(fit_tree(X, y, *args), reference_fit_tree(X, y, *args))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_tied_count_tables(self, seed):
+        X, y = tied_table(seed)
+        table, counts = np.unique(np.column_stack([X, y]), axis=0, return_counts=True)
+        Xd, yd = table[:, :-1], table[:, -1].astype(int)
+        params = TreeParams(min_samples_leaf=1 + seed % 5)
+        assert_same_tree(fit_tree(Xd, yd, params, counts=counts),
+                         reference_fit_tree(Xd, yd, params, counts=counts))
+
+    @pytest.mark.parametrize("n", [2, 17, 300, 3000])
+    def test_income_tables(self, n):
+        X, y, Xd, yd, counts = income_table(n, n)
+        for params in [TreeParams(), TreeParams(max_depth=3, min_samples_leaf=20)]:
+            assert_same_tree(fit_tree(X, y, params, feature_names=["Income"]),
+                             reference_fit_tree(X, y, params, feature_names=["Income"]))
+            assert_same_tree(fit_tree(Xd, yd, params, counts=counts),
+                             reference_fit_tree(Xd, yd, params, counts=counts))
+
+    @pytest.mark.parametrize("params", GRID_CELLS, ids=[
+        f"d{c.max_depth}-s{c.min_samples_split}-l{c.min_samples_leaf}"
+        for c in GRID_CELLS])
+    def test_grid_cells(self, params):
+        X, y, Xd, yd, counts = income_table(7, 2000)
+        rng = np.random.default_rng(8)
+        Xw = np.column_stack([rng.integers(12, 60, size=600),
+                              rng.normal(size=600).round(1)]).astype(float)
+        yw = (Xw[:, 0] / 10 + Xw[:, 1] + rng.logistic(size=600) > 4).astype(int)
+        assert_same_tree(fit_tree(Xd, yd, params, counts=counts),
+                         reference_fit_tree(Xd, yd, params, counts=counts))
+        assert_same_tree(fit_tree(Xw, yw, params), reference_fit_tree(Xw, yw, params))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_max_features_draws(self, seed):
+        X, y = tied_table(100 + seed)
+        X = np.column_stack([X, np.random.default_rng(seed).normal(size=(len(y), 3))])
+        for max_features in (1, 2, X.shape[1] - 1):
+            got = fit_tree(X, y, _rng=np.random.default_rng([seed, 1]),
+                           _max_features=max_features)
+            want = reference_fit_tree(X, y, _rng=np.random.default_rng([seed, 1]),
+                                      _max_features=max_features)
+            assert_same_tree(got, want)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_forests(self, seed):
+        X, y = tied_table(200 + seed)
+        if len(np.unique(y)) < 2 or len(y) < 2:
+            y = np.arange(len(X)) % 2
+        X = np.column_stack([X, np.random.default_rng(seed).normal(size=(len(y), 4))])
+        params = ForestParams(n_trees=3, max_features=1 + seed % 3, seed=seed)
+        for got, want in zip(fit_forest(X, y, params), reference_forest(X, y, params),
+                             strict=True):
+            assert_same_tree(got, want)
+
+    def test_midpoint_rounding_to_the_upper_value(self):
+        # the midpoint of these two adjacent floats rounds to the upper one;
+        # the per-node grower cut there, sent every row of the node left and
+        # regrew it forever unless max_depth stopped it
+        a = 1.0 + 2.0 ** -52
+        b = 1.0 + 2.0 ** -51
+        assert (a + b) / 2.0 == b
+        X = np.array([[a], [a], [b], [b], [b], [2.0], [2.0]])
+        y = np.array([1, 1, 0, 0, 0, 0, 1])
+        old = reference_fit_tree(X, y, TreeParams(max_depth=1))
+        assert old.threshold[0] == b and old.n_samples.tolist() == [7, 5, 2]
+        model = fit_tree(X, y)
+        assert model.threshold[0] == a
+        assert model.n_samples[:3].tolist() == [7, 2, 5]
+        labels, _ = predict_tree(model, X)
+        assert np.array_equal(labels, [1, 1, 0, 0, 0, 1, 1])
+
+
+# ---------------------------------------------------------------- pool
+
+def visible_cpus(monkeypatch, n):
+    monkeypatch.setattr(tree.os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
+def forest_data():
+    rng = np.random.default_rng(31)
+    X = rng.integers(0, 5, size=(160, 6)).astype(float)
+    y = (X[:, 0] + X[:, 3] + rng.normal(size=160) > 4).astype(int)
+    return X, y
+
+
+def child_env():
+    """This environment with the checkout's sources first on the path."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])))
+
+
+@pytest.fixture
+def no_hang():
+    """End the test run with a traceback if a pool hangs."""
+    faulthandler.dump_traceback_later(120, exit=True)
+    yield
+    faulthandler.cancel_dump_traceback_later()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="forest pool needs fork")
+@pytest.mark.usefixtures("no_hang")
+class TestForestPool:
+    @pytest.fixture
+    def grown_here(self, monkeypatch):
+        """A list that gets one entry per tree grown in this process."""
+        grown = []
+        grow = tree._grow
+
+        def counted(*args, **kwargs):
+            grown.append(1)
+            return grow(*args, **kwargs)
+
+        monkeypatch.setattr(tree, "_grow", counted)
+        return grown
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_equals_serial_recipe(self, monkeypatch, grown_here, cpus):
+        visible_cpus(monkeypatch, cpus)
+        X, y = forest_data()
+        params = ForestParams(n_trees=5, max_features=2, seed=6)
+        trees = fit_forest(X, y, params)
+        for got, want in zip(trees, reference_forest(X, y, params), strict=True):
+            assert_same_tree(got, want)
+        # with two CPUs every tree is grown in a worker process
+        assert len(grown_here) == (5 if cpus == 1 else 0)
+        assert multiprocessing.active_children() == []
+
+    def test_one_tree_fits_in_process(self, monkeypatch, grown_here):
+        visible_cpus(monkeypatch, 2)
+        X, y = forest_data()
+        fit_forest(X, y, ForestParams(n_trees=1))
+        assert grown_here == [1]
+
+    FAILING = """
+import multiprocessing, os, sys
+import numpy as np
+from diabrisk import tree
+os.sched_getaffinity = lambda pid: {{0, 1}}
+def fail(*args, **kwargs):
+    {fail}
+tree._grow = fail
+X = np.arange(40.0).reshape(20, 2)
+try:
+    tree.fit_forest(X, np.arange(20) % 2, tree.ForestParams(n_trees=4))
+except Exception as error:
+    print(type(error).__name__, error)
+print("children", len(multiprocessing.active_children()))
+"""
+
+    @pytest.mark.parametrize("fail, raised", [
+        ("raise ValueError('no tree today')", "ValueError no tree today"),
+        ("os._exit(3)", "BrokenProcessPool"),
+    ], ids=["raises", "dies"])
+    def test_failing_worker_surfaces(self, fail, raised):
+        out = subprocess.run(
+            [sys.executable, "-c", self.FAILING.format(fail=fail)], env=child_env(),
+            capture_output=True, text=True, timeout=120, check=True)
+        lines = out.stdout.splitlines()
+        assert lines[0].startswith(raised)
+        assert lines[-1] == "children 0"
+
+    STALLED = """
+import os, sys, time
+import numpy as np
+from diabrisk import tree
+os.sched_getaffinity = lambda pid: {0, 1}
+def stall(*args, **kwargs):
+    open(os.path.join(sys.argv[1], str(os.getpid())), "w").close()
+    time.sleep(300)
+tree._grow = stall
+tree.fit_forest(np.arange(40.0).reshape(20, 2), np.arange(20) % 2,
+                tree.ForestParams(n_trees=4))
+"""
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads process states from /proc")
+    def test_workers_die_with_a_killed_parent(self, tmp_path):
+        def alive(pid):
+            try:
+                with open(f"/proc/{pid}/stat") as fh:
+                    return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+            except FileNotFoundError:
+                return False
+
+        def wait_until(condition):
+            deadline = time.monotonic() + 60
+            while not condition() and time.monotonic() < deadline:
+                time.sleep(0.05)
+            return condition()
+
+        proc = subprocess.Popen([sys.executable, "-c", self.STALLED, str(tmp_path)],
+                                env=child_env())
+        try:
+            assert wait_until(lambda: len(os.listdir(tmp_path)) == 2)
+        finally:
+            proc.kill()
+            proc.wait(timeout=60)
+        workers = [int(name) for name in os.listdir(tmp_path)]
+        try:
+            assert wait_until(lambda: not any(alive(pid) for pid in workers))
+        finally:
+            for pid in workers:
+                if alive(pid):
+                    os.kill(pid, signal.SIGKILL)
+
+
+def test_cli_import_loads_no_process_pool():
+    script = ("import sys, diabrisk.cli\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+              "('multiprocessing', 'concurrent')))")
+    out = subprocess.run([sys.executable, "-c", script], env=child_env(),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+class TestEmptyForest:
+    def test_predict_forest(self):
+        with pytest.raises(DimensionMismatch, match="at least one tree"):
+            predict_forest((), np.ones((3, 2)))
+
+    def test_impurity_importance(self):
+        with pytest.raises(DimensionMismatch, match="at least one tree"):
+            impurity_importance(())
