@@ -17,7 +17,6 @@ from .dataset import (
     pearson_correlation,
     select_columns,
     train_test_split,
-    write_csv,
 )
 from .feature_selection import consensus_rank, rfe
 from .gridsearch import CvConfig, GridResult, grid_search, k_fold_indices

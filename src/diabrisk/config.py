@@ -13,7 +13,7 @@ import os
 from dataclasses import dataclass, field, replace
 
 from .dataset import FEATURE_COLUMNS, HEALTH_MODEL_FEATURES
-from .errors import ConfigError
+from .errors import BadParams, ConfigError
 from .logistic import LogRegParams
 from .smote import SmoteParams
 from .tree import ForestParams, TreeParams
@@ -39,22 +39,22 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if not self.health_features:
-            raise ValueError("health_features must name at least one feature")
+            raise BadParams("health_features must name at least one feature")
         for name in self.health_features:
             if name not in FEATURE_COLUMNS:
-                raise ValueError(f"unknown feature {name}")
+                raise BadParams(f"unknown feature {name}")
         if len(set(self.health_features)) < len(self.health_features):
-            raise ValueError("health_features names a column twice")
+            raise BadParams("health_features names a column twice")
         if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+            raise BadParams("seed must be >= 0")
         if not 0.0 < self.test_fraction < 1.0:
-            raise ValueError("test_fraction must be in (0, 1)")
+            raise BadParams("test_fraction must be in (0, 1)")
         if self.cv_folds < 2:
-            raise ValueError("folds must be >= 2")
+            raise BadParams("folds must be >= 2")
         if not 0 < self.lasso_lambda < math.inf:  # NaN fails too
-            raise ValueError("lambda must be > 0 and finite")
+            raise BadParams("lambda must be > 0 and finite")
         if not 1 <= self.rfe_n_select <= len(FEATURE_COLUMNS):
-            raise ValueError(
+            raise BadParams(
                 f"n_select must be in 1..{len(FEATURE_COLUMNS)} (the feature count)")
         # the seed-dependent and environment-dependent defaults
         if self.smote is None:

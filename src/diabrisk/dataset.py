@@ -280,17 +280,6 @@ def _parse_rows(reader, width: int, order: list) -> np.ndarray:
     return np.array(data, dtype=float)
 
 
-def write_csv(table: DataTable, path) -> None:
-    """Write a table back out; integer-valued cells are printed as integers."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(table.names)
-        for row in table.rows:
-            writer.writerow(
-                [int(v) if v == int(v) else repr(float(v)) for v in row]
-            )
-
-
 def binarize_target(table: DataTable):
     """Split off ``Diabetes_012``: codes {1,2} -> label 1, code 0 -> label 0."""
     target = table.column(TARGET)
@@ -308,9 +297,9 @@ def train_test_split(n: int, test_fraction: float, seed: int):
     """Plain (non-stratified) shuffled split, deterministic under seed:
     the (train, test) index arrays."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise BadParams("n must be >= 1")
     if not 0.0 <= test_fraction <= 1.0:
-        raise ValueError("test_fraction must be in [0, 1]")
+        raise BadParams("test_fraction must be in [0, 1]")
     perm = np.random.default_rng(seed).permutation(n)
     n_test = int(round(n * test_fraction))
     return perm[n_test:], perm[:n_test]

@@ -6,6 +6,10 @@ ConfigError -> 4, any other PipelineError -> 3.
 DimensionMismatch is every disagreement in shape or length between
 arguments: X that is not 2-D or has the wrong width, labels, counts or scores
 with one entry too many or too few, consensus inputs of unequal length.
+
+BadParams is a parameter value out of range, such as a params dataclass
+field, a lambda or a split fraction. It is a ValueError too, so a caller
+that catches the ValueError of a bad argument value still catches it.
 """
 
 
@@ -73,7 +77,7 @@ class EmptyNode(PipelineError):
     pass
 
 
-class BadParams(PipelineError):
+class BadParams(PipelineError, ValueError):
     pass
 
 

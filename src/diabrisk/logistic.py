@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import as_labels, as_matrix, as_names
-from .errors import DimensionMismatch, SingleClass
+from .errors import BadParams, DimensionMismatch, SingleClass
 
 PENALTIES = ("none", "l1", "l2")
 OPTIMIZERS = ("gradient", "coordinate")
@@ -53,13 +53,13 @@ class LogRegParams:
 
     def __post_init__(self):
         if self.penalty not in PENALTIES:
-            raise ValueError(f"penalty must be one of {PENALTIES}")
+            raise BadParams(f"penalty must be one of {PENALTIES}")
         if self.optimizer not in OPTIMIZERS:
-            raise ValueError(f"optimizer must be one of {OPTIMIZERS}")
+            raise BadParams(f"optimizer must be one of {OPTIMIZERS}")
         # written so that NaN fails: every comparison with NaN is False. An
         # infinite tol would stop after one step and report it converged.
         if not (self.C > 0 and 0 < self.tol < math.inf) or self.max_iter < 1:
-            raise ValueError("require C > 0, finite tol > 0, max_iter >= 1")
+            raise BadParams("require C > 0, finite tol > 0, max_iter >= 1")
 
 
 @dataclass(frozen=True)
@@ -367,7 +367,7 @@ def lasso_coefficients(X, y, lam: float) -> np.ndarray:
     ``tol``), each fit started from zero; returns standardized-scale
     coefficients so magnitudes are comparable across features."""
     if not 0 < lam < math.inf:  # lambda = inf would give C = 0
-        raise ValueError("lambda must be positive and finite")
+        raise BadParams("lambda must be positive and finite")
     params = LogRegParams(penalty="l1", C=1.0 / lam, optimizer="coordinate")
     model = fit_logreg(X, y, params)
     return model.weights_standardized

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import as_labels, as_matrix
-from .errors import SingleClass, TooFewMinority
+from .errors import BadParams, SingleClass, TooFewMinority
 
 
 @dataclass(frozen=True)
@@ -28,11 +28,11 @@ class SmoteParams:
 
     def __post_init__(self):
         if self.k_neighbors < 1:
-            raise ValueError("k_neighbors must be >= 1")
+            raise BadParams("k_neighbors must be >= 1")
         if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+            raise BadParams("seed must be >= 0")
         if not 0.0 < self.target_ratio <= 1.0:
-            raise ValueError("target_ratio must be in (0, 1]")
+            raise BadParams("target_ratio must be in (0, 1]")
 
 
 def _minority_neighbors(minority: np.ndarray, k: int) -> np.ndarray:

@@ -7,11 +7,19 @@ decrease. Ties resolve to the lowest feature index, then the lowest
 threshold, so repeated fits are identical. Rows with x[feature] <= threshold
 go left.
 
+The grower fits a count table: distinct rows, each with an integer count
+>= 1 (one each when ``fit_tree`` is given no counts). The split search reads
+only the rows and positives on each side of a cut, so the tree equals the
+fit on the rows repeated that many times, array for array and float for
+float. Tree tuning (``grid_search``) fits and scores each fold's count
+table, and each forest tree grows on the count table of its bootstrap
+sample.
+
 The grower sorts each column once per tree (after SPRINT, Shafer, Agrawal &
 Mehta 1996). Every node holds its rows in each feature's sorted order, as a
 (features, rows) matrix of int32 row ids; a split partitions every row of
 that matrix stably, so the children's rows stay sorted. A node reads its
-candidate features' sorted values, cumulative positives (and counts) and
+candidate features' sorted values, cumulative positives and counts and
 evaluates the Gini decrease only at real cuts, where the sorted value
 changes. Nodes are grown depth first in preorder, so a forest tree draws its
 nodes' ``max_features`` candidates from its stream in the same order as a
@@ -24,13 +32,6 @@ scikit-learn's ``Tree``): ``feature`` (-1 at a leaf), ``threshold``,
 left child is the node right after it, and its right child follows the
 left subtree. ``fit_tree`` and ``tree_from_text`` both build the arrays from
 a preorder list of node rows through ``_from_preorder``.
-
-``fit_tree`` also fits a count table: distinct rows, each with an integer
-count >= 1. The split search reads only the rows and positives on each side
-of a cut, so the tree equals the fit on the rows repeated that many times,
-array for array and float for float. Tree tuning (``grid_search``) fits and
-scores each fold's count table; without counts the kernel does no count
-arithmetic.
 
 ``fit_forest`` fits its trees independently (Breiman 2001), in a pool of
 forked processes: one per CPU this process may run on
@@ -48,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import as_counts, as_labels, as_matrix, as_names
-from .errors import DimensionMismatch, EmptyNode, SingleClass
+from .errors import BadParams, DimensionMismatch, EmptyNode, SingleClass
 
 
 @dataclass(frozen=True)
@@ -59,9 +60,9 @@ class TreeParams:
 
     def __post_init__(self):
         if self.min_samples_split < 2 or self.min_samples_leaf < 1:
-            raise ValueError("require min_samples_split >= 2, min_samples_leaf >= 1")
+            raise BadParams("require min_samples_split >= 2, min_samples_leaf >= 1")
         if self.max_depth is not None and self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1 when set")
+            raise BadParams("max_depth must be >= 1 when set")
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,15 +89,15 @@ class ForestParams:
 
     def __post_init__(self):
         if self.n_trees < 1:
-            raise ValueError("n_trees must be >= 1")
+            raise BadParams("n_trees must be >= 1")
         if self.max_features is not None and self.max_features < 1:
-            raise ValueError("max_features must be >= 1")
+            raise BadParams("max_features must be >= 1")
 
 
 def gini_impurity(class_counts) -> float:
     n_neg, n_pos = class_counts
     if n_neg < 0 or n_pos < 0:
-        raise ValueError("counts must be nonnegative")
+        raise BadParams("counts must be nonnegative")
     total = n_neg + n_pos
     if total == 0:
         raise EmptyNode("gini of an empty node is undefined")
@@ -110,28 +111,22 @@ def _best_split(Xt, pos, counts, features, sub, min_leaf, n, n_pos):
     ``(feature, threshold, decrease, parent impurity, left rows, left
     count, left positives)``. ``features`` is a column of candidate feature
     indices, ascending, and ``sub`` the node's row ids in each candidate's
-    sorted order. ``pos`` holds each row's positives (its label, times its
-    count on a count table); ``counts`` is None when every row counts once.
-    The decrease is evaluated only at real cuts, where the sorted value
-    changes, with the arithmetic of a per-feature scan."""
+    sorted order. ``counts`` holds each row's count and ``pos`` its
+    positives (its label times its count); ``n`` and ``n_pos`` are the
+    node's sums of them. The decrease is evaluated only at real cuts, where
+    the sorted value changes, with the arithmetic of a per-feature scan."""
     parent = gini_impurity((n - n_pos, n_pos))
     xs = Xt[features, sub]
     cum_pos = pos[sub].cumsum(axis=1)
+    cum_n = counts[sub].cumsum(axis=1)
     cut = xs[:, :-1] != xs[:, 1:]
-    if counts is None:
-        if min_leaf > 1:
-            # c + 1 rows at or below cut c, so min_leaf bounds c to a range
-            cut[:, :min_leaf - 1] = False
-            cut[:, max(n - min_leaf, 0):] = False
-    else:
-        cum_n = counts[sub].cumsum(axis=1)
-        if min_leaf > 1:
-            below = cum_n[:, :-1]
-            cut &= (below >= min_leaf) & (below <= n - min_leaf)
+    if min_leaf > 1:
+        below = cum_n[:, :-1]
+        cut &= (below >= min_leaf) & (below <= n - min_leaf)
     at_f, at_c = cut.nonzero()
     if at_c.size == 0:
         return None
-    n_left = at_c + 1 if counts is None else cum_n[at_f, at_c]
+    n_left = cum_n[at_f, at_c]
     n_right = n - n_left
     pos_left = cum_pos[at_f, at_c]
     pos_right = n_pos - pos_left
@@ -141,8 +136,7 @@ def _best_split(Xt, pos, counts, features, sub, min_leaf, n, n_pos):
     # each feature's cuts are one run of decrease; the runs are scanned in
     # feature order: a later feature must beat the best so far by the
     # margin, and within the chosen one the first max (lowest threshold) wins
-    k = features.shape[0]
-    bounds = [0, at_c.size] if k == 1 else at_f.searchsorted(np.arange(k + 1)).tolist()
+    bounds = at_f.searchsorted(np.arange(features.shape[0] + 1)).tolist()
     runs = [(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
     tops = np.maximum.reduceat(decrease, [a for a, _ in runs]).tolist()
     best = None
@@ -162,19 +156,21 @@ def _best_split(Xt, pos, counts, features, sub, min_leaf, n, n_pos):
         # which would send the whole node left
         threshold = lower
     return (features[f, 0], threshold, best_decrease, parent, c + 1,
-            c + 1 if counts is None else int(cum_n[f, c]), int(cum_pos[f, c]))
+            int(cum_n[f, c]), int(cum_pos[f, c]))
 
 
 def fit_tree(X, y, params: TreeParams = TreeParams(), feature_names=None,
              counts=None, _rng=None, _max_features=None) -> DecisionTreeModel:
     """Grow a CART tree. Degenerate inputs yield a single leaf. ``counts``
-    (one integer >= 1 per row) fits a count table: the tree is the one
-    grown on the rows repeated that many times."""
+    (one integer >= 1 per row, default 1) fits a count table: the tree is
+    the one grown on the rows repeated that many times."""
     X = as_matrix(X)
     labels = as_labels(y, n_rows=X.shape[0])
     feature_names = as_names(feature_names, X.shape[1])
     if counts is not None:
         counts = as_counts(counts, X.shape[0])
+    else:
+        counts = np.ones(X.shape[0], dtype=np.int64)
     return _grow(np.ascontiguousarray(X.T), labels, counts, params,
                  feature_names, _rng, _max_features)
 
@@ -182,10 +178,10 @@ def fit_tree(X, y, params: TreeParams = TreeParams(), feature_names=None,
 def _grow(Xt, labels, counts, params, feature_names=None, rng=None,
           max_features=None) -> DecisionTreeModel:
     """The tree of ``fit_tree`` on the transposed matrix ``Xt`` (one row per
-    feature), grown depth first in preorder."""
+    feature) and the rows' ``counts``, grown depth first in preorder."""
     p, n_rows = Xt.shape
-    pos = labels if counts is None else counts * labels
-    n_total = n_rows if counts is None else int(counts.sum())
+    pos = counts * labels
+    n_total = int(counts.sum())
     draw = max_features is not None and max_features < p
 
     # each feature's row ids in its sorted order, ties by row id; a node keeps
@@ -220,16 +216,13 @@ def _grow(Xt, labels, counts, params, feature_names=None, rng=None,
         j, threshold, decrease, impurity, m_left, n_left, pos_left = found
         rows.append((j, threshold, size, n_pos, impurity,
                      (size / n_total) * decrease))
-        if p == 1:
-            left, right = ids[:, :m_left], ids[:, m_left:]
-        else:
-            # one stable partition of every feature's list
-            going = ids[j, :m_left]
-            goes_left[going] = True
-            keep = goes_left[ids]
-            goes_left[going] = False
-            left = ids[keep].reshape(p, m_left)
-            right = ids[~keep].reshape(p, -1)
+        # one stable partition of every feature's list
+        going = ids[j, :m_left]
+        goes_left[going] = True
+        keep = goes_left[ids]
+        goes_left[going] = False
+        left = ids[keep].reshape(p, m_left)
+        right = ids[~keep].reshape(p, -1)
         stack.append((right, size - n_left, n_pos - pos_left, depth + 1))
         stack.append((left, n_left, pos_left, depth + 1))
     return _from_preorder(rows, params, p, feature_names)
@@ -350,26 +343,16 @@ def _fit_forest_tree(t, forest=None):
     """Tree ``t`` of a forest (in a pool worker, of the worker's forest). Its
     stream ``default_rng([seed, t])`` draws the bootstrap rows and then each
     node's candidate features in preorder, so the tree does not depend on
-    the process or the order it is fitted in."""
+    the process or the order it is fitted in. The tree grows on the
+    bootstrap's count table: each drawn row once, with its number of draws."""
     X, labels, seed, max_features = _worker_forest if forest is None else forest
     rng = np.random.default_rng([seed, t])
-    sample = rng.integers(0, X.shape[0], size=X.shape[0])
-    # the bootstrap rows go straight into the grower's transposed layout
-    return _grow(np.take(X.T, sample, axis=1), labels[sample], None,
+    n = X.shape[0]
+    counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
+    held = np.flatnonzero(counts)
+    # the drawn rows go straight into the grower's transposed layout
+    return _grow(np.take(X.T, held, axis=1), labels[held], counts[held],
                  TreeParams(), rng=rng, max_features=max_features)
-
-
-def predict_forest(trees, X):
-    """Mean of per-tree leaf positive fractions; label by 0.5 threshold
-    (ties to class 1)."""
-    _require_trees(trees)
-    scores = np.mean([predict_tree(t, X)[1] for t in trees], axis=0)
-    return (scores >= 0.5).astype(int), scores
-
-
-def _require_trees(trees):
-    if len(trees) == 0:
-        raise DimensionMismatch("a forest needs at least one tree")
 
 
 def _tree_raw_importance(tree: DecisionTreeModel) -> np.ndarray:
@@ -381,7 +364,8 @@ def _tree_raw_importance(tree: DecisionTreeModel) -> np.ndarray:
 def impurity_importance(trees):
     """(values, degenerate): the mean impurity decrease per feature,
     normalized to sum 1, and whether no split occurred anywhere."""
-    _require_trees(trees)
+    if len(trees) == 0:
+        raise DimensionMismatch("a forest needs at least one tree")
     raw = np.mean([_tree_raw_importance(t) for t in trees], axis=0)
     total = raw.sum()
     if total <= 0.0:

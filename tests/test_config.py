@@ -1,9 +1,14 @@
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 from diabrisk.config import ExperimentConfig, parse_config
-from diabrisk.errors import ConfigError
+from diabrisk.dataset import train_test_split
+from diabrisk.errors import BadParams, ConfigError, PipelineError
+from diabrisk.logistic import LogRegParams, lasso_coefficients
+from diabrisk.smote import SmoteParams
+from diabrisk.tree import ForestParams, TreeParams, gini_impurity
 
 
 class TestDefaults:
@@ -109,6 +114,28 @@ class TestValidation:
             parse_config(overrides={"logreg.penalty": "elastic"})
         assert str(exc.value).startswith("logreg.penalty: bad value 'elastic'")
         assert "config error" not in str(exc.value)
+
+
+# one out-of-range value per place that checks a parameter's value
+BAD_PARAMS = {
+    "logreg": lambda: LogRegParams(C=-1),
+    "tree": lambda: TreeParams(min_samples_leaf=0),
+    "forest": lambda: ForestParams(n_trees=0),
+    "smote": lambda: SmoteParams(target_ratio=1.5),
+    "experiment": lambda: ExperimentConfig(cv_folds=1),
+    "lasso": lambda: lasso_coefficients(np.eye(2), np.array([0, 1]), 0.0),
+    "split": lambda: train_test_split(10, 1.5, seed=0),
+    "gini": lambda: gini_impurity((-1, 3)),
+}
+
+
+@pytest.mark.parametrize("site", sorted(BAD_PARAMS))
+def test_bad_param_value_is_a_pipeline_error(site):
+    with pytest.raises(PipelineError) as exc:
+        BAD_PARAMS[site]()
+    # BadParams, which a caller that catches ValueError still catches
+    assert isinstance(exc.value, BadParams)
+    assert isinstance(exc.value, ValueError)
 
 
 class TestEcho:

@@ -18,7 +18,6 @@ from diabrisk.dataset import (
     pearson_correlation,
     select_columns,
     train_test_split,
-    write_csv,
 )
 from diabrisk.errors import (
     DataError,
@@ -189,15 +188,6 @@ class TestLoadCsv:
         table = load_csv(path)
         assert table.names == tuple(CANONICAL_COLUMNS)
         assert table.column("BMI").tolist() == [28, 33, 41, 22]
-
-    def test_round_trip(self, tmp_path):
-        path = write_rows(tmp_path / "t.csv", synthetic_rows(50, seed=3))
-        table = load_csv(path)
-        out = tmp_path / "copy.csv"
-        write_csv(table, out)
-        again = load_csv(out)
-        assert again.names == table.names
-        assert np.array_equal(again.rows, table.rows)
 
 
 DEFECTS = [

@@ -26,7 +26,6 @@ from diabrisk.tree import (
     fit_tree,
     gini_impurity,
     impurity_importance,
-    predict_forest,
     predict_tree,
     tree_from_text,
     tree_to_text,
@@ -293,15 +292,6 @@ class TestForest:
     def test_single_class_rejected(self):
         with pytest.raises(SingleClass):
             fit_forest(np.ones((5, 2)), np.zeros(5, dtype=int))
-
-    def test_predict_forest_scores(self):
-        rng = np.random.default_rng(10)
-        X = rng.normal(size=(100, 3))
-        y = (X[:, 1] > 0).astype(int)
-        forest = fit_forest(X, y, ForestParams(n_trees=10, seed=2))
-        labels, scores = predict_forest(forest, X)
-        assert np.all((scores >= 0) & (scores <= 1))
-        assert np.mean(labels == y) > 0.9
 
 
 class TestSerialization:
@@ -699,13 +689,29 @@ class TestPresortedOracle:
                                       _max_features=max_features)
             assert_same_tree(got, want)
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_forests(self, seed):
+    # (seed, max_features, repeated rows); "p" is every feature, so that no
+    # node draws. Repeated rows are each row three times, a third of the
+    # copies with the other label: a bootstrap then holds equal rows under
+    # different row ids, some of them with both labels.
+    FOREST_CASES = [
+        *(pytest.param(seed, 1 + seed % 3, False, id=str(seed)) for seed in range(4)),
+        pytest.param(4, "p", False, id="every-feature"),
+        pytest.param(5, 2, True, id="repeated-rows"),
+    ]
+
+    @pytest.mark.parametrize("seed, max_features, repeated", FOREST_CASES)
+    def test_forests(self, seed, max_features, repeated):
         X, y = tied_table(200 + seed)
         if len(np.unique(y)) < 2 or len(y) < 2:
             y = np.arange(len(X)) % 2
         X = np.column_stack([X, np.random.default_rng(seed).normal(size=(len(y), 4))])
-        params = ForestParams(n_trees=3, max_features=1 + seed % 3, seed=seed)
+        if repeated:
+            X, y = np.repeat(X, 3, axis=0), np.repeat(y, 3)
+            flip = np.random.default_rng(seed).random(len(y)) < 1 / 3
+            y[flip] = 1 - y[flip]
+        if max_features == "p":
+            max_features = X.shape[1]
+        params = ForestParams(n_trees=3, max_features=max_features, seed=seed)
         for got, want in zip(fit_forest(X, y, params), reference_forest(X, y, params),
                              strict=True):
             assert_same_tree(got, want)
@@ -873,10 +879,6 @@ def test_cli_import_loads_no_process_pool():
 
 
 class TestEmptyForest:
-    def test_predict_forest(self):
-        with pytest.raises(DimensionMismatch, match="at least one tree"):
-            predict_forest((), np.ones((3, 2)))
-
     def test_impurity_importance(self):
         with pytest.raises(DimensionMismatch, match="at least one tree"):
             impurity_importance(())
