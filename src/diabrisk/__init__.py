@@ -12,6 +12,8 @@ from .dataset import (
     as_matrix,
     as_names,
     binarize_target,
+    count_tables,
+    distinct_rows,
     income_histogram,
     load_csv,
     pearson_correlation,

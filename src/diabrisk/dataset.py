@@ -88,6 +88,42 @@ def as_counts(counts, n_rows: int) -> np.ndarray:
     return counts.astype(np.int64)
 
 
+def distinct_rows(X):
+    """``np.unique(X, axis=0, return_inverse=True)`` by one ``np.lexsort``:
+    the distinct rows of a 2-D array in lexicographic order, first column
+    first, and each row's index among them. Rows compare as numbers, so
+    -0.0 equals 0.0. ``np.unique`` sorts the rows as a structured dtype,
+    field by field: on 427,406 rows of 6 columns, on one core of a 2-vCPU
+    VM, it took 1.9 s against 0.2 s."""
+    X = np.asarray(X)
+    order = np.lexsort(X.T[::-1])  # the last key sorts first
+    ordered = X[order]
+    first = np.ones(X.shape[0], dtype=bool)  # starts a run of equal rows
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
+    inverse = np.empty(X.shape[0], dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[first], inverse
+
+
+def count_tables(X, y):
+    """A function from row indices to the count table of those rows of
+    ``(X, y)``: ``(distinct rows, labels, counts)``, one entry per distinct
+    (row, label) pair, ordered by row, then label. Called with no indices it
+    counts every row. A tree fitted on a table equals the tree of its rows,
+    a logistic fit minimizes the same objective as the fit on its rows (see
+    ``tree`` and ``logistic``), and ``roc_curve`` scores it by its counts."""
+    distinct, inverse = distinct_rows(X)
+    # one bin per (distinct row, label)
+    key = 2 * inverse + as_labels(y, n_rows=inverse.shape[0])
+
+    def table(idx=slice(None)):
+        counts = np.bincount(key[idx], minlength=2 * distinct.shape[0])
+        held = np.flatnonzero(counts)
+        return distinct[held // 2], held % 2, counts[held]
+
+    return table
+
+
 def as_matrix(X, n_features: int | None = None, name: str = "X") -> np.ndarray:
     """A matrix argument as ``np.asarray(X, dtype=float)``: 2-D, with
     ``n_features`` columns when given, and finite. It is neither copied nor

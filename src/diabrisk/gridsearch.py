@@ -1,14 +1,13 @@
 """Exhaustive grid search scored by k-fold cross-validated ROC AUC.
 
-The search runs fold by fold: each family builds one fold's data once,
-scores every grid cell on it and drops it before the next fold. The logistic
-family slices the fold's rows. The tree family fits and scores count tables
-over the fold's distinct (row, label) pairs; its scores equal those of fits
-on the fold's rows (see ``tree``). The tables pay off only when rows repeat,
-as in the one-column income table. On a wide table of nearly distinct rows
-they save no rows and add the sort in ``np.unique``: 40,000 distinct rows of
-21 columns, two cells and five folds peak at 101 MB RSS, against 119 MB
-when every fold's tables were held at once."""
+The search runs fold by fold: it builds one fold's data once, scores every
+grid cell on it and drops it before the next fold. Both families fit and
+score count tables over the fold's distinct (row, label) pairs
+(``dataset.count_tables``); a tree's scores equal those of fits on the
+fold's rows (see ``tree``), and a logistic fit minimizes the same objective
+as one on the fold's rows (see ``logistic``). The tables pay off when rows
+repeat, as in the six-column health and one-column income tables; on a
+wide table of nearly distinct rows they save no rows and cost a sort."""
 from __future__ import annotations
 
 import itertools
@@ -16,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import as_labels, as_matrix
+from .dataset import as_labels, as_matrix, count_tables
 from .errors import BadParams, FoldDegenerate, SingleClass
 from .logistic import LogRegParams, fit_logreg, predict_proba
 from .metrics import roc_curve
@@ -83,32 +82,13 @@ def _combinations(grid: dict):
         yield dict(zip(names, values))
 
 
-def _sliced(X, y):
-    """Fold builder of the logistic family: each side's rows."""
-    return lambda train, valid: ((X[train], y[train]), (X[valid], y[valid]))
-
-
-def _counted(X, y):
-    """Fold builder of the tree family: each side as a count table
-    ``(distinct rows, labels, counts)``. A tree fitted and scored on them
-    equals one fitted and scored on the fold's rows."""
-    distinct, code = np.unique(X, axis=0, return_inverse=True)
-    key = 2 * code.reshape(-1) + y  # one bin per (distinct row, label)
-
-    def table(idx):
-        counts = np.bincount(key[idx], minlength=2 * distinct.shape[0])
-        held = np.flatnonzero(counts)
-        return distinct[held // 2], held % 2, counts[held]
-
-    return lambda train, valid: (table(train), table(valid))
-
-
 # fit, predict and roc_curve are read as module globals at each call, so a
 # wrapper set on those attributes (perfbench/tracer.py) sees every grid fit
 def _score_logistic(params, fold):
-    (X_train, y_train), (X_valid, y_valid) = fold
-    model = fit_logreg(X_train, y_train, params)
-    return roc_curve(y_valid, predict_proba(model, X_valid)).auc
+    (X_train, y_train, n_train), (X_valid, y_valid, n_valid) = fold
+    model = fit_logreg(X_train, y_train, params, counts=n_train)
+    return roc_curve(y_valid, predict_proba(model, X_valid),
+                     counts=n_valid).auc
 
 
 def _score_tree(params, fold):
@@ -118,11 +98,10 @@ def _score_tree(params, fold):
                      counts=n_valid).auc
 
 
-# family -> (params type, fold builder, fold scorer, default grid)
+# family -> (params type, fold scorer, default grid)
 FAMILIES = {
-    "logistic": (LogRegParams, _sliced, _score_logistic,
-                 DEFAULT_LOGISTIC_GRID),
-    "tree": (TreeParams, _counted, _score_tree, DEFAULT_TREE_GRID),
+    "logistic": (LogRegParams, _score_logistic, DEFAULT_LOGISTIC_GRID),
+    "tree": (TreeParams, _score_tree, DEFAULT_TREE_GRID),
 }
 
 
@@ -149,7 +128,7 @@ def grid_search(X, y, family: str, grid: dict = None,
     family's defaults when None) with the cell's grid values replaced."""
     if family not in FAMILIES:
         raise BadParams(f"unknown model family: {family}")
-    params_type, fold_builder, score, default_grid = FAMILIES[family]
+    params_type, score, default_grid = FAMILIES[family]
     X = as_matrix(X)
     labels = as_labels(y, n_rows=X.shape[0])
     if len(np.unique(labels)) < 2:
@@ -165,9 +144,9 @@ def grid_search(X, y, family: str, grid: dict = None,
 
     folds = _draw_folds(labels, X.shape[0], cv)
     scores = np.empty((len(cell_params), len(folds)))
-    build_fold = fold_builder(X, labels)
+    table = count_tables(X, labels)
     for f, (train, valid) in enumerate(folds):
-        fold = build_fold(train, valid)
+        fold = (table(train), table(valid))
         scores[:, f] = [score(params, fold) for params in cell_params]
         del fold  # dropped before the next fold's data is built
     return GridResult(family=family, combos=tuple(combos), scores=scores)

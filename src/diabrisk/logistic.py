@@ -1,11 +1,14 @@
 """Binary logistic regression with none/L1/L2 penalties.
 
-Objective (labels mapped to s in {-1,+1}):
+Objective (labels mapped to s in {-1,+1}, each row i counted c_i times):
 
-    sum_i log(1 + exp(-s_i * (w.x_i + b))) + penalty(w)
+    sum_i c_i * log(1 + exp(-s_i * (w.x_i + b))) + penalty(w)
 
 penalty = (1/(2C)) ||w||_2^2 for L2, (1/C) ||w||_1 for L1, 0 for none.
-The intercept is never penalized. Two optimizers are provided:
+The intercept is never penalized. A fit on a count table, distinct rows each
+with an integer count c_i >= 1, minimizes the objective of those rows
+repeated c_i times; without counts every c_i is 1. Two optimizers are
+provided:
 
 * ``gradient``   -- batch quasi-Newton (L-BFGS direction, Armijo line search);
                     proximal gradient steps when the penalty is L1.
@@ -17,10 +20,15 @@ The intercept is never penalized. Two optimizers are provided:
 
 One function, ``_smooth``, gives the data term plus the L2 penalty and its
 gradient; both optimizers, their one stop test and ``loss_and_gradient`` add
-the L1 term to it. That test, the gap test, holds when the max-norm of the
-objective's minimal-norm subgradient, divided by the row count, is within
-``10 * tol``. Both optimizers record the objective after every iteration and
-decrease it monotonically. ``gradient`` stops once no entry of (w, b) moves by
+the L1 term to it. The counts multiply only its per-row vectors and the
+``coordinate`` Hessian's row weights, and standardization uses the
+count-weighted means and standard deviations. A unit count multiplies by
+1.0, which changes no float, so a fit without counts gives the floats of the
+unweighted formulas (numpy's mean and std among them), bit for bit. The stop
+test, the gap test, holds when the max-norm of the objective's minimal-norm
+subgradient, divided by the total count sum_i c_i, is within ``10 * tol``.
+Both optimizers record the objective after every iteration and decrease it
+monotonically. ``gradient`` stops once no entry of (w, b) moves by
 more than ``tol``, and ``converged`` says whether the gap test then holds.
 ``coordinate`` stops as soon as an outer step meets the gap test, and reports
 converged False when no step along its Newton direction lowers the objective.
@@ -35,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import as_labels, as_matrix, as_names
+from .dataset import as_counts, as_labels, as_matrix, as_names
 from .errors import BadParams, DimensionMismatch, SingleClass
 
 PENALTIES = ("none", "l1", "l2")
@@ -80,6 +88,14 @@ def _as_signs(y, n_rows: int) -> np.ndarray:
     return 2.0 * as_labels(y, n_rows=n_rows) - 1.0
 
 
+def _as_weights(counts, n_rows: int) -> np.ndarray:
+    """Each row's count as a float: 1.0 for every row when ``counts`` is
+    None. The floats are exact, since counts stay far below 2**53."""
+    if counts is None:
+        return np.ones(n_rows)
+    return as_counts(counts, n_rows).astype(float)
+
+
 def _lambdas(params: LogRegParams):
     """(L1, L2) penalty weights: 1/C for the configured penalty, 0 else."""
     lam = 1.0 / params.C
@@ -91,30 +107,34 @@ def _with_bias(X):
     return np.hstack([X, np.ones((X.shape[0], 1))])
 
 
-def _smooth(theta, X1, s, lam_l2, margins=None):
+def _smooth(theta, X1, s, c, lam_l2, margins=None):
     """Data term plus L2 penalty at theta = (w, b), and its gradient.
 
-    ``X1`` ends in a bias column."""
+    ``X1`` ends in a bias column; ``c`` holds each row's count as a float."""
     if margins is None:
         margins = X1 @ theta
     w = theta[:-1]
-    value = float(np.logaddexp(0.0, -s * margins).sum()) + 0.5 * lam_l2 * float(w @ w)
-    grad = X1.T @ (_sigmoid(margins) - (s + 1.0) / 2.0)
+    value = (float((c * np.logaddexp(0.0, -s * margins)).sum())
+             + 0.5 * lam_l2 * float(w @ w))
+    grad = X1.T @ (c * (_sigmoid(margins) - (s + 1.0) / 2.0))
     if lam_l2:
         grad[:-1] += lam_l2 * w
     return value, grad
 
 
-def loss_and_gradient(weights, intercept, X, y, params: LogRegParams):
-    """Objective value and its gradient, intercept component last.
+def loss_and_gradient(weights, intercept, X, y, params: LogRegParams,
+                      counts=None):
+    """Objective value and its gradient, intercept component last, with each
+    row counted as often as ``counts`` says (once when None).
 
     For L1 the returned gradient uses the subgradient that is 0 at w_j = 0.
     """
     w = np.asarray(weights, dtype=float)
     X = as_matrix(X, w.shape[0])
     s = _as_signs(y, X.shape[0])
+    c = _as_weights(counts, X.shape[0])
     lam_l1, lam_l2 = _lambdas(params)
-    loss, grad = _smooth(np.append(w, intercept), _with_bias(X), s, lam_l2)
+    loss, grad = _smooth(np.append(w, intercept), _with_bias(X), s, c, lam_l2)
     grad[:-1] += lam_l1 * np.sign(w)
     return loss + lam_l1 * float(np.abs(w).sum()), grad
 
@@ -130,8 +150,9 @@ def _sigmoid(t: np.ndarray) -> np.ndarray:
 
 def _converged(theta, grad, lam_l1, n, tol) -> bool:
     """The stop test of both optimizers: the max-norm of the minimal-norm
-    subgradient of the objective, per row, is at most 10 * tol. ``grad`` is
-    the gradient of ``_smooth`` at ``theta``."""
+    subgradient of the objective, per counted row (``n`` is the total
+    count), is at most 10 * tol. ``grad`` is the gradient of ``_smooth`` at
+    ``theta``."""
     g = grad.copy()
     if lam_l1:
         w, gw = theta[:-1], grad[:-1]
@@ -143,14 +164,14 @@ def _converged(theta, grad, lam_l1, n, tol) -> bool:
     return float(np.max(np.abs(g))) / n <= 10 * tol
 
 
-def _fit_gradient(X, s, params: LogRegParams):
+def _fit_gradient(X, s, c, params: LogRegParams):
     """L-BFGS with Armijo backtracking; ISTA proximal steps for L1. Each
     search keeps the value and gradient of the candidate it accepts."""
-    n, p = X.shape
+    p = X.shape[1]
     X1 = _with_bias(X)
     lam_l1, lam_l2 = _lambdas(params)
     theta = np.zeros(p + 1)
-    f, grad = _smooth(theta, X1, s, lam_l2)  # obj adds the L1 term to f
+    f, grad = _smooth(theta, X1, s, c, lam_l2)  # obj adds the L1 term to f
     obj = f + lam_l1 * np.abs(theta[:p]).sum()
     path = [obj]
     history = []  # (delta_theta, delta_grad) pairs for the two-loop recursion
@@ -168,7 +189,7 @@ def _fit_gradient(X, s, params: LogRegParams):
                 new_theta[:p] = np.sign(new_theta[:p]) * np.maximum(
                     np.abs(new_theta[:p]) - step * lam_l1, 0.0)
                 d = new_theta - theta
-                new_f, new_grad = _smooth(new_theta, X1, s, lam_l2)
+                new_f, new_grad = _smooth(new_theta, X1, s, c, lam_l2)
                 if new_f <= f + grad @ d + (0.5 / step) * (d @ d) + 1e-12:
                     break
                 step *= 0.5
@@ -181,7 +202,7 @@ def _fit_gradient(X, s, params: LogRegParams):
             new_theta, new_f, new_grad = theta, f, grad
             for _ in range(60):
                 cand = theta + step * direction
-                cand_f, cand_grad = _smooth(cand, X1, s, lam_l2)
+                cand_f, cand_grad = _smooth(cand, X1, s, c, lam_l2)
                 if cand_f <= obj + 1e-4 * step * (grad @ direction):
                     new_theta, new_f, new_grad = cand, cand_f, cand_grad
                     break
@@ -198,7 +219,8 @@ def _fit_gradient(X, s, params: LogRegParams):
         obj = min(new_obj, obj)  # guard float noise; line search is monotone
         path.append(new_obj)
         if max_change <= params.tol:
-            converged = _converged(theta, grad, lam_l1, n, params.tol)
+            converged = _converged(theta, grad, lam_l1, float(c.sum()),
+                                   params.tol)
             break
     return theta[:p], float(theta[p]), converged, it, np.array(path)
 
@@ -221,7 +243,7 @@ def _lbfgs_direction(grad, history):
     return q
 
 
-def _fit_coordinate(X, s, params: LogRegParams):
+def _fit_coordinate(X, s, c, params: LogRegParams):
     """Proximal Newton with a coordinate-descent inner solver (glmnet's
     outer loop; Friedman, Hastie and Tibshirani, JSS 2010, section 3).
 
@@ -234,35 +256,36 @@ def _fit_coordinate(X, s, params: LogRegParams):
     whose model predicts no decrease ends it with the gap test's verdict.
     Each search keeps the value and gradient of the candidate it accepts."""
     n, p = X.shape
+    total = float(c.sum())  # the gap test's row count
     X1 = _with_bias(X)
     lam_l1, lam_l2 = _lambdas(params)
     ridge = np.append(np.full(p, lam_l2), 0.0)  # the intercept is unpenalized
     theta = np.zeros(p + 1)
     margins = np.zeros(n)
-    f, grad = _smooth(theta, X1, s, lam_l2, margins)
+    f, grad = _smooth(theta, X1, s, c, lam_l2, margins)
     obj = f  # plus the L1 term, which is 0 at theta = 0
     path = [obj]
     converged = False
     it = 0
     for it in range(1, params.max_iter + 1):
         e = np.exp(-np.abs(margins))
-        hess = X1.T @ ((e / (1.0 + e) ** 2)[:, None] * X1)
+        hess = X1.T @ ((c * (e / (1.0 + e) ** 2))[:, None] * X1)
         hess[np.diag_indices(p + 1)] += ridge
-        d = _newton_direction(hess, grad, theta, lam_l1, n * params.tol,
+        d = _newton_direction(hess, grad, theta, lam_l1, total * params.tol,
                               params.max_iter)
         # the model's predicted change, which the step t * d must make a
         # fraction of; the L1 term is convex, so t times it bounds its change
         predicted = grad @ d + lam_l1 * (
             np.abs(theta[:p] + d[:p]).sum() - np.abs(theta[:p]).sum())
         if not predicted < 0:  # theta minimizes its own model
-            converged = _converged(theta, grad, lam_l1, n, params.tol)
+            converged = _converged(theta, grad, lam_l1, total, params.tol)
             break
         d_margins = X1 @ d
         t = 1.0
         for _ in range(60):
             cand = theta + t * d
             cand_margins = margins + t * d_margins
-            cand_f, cand_grad = _smooth(cand, X1, s, lam_l2, cand_margins)
+            cand_f, cand_grad = _smooth(cand, X1, s, c, lam_l2, cand_margins)
             cand_obj = cand_f + lam_l1 * np.abs(cand[:p]).sum()
             # the difference is exact for close values, so a candidate that
             # rounds to the same objective never passes as a decrease
@@ -273,7 +296,7 @@ def _fit_coordinate(X, s, params: LogRegParams):
             break  # a line-search stall: converged stays False
         theta, margins, grad, obj = cand, cand_margins, cand_grad, cand_obj
         path.append(obj)
-        if _converged(theta, grad, lam_l1, n, params.tol):
+        if _converged(theta, grad, lam_l1, total, params.tol):
             converged = True
             break
     return theta[:p], float(theta[p]), converged, it, np.array(path)
@@ -284,9 +307,9 @@ def _newton_direction(hess, grad, theta, lam_l1, stop, max_sweeps):
     (w = theta[:-1]; the intercept is unpenalized), by cyclic coordinate
     descent with soft-thresholding. It reads only ``hess``, keeping hess @ d
     up to date. Sweeps end once no update in a sweep moved its coordinate's
-    model gradient, hess[j, j] * |delta_j|, by more than ``stop`` (n * tol,
-    the gap test's scale), or after ``max_sweeps``. A coordinate with zero
-    curvature keeps d_j = 0."""
+    model gradient, hess[j, j] * |delta_j|, by more than ``stop`` (the total
+    count times tol, the gap test's scale), or after ``max_sweeps``. A
+    coordinate with zero curvature keeps d_j = 0."""
     m = len(theta)
     diag = np.diag(hess).tolist()
     d = np.zeros(m)
@@ -311,19 +334,40 @@ def _newton_direction(hess, grad, theta, lam_l1, stop, max_sweeps):
     return d
 
 
+def _moments(X, c):
+    """Count-weighted column means and standard deviations, summed in the
+    order of ``X.mean(axis=0)`` and ``X.std(axis=0)``, which unit counts
+    equal bit for bit."""
+    total = c.sum()
+    means = (X * c[:, None]).sum(axis=0) / total
+    dev = X - means
+    dev *= dev
+    dev *= c[:, None]
+    return means, np.sqrt(dev.sum(axis=0) / total)
+
+
 def fit_logreg(X, y, params: LogRegParams = LogRegParams(),
-               feature_names=None) -> LogRegModel:
+               feature_names=None, counts=None) -> LogRegModel:
+    """Fit ``params`` to the rows of X and their 0/1 labels ``y``.
+
+    ``counts`` (one integer >= 1 per row) fits the rows repeated that many
+    times: the count table of a table's distinct (row, label) pairs gives
+    the fit of the table's rows, up to rounding, at the cost of its distinct
+    pairs. Without counts every row counts once. With ``standardize`` the
+    fit runs on columns z-scored by their count-weighted means and standard
+    deviations (a zero deviation divides by 1), and the model carries weights
+    in raw units."""
     X = as_matrix(X)
     feature_names = as_names(feature_names, X.shape[1])
     if X.shape[0] < 2:
         raise DimensionMismatch("X must have at least 2 rows")
     s = _as_signs(y, X.shape[0])
+    c = _as_weights(counts, X.shape[0])
     if len(np.unique(s)) < 2:
         raise SingleClass("both classes are required to fit")
 
     if params.standardize:
-        means = X.mean(axis=0)
-        stds = X.std(axis=0)
+        means, stds = _moments(X, c)
         stds = np.where(stds > 0, stds, 1.0)
     else:
         means = np.zeros(X.shape[1])
@@ -331,9 +375,9 @@ def fit_logreg(X, y, params: LogRegParams = LogRegParams(),
     Z = (X - means) / stds
 
     if params.optimizer == "gradient":
-        w_std, b_std, converged, n_iter, path = _fit_gradient(Z, s, params)
+        w_std, b_std, converged, n_iter, path = _fit_gradient(Z, s, c, params)
     else:
-        w_std, b_std, converged, n_iter, path = _fit_coordinate(Z, s, params)
+        w_std, b_std, converged, n_iter, path = _fit_coordinate(Z, s, c, params)
 
     weights = w_std / stds
     intercept = b_std - float((w_std * means / stds).sum())

@@ -17,6 +17,7 @@ from .errors import BadParams, ConfigError, PipelineError
 from .dataset import (
     INCOME_CODES,
     binarize_target,
+    count_tables,
     income_histogram,
     load_csv,
     pearson_correlation,
@@ -325,8 +326,12 @@ def run_train(cfg: ExperimentConfig, experiment: str, tuned: bool,
         _grid_cells_csv(run, "grid.csv", grid_result)
         params = replace(params, **grid_result.best_params)
 
+    # both models fit the training rows' count table: the same fit as on the
+    # rows, from one entry per distinct (row, label) pair
+    X_fit, y_fit, n_fit = count_tables(X_train, y_train)()
     if experiment == "health":
-        model = fit_logreg(X_train, y_train, params, feature_names=names)
+        model = fit_logreg(X_fit, y_fit, params, feature_names=names,
+                           counts=n_fit)
         scores = predict_proba(model, X_test)
         y_pred = predict_label(model, X_test)
         run.write_text("model.txt", model_to_text(model))
@@ -343,7 +348,8 @@ def run_train(cfg: ExperimentConfig, experiment: str, tuned: bool,
             "intercept": model.intercept,
         }
     else:
-        model = fit_tree(X_train, y_train, params, feature_names=names)
+        model = fit_tree(X_fit, y_fit, params, feature_names=names,
+                         counts=n_fit)
         y_pred, scores = predict_tree(model, X_test)
         run.write_text("tree.txt", tree_to_text(model))
         model_info = {"type": "tree", "params": asdict(params)}

@@ -13,6 +13,8 @@ from diabrisk.dataset import (
     INCOME_CODES,
     DataTable,
     binarize_target,
+    count_tables,
+    distinct_rows,
     income_histogram,
     load_csv,
     pearson_correlation,
@@ -452,3 +454,41 @@ class TestSelectColumns:
         table = load_csv(write_rows(tmp_path / "t.csv", small_rows()))
         with pytest.raises(MissingColumn):
             select_columns(table, ["NotAColumn"])
+
+
+def _tables():
+    rng = np.random.default_rng(21)
+    return {
+        "integer": rng.integers(0, 4, size=(500, 3)),
+        "float": np.round(rng.normal(size=(400, 2)), 1),
+        "one_column": rng.integers(1, 9, size=(300, 1)).astype(float),
+        "all_equal": np.full((50, 4), 2.5),
+        "one_row": np.array([[1.0, -3.0, 7.0]]),
+        "distinct": rng.normal(size=(200, 5)),
+    }
+
+
+class TestDistinctRows:
+    """``distinct_rows`` is ``np.unique(X, axis=0, return_inverse=True)``."""
+
+    @pytest.mark.parametrize("name", list(_tables()))
+    def test_equals_numpy_unique(self, name):
+        X = _tables()[name]
+        distinct, inverse = distinct_rows(X)
+        want, want_inverse = np.unique(X, axis=0, return_inverse=True)
+        assert distinct.dtype == want.dtype
+        assert distinct.tobytes() == want.tobytes()
+        assert distinct.shape == want.shape
+        assert np.array_equal(inverse, want_inverse.reshape(-1))
+
+    def test_count_tables_count_each_row_and_label_once(self):
+        X = _tables()["integer"].astype(float)
+        y = (X[:, 0] + X[:, 2] > 3).astype(int)
+        y[::7] = 1 - y[::7]  # some rows carry both labels
+        table = count_tables(X, y)
+        for idx in (slice(None), np.arange(0, 500, 3)):
+            rows, labels, counts = table(idx)
+            pairs = np.column_stack([X[idx], y[idx]])
+            want, want_counts = np.unique(pairs, axis=0, return_counts=True)
+            assert np.array_equal(np.column_stack([rows, labels]), want)
+            assert np.array_equal(counts, want_counts)

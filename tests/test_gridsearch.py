@@ -10,6 +10,7 @@ from diabrisk.gridsearch import (
     grid_search,
     k_fold_indices,
 )
+from diabrisk.logistic import LogRegParams, fit_logreg, predict_proba
 from diabrisk.metrics import roc_curve
 from diabrisk.tree import TreeParams, fit_tree, predict_tree
 
@@ -195,19 +196,72 @@ class TestTreeCountTables:
             grid_search(X, y, "tree", {"max_depth": [None, 2]}, CvConfig(folds=3))
 
     def test_every_fit_goes_through_module_globals(self, monkeypatch):
-        calls = {"fit_tree": 0, "predict_tree": 0, "roc_curve": 0}
-
-        def counted(name):
-            func = getattr(gridsearch, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return func(*args, **kwargs)
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(gridsearch, name, counted(name))
         X, y = self.duplicated_problem()
-        result = grid_search(X, y, "tree", self.GRID, self.CV)
+        calls, result = _global_calls(
+            monkeypatch, ("fit_tree", "predict_tree"),
+            lambda: grid_search(X, y, "tree", self.GRID, self.CV))
+        assert result.n_fits == 8 * 4
+        assert calls == {name: result.n_fits for name in calls}
+
+
+def _global_calls(monkeypatch, names, search):
+    """Calls of ``names`` and ``roc_curve`` through gridsearch's module
+    globals, where the benchmark's tracer wraps them, while ``search``
+    runs; and the search's result."""
+    names = (*names, "roc_curve")
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name):
+        func = getattr(gridsearch, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(gridsearch, name, counted(name))
+    result = search()
+    return calls, result
+
+
+def _sliced_scores(X, y, combos, cv):
+    """The logistic family's scores as they were computed before it fitted
+    count tables: each cell fitted on and scored against each fold's rows."""
+    folds = gridsearch._draw_folds(y, X.shape[0], cv)
+    return np.array([
+        [roc_curve(y[valid], predict_proba(
+            fit_logreg(X[train], y[train], LogRegParams(**cell)),
+            X[valid])).auc
+         for train, valid in folds]
+        for cell in combos
+    ])
+
+
+class TestLogisticCountTables:
+    """The logistic family fits and scores count tables; its scores equal
+    fitting and scoring each fold's rows, up to rounding."""
+
+    GRID = {"C": [0.001, 0.1, 10.0, 1000.0],
+            "optimizer": ["gradient", "coordinate"]}
+
+    @pytest.mark.parametrize("problem", ["duplicated", "distinct"])
+    def test_scores_equal_fits_on_rows(self, problem):
+        if problem == "duplicated":
+            X, y = TestTreeCountTables.duplicated_problem()
+        else:
+            X, y = small_problem(n=300, p=4)
+        cv = TestTreeCountTables.CV
+        result = grid_search(X, y, "logistic", self.GRID, cv)
+        want = _sliced_scores(X, y, result.combos, cv)
+        np.testing.assert_allclose(result.scores, want, rtol=0, atol=1e-12)
+        assert len(np.unique(want)) > 4  # the cells do differ
+
+    def test_every_fit_goes_through_module_globals(self, monkeypatch):
+        X, y = TestTreeCountTables.duplicated_problem()
+        calls, result = _global_calls(
+            monkeypatch, ("fit_logreg", "predict_proba"),
+            lambda: grid_search(X, y, "logistic", self.GRID,
+                                TestTreeCountTables.CV))
         assert result.n_fits == 8 * 4
         assert calls == {name: result.n_fits for name in calls}

@@ -4,12 +4,14 @@ and rejects anything else with ``NonBinary``. Every entry point that takes a
 matrix reads it through ``as_matrix``: X that is not 2-D, has the wrong width
 or another row count than its labels raises ``DimensionMismatch``, as do
 feature names of another count than its columns, and a NaN or infinity
-raises ``DataError`` naming its row and column."""
+raises ``DataError`` naming its row and column. Counts go through
+``as_counts``: one integer >= 1 per row, else ``DimensionMismatch`` for the
+shape and ``BadParams`` for the values."""
 import numpy as np
 import pytest
 
 from diabrisk.dataset import DataTable, as_labels, as_matrix
-from diabrisk.errors import DataError, DimensionMismatch, NonBinary
+from diabrisk.errors import BadParams, DataError, DimensionMismatch, NonBinary
 from diabrisk.feature_selection import rfe
 from diabrisk.gridsearch import CvConfig, grid_search
 from diabrisk.logistic import (
@@ -189,3 +191,40 @@ def test_feature_names_kept(entry):
 def test_as_matrix_neither_copies_nor_reorders(order):
     matrix = np.asarray(X, order=order)
     assert as_matrix(matrix) is matrix
+
+
+# entry points that take one count per row of X
+COUNTS_ENTRY_POINTS = {
+    "fit_tree": lambda counts: fit_tree(X, Y, counts=counts),
+    "fit_logreg": lambda counts: fit_logreg(X, Y, counts=counts),
+    "loss_and_gradient": lambda counts: loss_and_gradient(
+        np.zeros(2), 0.0, X, Y, LogRegParams(), counts=counts),
+}
+
+ONES = np.ones(N, dtype=np.int64)
+
+BAD_COUNTS = {
+    "short": (ONES[:30], DimensionMismatch, "one count per row"),
+    "column": (ONES.reshape(-1, 1), DimensionMismatch, "one count per row"),
+    "float": (ONES.astype(float), BadParams, "integers"),
+    "bool": (ONES.astype(bool), BadParams, "integers"),
+    "zero": (np.where(np.arange(N) == 5, 0, ONES), BadParams, "at least 1"),
+}
+
+
+@pytest.mark.parametrize("counts, error, match", BAD_COUNTS.values(),
+                         ids=BAD_COUNTS.keys())
+@pytest.mark.parametrize("entry", COUNTS_ENTRY_POINTS.values(),
+                         ids=COUNTS_ENTRY_POINTS.keys())
+def test_bad_counts_rejected(entry, counts, error, match):
+    with pytest.raises(error, match=match):
+        entry(counts)
+
+
+@pytest.mark.parametrize("counts", [ONES.tolist(), ONES.astype(np.int32),
+                                    np.arange(1, N + 1)],
+                         ids=["list", "int32", "int64"])
+@pytest.mark.parametrize("entry", COUNTS_ENTRY_POINTS.values(),
+                         ids=COUNTS_ENTRY_POINTS.keys())
+def test_integer_counts_accepted(entry, counts):
+    entry(counts)

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from diabrisk import logistic
+from diabrisk.dataset import count_tables
 from diabrisk.errors import DimensionMismatch, SingleClass
 from diabrisk.logistic import (
     LogRegParams,
@@ -367,6 +369,99 @@ class TestObjectiveAgreesWithOracle:
             (w * model.feature_means / model.feature_stds).sum())
         loss, _ = loss_and_gradient(w, b, Z, y, params)
         assert model.objective_path[-1] == pytest.approx(loss, rel=1e-12, abs=0)
+
+
+@pytest.fixture(scope="module")
+def counted_table():
+    """(X, y) on 20,000 health-style rows that hold 720 distinct (row, label)
+    pairs, and their count table."""
+    rng = np.random.default_rng(5)
+    n = 20000
+    X = np.column_stack([rng.integers(0, 2, size=(n, 3)),
+                         rng.integers(1, 6, size=n),
+                         rng.integers(1, 10, size=n)]).astype(float)
+    logits = X @ np.array([0.9, 0.7, -0.5, 0.3, 0.15]) - 2.0
+    y = (rng.random(n) < 1.0 / (1.0 + np.exp(-logits))).astype(int)
+    return X, y, count_tables(X, y)()
+
+
+class TestCountTables:
+    """A fit on a count table minimizes the objective of its rows repeated
+    as often as their counts say, and unit counts are no counts."""
+
+    @pytest.mark.parametrize("standardize", [True, False])
+    @pytest.mark.parametrize("optimizer", ["gradient", "coordinate"])
+    @pytest.mark.parametrize("penalty", ["none", "l1", "l2"])
+    def test_fit_equals_fit_on_repeated_rows(self, counted_table, optimizer,
+                                             penalty, standardize):
+        _, _, (X, y, counts) = counted_table
+        assert X.shape[0] == 720
+        params = LogRegParams(penalty=penalty, optimizer=optimizer,
+                              standardize=standardize, C=0.5)
+        table = fit_logreg(X, y, params, counts=counts)
+        rows = fit_logreg(np.repeat(X, counts, axis=0), np.repeat(y, counts),
+                          params)
+        assert table.objective_path[-1] == pytest.approx(
+            rows.objective_path[-1], rel=1e-12, abs=0)
+        np.testing.assert_allclose(table.weights, rows.weights,
+                                   rtol=0, atol=1e-9)
+        assert table.intercept == pytest.approx(rows.intercept, rel=0,
+                                                abs=1e-9)
+        np.testing.assert_allclose(table.feature_means, rows.feature_means,
+                                   rtol=1e-12)
+        np.testing.assert_allclose(table.feature_stds, rows.feature_stds,
+                                   rtol=1e-12)
+
+    @pytest.mark.parametrize("standardize", [True, False])
+    @pytest.mark.parametrize("optimizer", ["gradient", "coordinate"])
+    @pytest.mark.parametrize("penalty", ["none", "l1", "l2"])
+    def test_unit_counts_are_no_counts_bit_for_bit(self, optimizer, penalty,
+                                                   standardize):
+        rng = np.random.default_rng(15)
+        X, y = random_instance(rng, n=300, p=4)
+        X = X * [1.0, 3.0, 0.5, 10.0] + [0.0, 2.0, -1.0, 5.0]
+        params = LogRegParams(penalty=penalty, optimizer=optimizer,
+                              standardize=standardize)
+        bare = fit_logreg(X, y, params)
+        unit = fit_logreg(X, y, params, counts=np.ones(300, dtype=np.int32))
+        for name in ("weights", "feature_means", "feature_stds",
+                     "weights_standardized", "objective_path"):
+            assert getattr(unit, name).tobytes() == getattr(bare, name).tobytes()
+        assert unit.intercept.hex() == bare.intercept.hex()
+        assert (unit.n_iter, unit.converged) == (bare.n_iter, bare.converged)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("shape", [(1000, 6), (21370, 21), (300001, 3)])
+    def test_unit_count_moments_are_numpys(self, shape, order):
+        # standardization sums in the order of X.mean and X.std, so a fit
+        # without counts standardizes as numpy does
+        rng = np.random.default_rng(16)
+        X = rng.normal(3.0, 5.0, size=shape) * rng.integers(1, 50, size=shape[1])
+        X = np.asarray(X, order=order)
+        means, stds = logistic._moments(X, np.ones(shape[0]))
+        assert means.tobytes() == X.mean(axis=0).tobytes()
+        assert stds.tobytes() == X.std(axis=0).tobytes()
+
+    @pytest.mark.parametrize("penalty", ["none", "l1", "l2"])
+    def test_loss_and_gradient_of_repeated_rows(self, counted_table, penalty):
+        _, _, (X, y, counts) = counted_table
+        params = LogRegParams(penalty=penalty, C=0.5)
+        w, b = np.array([0.4, -0.3, 0.2, 0.1, -0.05]), -0.7
+        loss, grad = loss_and_gradient(w, b, X, y, params, counts=counts)
+        want_loss, want_grad = loss_and_gradient(
+            w, b, np.repeat(X, counts, axis=0), np.repeat(y, counts), params)
+        assert loss == pytest.approx(want_loss, rel=1e-12, abs=0)
+        np.testing.assert_allclose(grad, want_grad, rtol=1e-10)
+
+    def test_table_fit_of_rows_is_their_fit(self, counted_table):
+        # the table counts the rows in another order, so only rounding moves
+        X, y, (X_t, y_t, counts) = counted_table
+        params = LogRegParams(optimizer="coordinate")
+        table = fit_logreg(X_t, y_t, params, counts=counts)
+        rows = fit_logreg(X, y, params)
+        assert (table.n_iter, table.converged) == (rows.n_iter, rows.converged)
+        np.testing.assert_allclose(table.weights, rows.weights,
+                                   rtol=0, atol=1e-9)
 
 
 class TestPredict:
