@@ -16,6 +16,12 @@ file the line adds the largest absolute difference between numbers in the
 same place, and says when other cells or values differ too (text, keys, or
 a shape). The exit code is 1 if any file differs, else 0. ``perfbench/`` is
 read, never written.
+
+Every command runs in the script's temporary work directory. ``python -c``
+puts its working directory ahead of ``PYTHONPATH`` on ``sys.path``, so run
+from inside a ``src/`` directory both sides would import that directory's
+package. Before any command runs, the script checks that each side imports
+``diabrisk`` from under its own ``src``, and exits 1 if not.
 """
 from __future__ import annotations
 
@@ -32,6 +38,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SYNTH = ROOT / "perfbench" / "synth.py"
 SEED = "1"
 ENTRY = "import sys; from diabrisk.cli import main; sys.exit(main())"
+WHERE = "import diabrisk; print(diabrisk.__file__)"
 
 # command name -> (table scale, config file, CLI arguments)
 COMMANDS = {
@@ -63,11 +70,31 @@ def make_tables(work: Path) -> dict:
     return tables
 
 
+def side_env(src: Path) -> dict:
+    return dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
+                PYTHONUTF8="1", PYTHONDONTWRITEBYTECODE="1")
+
+
+def imports_own_src(src: Path, work: Path) -> bool:
+    """Whether a command run in ``work`` with ``src`` on ``PYTHONPATH``
+    imports ``diabrisk`` from under ``src``; says why not if it does not."""
+    proc = subprocess.run([sys.executable, "-c", WHERE], env=side_env(src),
+                          cwd=work, capture_output=True, text=True)
+    if proc.returncode != 0:
+        print(f"{src}: cannot import diabrisk\n{proc.stderr}")
+        return False
+    found = Path(proc.stdout.strip())
+    if not found.is_relative_to(src):
+        print(f"{src}: diabrisk imports from {found}, not from this src")
+        return False
+    return True
+
+
 def run_side(src: Path, tables: dict, out: Path, keep: Path) -> bool:
-    """Run every command with the sources at ``src``, writing under ``out``,
-    then move ``out`` to ``keep``. False if a command failed."""
-    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
-               PYTHONUTF8="1", PYTHONDONTWRITEBYTECODE="1")
+    """Run every command with the sources at ``src``, in the directory that
+    holds ``out``, writing under ``out``, then move ``out`` to ``keep``.
+    False if a command failed."""
+    env = side_env(src)
     configs = src.parent / "perfbench" / "configs"
     out.mkdir()  # so the move works even when every command fails
     ok = True
@@ -75,7 +102,8 @@ def run_side(src: Path, tables: dict, out: Path, keep: Path) -> bool:
         argv = [sys.executable, "-c", ENTRY, *args, "--data", str(tables[scale]),
                 "--config", str(configs / config), "--seed", SEED,
                 "--out", str(out / name)]
-        proc = subprocess.run(argv, env=env, stdout=subprocess.DEVNULL,
+        proc = subprocess.run(argv, env=env, cwd=out.parent,
+                              stdout=subprocess.DEVNULL,
                               stderr=subprocess.PIPE, text=True)
         if proc.returncode != 0:
             print(f"{src}: {name} exited {proc.returncode}\n{proc.stderr}")
@@ -160,6 +188,9 @@ def main(argv=None) -> int:
     old_src, new_src = (Path(a).resolve() for a in args)
     work = Path(tempfile.mkdtemp(prefix="same_artifacts_"))
     try:
+        if not all([imports_own_src(old_src, work),
+                    imports_own_src(new_src, work)]):
+            return 1
         tables = make_tables(work)
         ok = run_side(old_src, tables, work / "out", work / "old")
         ok = run_side(new_src, tables, work / "out", work / "new") and ok

@@ -76,8 +76,11 @@ def as_labels(y, name: str = "y", n_rows: int | None = None) -> np.ndarray:
 
 
 def as_counts(counts, n_rows: int) -> np.ndarray:
-    """A row-count argument as a 1-D int64 array: one integer >= 1 per row.
-    A zero count would still make its row's value a candidate cut."""
+    """A row-count argument as a 1-D int64 array: one integer >= 1 per row,
+    and a count of 1 for every row when ``counts`` is None. A zero count
+    would still make its row's value a candidate cut."""
+    if counts is None:
+        return np.ones(n_rows, dtype=np.int64)
     counts = np.asarray(counts)
     if counts.ndim != 1 or counts.shape[0] != n_rows:
         raise DimensionMismatch("counts must be a 1-D vector with one count per row")

@@ -72,7 +72,8 @@ def k_fold_indices(n: int, k: int, seed: int):
     """Shuffled partition into k validation folds; sizes differ by at most 1,
     earlier folds take the remainder."""
     if k > n or k < 1:
-        raise BadParams("need 1 <= k <= n")
+        raise BadParams(f"cannot split {n} rows into {k} folds: "
+                        "need 1 <= k <= n")
     return np.array_split(np.random.default_rng(seed).permutation(n), k)
 
 

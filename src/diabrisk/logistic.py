@@ -64,10 +64,14 @@ class LogRegParams:
             raise BadParams(f"penalty must be one of {PENALTIES}")
         if self.optimizer not in OPTIMIZERS:
             raise BadParams(f"optimizer must be one of {OPTIMIZERS}")
-        # written so that NaN fails: every comparison with NaN is False. An
-        # infinite tol would stop after one step and report it converged.
-        if not (self.C > 0 and 0 < self.tol < math.inf) or self.max_iter < 1:
-            raise BadParams("require C > 0, finite tol > 0, max_iter >= 1")
+        # written so that NaN fails: every comparison with NaN is False. A
+        # subnormal C has an infinite penalty weight 1/C, which turns the
+        # objective into NaN; C = inf is a weight of 0. An infinite tol would
+        # stop after one step and report it converged.
+        if (not (self.C > 0 and 1.0 / self.C < math.inf
+                 and 0 < self.tol < math.inf) or self.max_iter < 1):
+            raise BadParams(
+                "require C > 0, finite 1/C, finite tol > 0, max_iter >= 1")
 
 
 @dataclass(frozen=True)
@@ -80,20 +84,12 @@ class LogRegModel:
     feature_means: np.ndarray
     feature_stds: np.ndarray
     weights_standardized: np.ndarray
-    objective_path: np.ndarray = field(repr=False, default=None)
+    objective_path: np.ndarray = field(repr=False)
     feature_names: tuple = None
 
 
 def _as_signs(y, n_rows: int) -> np.ndarray:
     return 2.0 * as_labels(y, n_rows=n_rows) - 1.0
-
-
-def _as_weights(counts, n_rows: int) -> np.ndarray:
-    """Each row's count as a float: 1.0 for every row when ``counts`` is
-    None. The floats are exact, since counts stay far below 2**53."""
-    if counts is None:
-        return np.ones(n_rows)
-    return as_counts(counts, n_rows).astype(float)
 
 
 def _lambdas(params: LogRegParams):
@@ -132,7 +128,7 @@ def loss_and_gradient(weights, intercept, X, y, params: LogRegParams,
     w = np.asarray(weights, dtype=float)
     X = as_matrix(X, w.shape[0])
     s = _as_signs(y, X.shape[0])
-    c = _as_weights(counts, X.shape[0])
+    c = as_counts(counts, X.shape[0]).astype(float)
     lam_l1, lam_l2 = _lambdas(params)
     loss, grad = _smooth(np.append(w, intercept), _with_bias(X), s, c, lam_l2)
     grad[:-1] += lam_l1 * np.sign(w)
@@ -362,7 +358,8 @@ def fit_logreg(X, y, params: LogRegParams = LogRegParams(),
     if X.shape[0] < 2:
         raise DimensionMismatch("X must have at least 2 rows")
     s = _as_signs(y, X.shape[0])
-    c = _as_weights(counts, X.shape[0])
+    # each row's count as a float, exact since counts stay far below 2**53
+    c = as_counts(counts, X.shape[0]).astype(float)
     if len(np.unique(s)) < 2:
         raise SingleClass("both classes are required to fit")
 
@@ -435,36 +432,3 @@ def model_to_text(model: LogRegModel) -> str:
     if model.feature_names:
         lines.append("feature_names = " + ",".join(model.feature_names))
     return "\n".join(lines) + "\n"
-
-
-def model_from_text(text: str) -> LogRegModel:
-    fields = {}
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        key, _, value = line.partition("=")
-        fields[key.strip()] = value.strip()
-    if fields.get("model") != "logistic":
-        raise ValueError("not a logistic model file")
-    params = LogRegParams(
-        penalty=fields["penalty"],
-        C=float(fields["C"]),
-        optimizer=fields["optimizer"],
-        standardize=fields["standardize"] == "True",
-    )
-    weights = np.array([float(v) for v in fields["weights"].split(",")])
-    means = np.array([float(v) for v in fields["feature_means"].split(",")])
-    stds = np.array([float(v) for v in fields["feature_stds"].split(",")])
-    names = fields.get("feature_names")
-    return LogRegModel(
-        weights=weights,
-        intercept=float(fields["intercept"]),
-        converged=fields["converged"] == "True",
-        n_iter=int(fields["n_iter"]),
-        params=params,
-        feature_means=means,
-        feature_stds=stds,
-        weights_standardized=weights * stds,
-        objective_path=None,
-        feature_names=tuple(names.split(",")) if names else None,
-    )

@@ -115,8 +115,7 @@ def _threshold_counts(y_true, scores, counts=None):
     # sort as the lowest threshold
     s = as_matrix(np.reshape(scores, (-1, 1)), 1, "scores")[:, 0]
     t = as_labels(y_true, "y_true", n_rows=s.shape[0])
-    c = (np.ones(t.shape[0], np.int64) if counts is None
-         else as_counts(counts, t.shape[0]))
+    c = as_counts(counts, t.shape[0])
     n_pos = int((c * t).sum())
     n_neg = int(c.sum()) - n_pos
     if n_pos == 0 or n_neg == 0:

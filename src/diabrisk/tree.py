@@ -30,8 +30,8 @@ scikit-learn's ``Tree``): ``feature`` (-1 at a leaf), ``threshold``,
 ``left``, ``right``, ``n_samples``, ``n_pos``, ``impurity`` and
 ``decrease``. Nodes are stored in preorder: node 0 is the root, a split's
 left child is the node right after it, and its right child follows the
-left subtree. ``fit_tree`` and ``tree_from_text`` both build the arrays from
-a preorder list of node rows through ``_from_preorder``.
+left subtree. The grower builds the arrays from a preorder list of node
+rows through ``_from_preorder``.
 
 ``fit_forest`` fits its trees independently (Breiman 2001), in a pool of
 forked processes: one per CPU this process may run on
@@ -167,10 +167,7 @@ def fit_tree(X, y, params: TreeParams = TreeParams(), feature_names=None,
     X = as_matrix(X)
     labels = as_labels(y, n_rows=X.shape[0])
     feature_names = as_names(feature_names, X.shape[1])
-    if counts is not None:
-        counts = as_counts(counts, X.shape[0])
-    else:
-        counts = np.ones(X.shape[0], dtype=np.int64)
+    counts = as_counts(counts, X.shape[0])
     return _grow(np.ascontiguousarray(X.T), labels, counts, params,
                  feature_names, _rng, _max_features)
 
@@ -402,35 +399,3 @@ def tree_to_text(model: DecisionTreeModel) -> str:
             f"impurity={impurity[k]!r} n={n_samples[k]} decrease={decrease[k]!r}"
         )
     return "\n".join(lines) + "\n"
-
-
-def tree_from_text(text: str) -> DecisionTreeModel:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    head = dict(kv.split("=") for kv in lines[0].split()[1:])
-    feature_names = None
-    body_start = 1
-    if len(lines) > 1 and lines[1].startswith("features "):
-        feature_names = tuple(lines[1][len("features "):].split(","))
-        body_start = 2
-    params = TreeParams(
-        max_depth=None if head["max_depth"] == "None" else int(head["max_depth"]),
-        min_samples_split=int(head["min_samples_split"]),
-        min_samples_leaf=int(head["min_samples_leaf"]),
-    )
-
-    rows = []
-    for line in lines[body_start:]:
-        fields = dict(kv.split("=", 1) for kv in line.split() if "=" in kv)
-        if line.lstrip().startswith("leaf"):
-            rows.append(_leaf_row(int(fields["neg"]), int(fields["pos"])))
-        else:
-            rows.append((int(fields["feature"]), float(fields["threshold"]),
-                         int(fields["n"]), 0, float(fields["impurity"]),
-                         float(fields["decrease"])))
-    model = _from_preorder(rows, params, int(head["n_features"]), feature_names)
-    # a split line has no class counts: sum them up from its children, which
-    # follow it in preorder
-    n_pos = model.n_pos
-    for k in np.flatnonzero(model.feature >= 0)[::-1]:
-        n_pos[k] = n_pos[model.left[k]] + n_pos[model.right[k]]
-    return model

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import warnings
 
 import numpy as np
@@ -12,8 +13,6 @@ from diabrisk.cli import main
 from diabrisk.config import ExperimentConfig
 from diabrisk.dataset import CANONICAL_COLUMNS
 from diabrisk.errors import BadParams
-from diabrisk.logistic import model_from_text
-from diabrisk.tree import tree_from_text
 
 from conftest import synthetic_rows, write_rows
 
@@ -65,8 +64,14 @@ class TestTrain:
         assert after["0"] == after["1"]
         assert any("before the train/test split" in w
                    for w in report["warnings"])
-        model = model_from_text((out / "model.txt").read_text())
-        assert model.weights.shape == (6,)
+        # model.txt writes each float as its repr, which reads back exactly
+        fields = dict(line.split(" = ", 1) for line in
+                      (out / "model.txt").read_text().splitlines())
+        weights = [float(v) for v in fields["weights"].split(",")]
+        names = fields["feature_names"].split(",")
+        assert len(weights) == len(names) == 6
+        assert dict(zip(names, weights)) == report["model"]["weights"]
+        assert float(fields["intercept"]) == report["model"]["intercept"]
 
     def test_income_tree_end_to_end(self, synthetic_csv, tmp_path):
         out = tmp_path / "out"
@@ -75,8 +80,11 @@ class TestTrain:
         assert code == 0
         report = read_json(out / "report.json")
         assert report["model"]["type"] == "tree"
-        tree = tree_from_text((out / "tree.txt").read_text())
-        assert tree.feature_names == ("Income",)
+        text = (out / "tree.txt").read_text()
+        assert "features Income" in text.splitlines()
+        leaves = re.findall(r"leaf neg=(\d+) pos=(\d+)", text)
+        assert (sum(int(neg) + int(pos) for neg, pos in leaves)
+                == report["dataset"]["train_rows"])
         cm = report["metrics"]["confusion"]
         assert (cm["tn"] + cm["fp"] + cm["fn"] + cm["tp"]
                 == report["dataset"]["test_support"])
@@ -474,6 +482,15 @@ class TestExitCodes:
         assert err.startswith("data error: row 3: field larger than field limit")
         assert "Traceback" not in err
 
+    def test_too_many_folds_names_both_counts(self, synthetic_csv, tmp_path,
+                                              capsys):
+        conf = write_config(tmp_path, "cv.folds = 100000\n")
+        assert run_cli("train", "--experiment", "health", "--tuned",
+                       "--data", synthetic_csv, "--out", str(tmp_path / "out"),
+                       "--config", str(conf)) == 3
+        err = capsys.readouterr().err
+        assert re.match(r"error: cannot split \d+ rows into 100000 folds", err)
+
     def test_single_class_is_training_error(self, tmp_path):
         rows = synthetic_rows(50, seed=2, diabetes_rate=0.0)
         data = write_rows(tmp_path / "one.csv", rows)
@@ -517,6 +534,7 @@ class TestExitCodes:
         (("train", "--experiment", "health"), "health_features = BMI, BMI",
          "health_features"),
         (("train", "--experiment", "health"), "logreg.c = nan", "logreg.c"),
+        (("train", "--experiment", "health"), "logreg.c = 1e-320", "logreg.c"),
         (("train", "--experiment", "health"), "logreg.tol = nan", "logreg.tol"),
         (("features",), "lasso.lambda = nan", "lasso.lambda"),
         (("features",), "lasso.lambda = inf", "lasso.lambda"),
@@ -525,13 +543,15 @@ class TestExitCodes:
          "grid.logistic.c"),
         (("train", "--experiment", "health", "--tuned"), "grid.logistic.c =",
          "grid.logistic.c"),
+        (("train", "--experiment", "health", "--tuned"),
+         "grid.logistic.c = 1, 1e-320", "grid.logistic.c"),
         (("train", "--experiment", "income", "--tuned"), "grid.tree.max_depth = ,",
          "grid.tree.max_depth"),
     ], ids=["folds", "n_select_0", "n_select_22", "max_features", "lambda",
             "smote_seed", "seed_flag", "no_health_features",
-            "repeated_health_feature", "c_nan", "tol_nan", "lambda_nan",
-            "lambda_inf", "tol_inf",
-            "grid_c_nan", "grid_c_empty", "grid_depth_empty"])
+            "repeated_health_feature", "c_nan", "c_subnormal", "tol_nan",
+            "lambda_nan", "lambda_inf", "tol_inf",
+            "grid_c_nan", "grid_c_empty", "grid_c_subnormal", "grid_depth_empty"])
     def test_bad_setting_is_config_error(
         self, synthetic_csv, tmp_path, capsys, command, setting, key
     ):

@@ -1,3 +1,4 @@
+import math
 from dataclasses import asdict
 
 import numpy as np
@@ -108,6 +109,11 @@ class TestValidation:
             parse_config(overrides={"test_fraction": "0"})
         with pytest.raises(ConfigError):
             parse_config(overrides={"test_fraction": "1.0"})
+
+    def test_infinite_c_is_no_penalty(self):
+        # 1/C = 0 is finite, unlike the 1/C of a subnormal C
+        cfg = parse_config(overrides={"logreg.c": "inf"})
+        assert cfg.logreg.C == math.inf
 
     def test_bad_model_param_wrapped(self):
         with pytest.raises(ConfigError) as exc:

@@ -44,9 +44,9 @@ class TestKFoldIndices:
         assert any(not np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_bad_k(self):
-        with pytest.raises(BadParams):
+        with pytest.raises(BadParams, match="cannot split 3 rows into 5 folds"):
             k_fold_indices(3, 5, seed=0)
-        with pytest.raises(BadParams):
+        with pytest.raises(BadParams, match="cannot split 3 rows into 0 folds"):
             k_fold_indices(3, 0, seed=0)
 
 

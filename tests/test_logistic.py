@@ -11,8 +11,6 @@ from diabrisk.logistic import (
     fit_logreg,
     lasso_coefficients,
     loss_and_gradient,
-    model_from_text,
-    model_to_text,
     predict_label,
     predict_proba,
 )
@@ -552,17 +550,3 @@ class TestLasso:
     def test_rejects_nonpositive_lambda(self):
         with pytest.raises(ValueError):
             lasso_coefficients(np.ones((4, 1)), np.array([0, 1, 0, 1]), 0.0)
-
-
-class TestSerialization:
-    def test_round_trip_preserves_predictions(self):
-        rng = np.random.default_rng(13)
-        X, y = random_instance(rng, n=50, p=4)
-        model = fit_logreg(X, y, LogRegParams(penalty="l2", C=2.0),
-                           feature_names=["a", "b", "c", "d"])
-        restored = model_from_text(model_to_text(model))
-        assert np.array_equal(
-            predict_proba(restored, X), predict_proba(model, X)
-        )
-        assert restored.feature_names == ("a", "b", "c", "d")
-        assert restored.params.C == 2.0

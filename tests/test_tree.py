@@ -27,7 +27,6 @@ from diabrisk.tree import (
     gini_impurity,
     impurity_importance,
     predict_tree,
-    tree_from_text,
     tree_to_text,
     _from_preorder,
     _leaf_row,
@@ -295,21 +294,6 @@ class TestForest:
 
 
 class TestSerialization:
-    def test_round_trip_predicts_identically(self):
-        rng = np.random.default_rng(11)
-        X = rng.integers(0, 5, size=(120, 3)).astype(float)
-        y = rng.integers(0, 2, size=120)
-        model = fit_tree(X, y, TreeParams(max_depth=8),
-                         feature_names=["a", "b", "c"])
-        restored = tree_from_text(tree_to_text(model))
-        Xq = rng.integers(0, 5, size=(40, 3)).astype(float)
-        la, sa = predict_tree(model, Xq)
-        lb, sb = predict_tree(restored, Xq)
-        assert np.array_equal(la, lb)
-        assert np.array_equal(sa, sb)
-        assert restored.feature_names == ("a", "b", "c")
-        assert restored.params.max_depth == 8
-
     def test_round_trip_deeper_than_recursion_limit(self):
         # a chain: split i (node 2i) sends x <= i + 0.5 to a one-row leaf of
         # class i % 2 (node 2i + 1), the rest deeper; the last leaf holds one
@@ -333,14 +317,16 @@ class TestSerialization:
             decrease=np.zeros(ids.size),
             params=TreeParams(), n_features=1,
         )
-        text = tree_to_text(model)
-        restored = tree_from_text(text)
-        assert tree_to_text(restored) == text
+        lines = tree_to_text(model).splitlines()
+        assert len(lines) == 1 + ids.size  # the header, then one per node
+        assert lines[-1] == "  " * depth + "leaf neg=1 pos=1"
+        # x <= i + 0.5 first holds at split i = max(x, 0) while x < depth;
+        # the rest reach the last leaf, a tie that predicts class 1
         Xq = np.arange(-1.0, depth + 2.0).reshape(-1, 1)
-        la, sa = predict_tree(model, Xq)
-        lb, sb = predict_tree(restored, Xq)
-        assert np.array_equal(la, lb)
-        assert np.array_equal(sa, sb)
+        labels, scores = predict_tree(model, Xq)
+        want = np.append(np.maximum(Xq[:-2, 0], 0) % 2, [0.5, 0.5])
+        assert np.array_equal(scores, want)
+        assert np.array_equal(labels, (want >= 0.5).astype(int))
 
 
 class TestArrayOracles:
@@ -362,18 +348,6 @@ class TestArrayOracles:
         got = _tree_raw_importance(model)
         assert got.shape == want.shape
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)
-
-    @pytest.mark.parametrize("name", FITTED)
-    def test_text_round_trip_keeps_every_array(self, name):
-        model, _ = oracle_trees()[name]
-        restored = tree_from_text(tree_to_text(model))
-        for array in ARRAYS:
-            want, got = getattr(model, array), getattr(restored, array)
-            assert got.dtype == want.dtype, array
-            np.testing.assert_array_equal(got, want, err_msg=array)
-        assert restored.n_features == model.n_features
-        assert restored.feature_names == model.feature_names
-        assert restored.params == model.params
 
 
 class TestPinnedText:
