@@ -4,11 +4,15 @@
 
 OLD_SRC and NEW_SRC are ``src/`` directories of two checkouts. The script
 makes the seed-1 synthetic tables with this checkout's ``perfbench/synth.py``
-and runs the six benchmark commands, ``tune-only --experiment health`` and
-``train --experiment health --split-first`` with each side's sources and
-that side's ``perfbench/configs/*.cfg`` (next to its ``src/``), with
-``--seed 1`` and one BLAS thread. The last one covers the split-first SMOTE
-path of the health model and the ``splitfirst_`` file names. Both sides
+and runs the six benchmark commands, ``tune-only --experiment health``,
+``train --experiment health --split-first`` and an L1 ``train --experiment
+health``, with each side's sources, with ``--seed 1`` and one BLAS thread.
+Each command but the last reads that side's ``perfbench/configs/*.cfg``
+(next to its ``src/``). The split-first one covers the split-first SMOTE
+path of the health model and the ``splitfirst_`` file names. The L1 one
+covers the proximal Newton final fit on the training rows' count table in
+raw units; the script writes its config, ``WRITTEN_CONFIGS``, into its
+temporary work directory, and both sides read that one file. Both sides
 write under the same ``--out`` path, because ``report.json`` echoes it.
 Every file is then compared byte for byte, except ``created_unix_time`` in
 each ``*manifest.json``. Each file that differs is printed; for a CSV or JSON
@@ -40,7 +44,14 @@ SEED = "1"
 ENTRY = "import sys; from diabrisk.cli import main; sys.exit(main())"
 WHERE = "import diabrisk; print(diabrisk.__file__)"
 
-# command name -> (table scale, config file, CLI arguments)
+# config file name -> text, for configs written into the work directory
+WRITTEN_CONFIGS = {
+    "l1-raw.cfg": ("logreg.penalty = l1\nlogreg.optimizer = coordinate\n"
+                   "logreg.standardize = false\n"),
+}
+
+# command name -> (table scale, config file, CLI arguments); a config file
+# is one of WRITTEN_CONFIGS or else a side's perfbench/configs/ file
 COMMANDS = {
     "eda": (0.16, "survey.cfg", ("eda",)),
     "baseline": (0.16, "survey.cfg", ("baseline",)),
@@ -56,10 +67,16 @@ COMMANDS = {
     "train-health-split-first": (0.16, "survey.cfg",
                                  ("train", "--experiment", "health",
                                   "--split-first")),
+    "train-health-l1": (0.10, "l1-raw.cfg",
+                        ("train", "--experiment", "health")),
 }
 
 
-def make_tables(work: Path) -> dict:
+def make_inputs(work: Path) -> dict:
+    """Write ``WRITTEN_CONFIGS`` and the synthetic tables into ``work``; the
+    tables' paths by scale."""
+    for name, text in WRITTEN_CONFIGS.items():
+        (work / name).write_text(text)
     tables = {}
     for scale in sorted({scale for scale, _, _ in COMMANDS.values()}):
         path = work / f"table_{scale}.csv"
@@ -99,8 +116,9 @@ def run_side(src: Path, tables: dict, out: Path, keep: Path) -> bool:
     out.mkdir()  # so the move works even when every command fails
     ok = True
     for name, (scale, config, args) in COMMANDS.items():
+        config = (out.parent if config in WRITTEN_CONFIGS else configs) / config
         argv = [sys.executable, "-c", ENTRY, *args, "--data", str(tables[scale]),
-                "--config", str(configs / config), "--seed", SEED,
+                "--config", str(config), "--seed", SEED,
                 "--out", str(out / name)]
         proc = subprocess.run(argv, env=env, cwd=out.parent,
                               stdout=subprocess.DEVNULL,
@@ -191,7 +209,7 @@ def main(argv=None) -> int:
         if not all([imports_own_src(old_src, work),
                     imports_own_src(new_src, work)]):
             return 1
-        tables = make_tables(work)
+        tables = make_inputs(work)
         ok = run_side(old_src, tables, work / "out", work / "old")
         ok = run_side(new_src, tables, work / "out", work / "new") and ok
         diff = differing(work / "old", work / "new")

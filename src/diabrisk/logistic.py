@@ -10,8 +10,8 @@ with an integer count c_i >= 1, minimizes the objective of those rows
 repeated c_i times; without counts every c_i is 1. Two optimizers are
 provided:
 
-* ``gradient``   -- batch quasi-Newton (L-BFGS direction, Armijo line search);
-                    proximal gradient steps when the penalty is L1.
+* ``gradient``   -- batch quasi-Newton (L-BFGS direction, Armijo line search)
+                    for penalty none or L2; every L1 fit runs ``coordinate``.
 * ``coordinate`` -- proximal Newton: each outer step forms the quadratic model
                     of the objective from one p(1-p)-weighted Gram of the
                     rows, solves it by cyclic coordinate descent with
@@ -19,22 +19,23 @@ provided:
                     objective.
 
 One function, ``_smooth``, gives the data term plus the L2 penalty and its
-gradient; both optimizers, their one stop test and ``loss_and_gradient`` add
-the L1 term to it. The counts multiply only its per-row vectors and the
-``coordinate`` Hessian's row weights, and standardization uses the
-count-weighted means and standard deviations. A unit count multiplies by
-1.0, which changes no float, so a fit without counts gives the floats of the
-unweighted formulas (numpy's mean and std among them), bit for bit. The stop
-test, the gap test, holds when the max-norm of the objective's minimal-norm
-subgradient, divided by the total count sum_i c_i, is within ``10 * tol``.
-Both optimizers record the objective after every iteration and decrease it
-monotonically. ``gradient`` stops once no entry of (w, b) moves by
-more than ``tol``, and ``converged`` says whether the gap test then holds.
-``coordinate`` stops as soon as an outer step meets the gap test, and reports
-converged False when no step along its Newton direction lowers the objective.
-A fit that uses up ``max_iter`` reports False. Fitting happens on z-scored
-features by default; the returned model carries de-standardized weights
-applicable to raw feature units.
+gradient; the one stop test and ``loss_and_gradient`` add the L1 term to it.
+The counts multiply only its per-row vectors and the ``coordinate`` Hessian's
+row weights, and standardization uses the count-weighted means and standard
+deviations. A unit count multiplies by 1.0, which changes no float, so a fit
+without counts gives the floats of the unweighted formulas (numpy's mean and
+std among them), bit for bit. The stop test, the gap test, holds when the
+max-norm of the objective's minimal-norm subgradient, divided by the total
+count sum_i c_i, is within ``10 * tol``. Both optimizers record the
+objective after every iteration and decrease it monotonically.
+``gradient`` stops once no entry of (w, b) moves by more than ``tol`` and
+the gap test holds, or once its line search accepts no step, and
+``converged`` says whether the gap test then holds. ``coordinate`` stops as
+soon as an outer step meets the gap test, and reports converged False when
+no step along its Newton direction lowers the objective. A fit that uses up
+``max_iter`` reports False. Fitting happens on z-scored features by default;
+the returned model carries de-standardized weights applicable to raw feature
+units.
 """
 from __future__ import annotations
 
@@ -161,63 +162,47 @@ def _converged(theta, grad, lam_l1, n, tol) -> bool:
 
 
 def _fit_gradient(X, s, c, params: LogRegParams):
-    """L-BFGS with Armijo backtracking; ISTA proximal steps for L1. Each
-    search keeps the value and gradient of the candidate it accepts."""
+    """L-BFGS with Armijo backtracking, for penalty none or l2 (every L1 fit
+    runs ``_fit_coordinate``). Each search keeps the value and gradient of
+    the candidate it accepts."""
     p = X.shape[1]
+    total = float(c.sum())  # the gap test's row count
     X1 = _with_bias(X)
-    lam_l1, lam_l2 = _lambdas(params)
+    _, lam_l2 = _lambdas(params)
     theta = np.zeros(p + 1)
-    f, grad = _smooth(theta, X1, s, c, lam_l2)  # obj adds the L1 term to f
-    obj = f + lam_l1 * np.abs(theta[:p]).sum()
+    obj, grad = _smooth(theta, X1, s, c, lam_l2)
     path = [obj]
     history = []  # (delta_theta, delta_grad) pairs for the two-loop recursion
     memory = 10
-    step_l1 = 1.0  # adapted across iterations by the backtracking below
 
     converged = False
     it = 0
     for it in range(1, params.max_iter + 1):
-        if lam_l1:
-            # ISTA with backtracking on the majorization condition
-            step = step_l1 * 2.0
-            for _ in range(60):
-                new_theta = theta - step * grad
-                new_theta[:p] = np.sign(new_theta[:p]) * np.maximum(
-                    np.abs(new_theta[:p]) - step * lam_l1, 0.0)
-                d = new_theta - theta
-                new_f, new_grad = _smooth(new_theta, X1, s, c, lam_l2)
-                if new_f <= f + grad @ d + (0.5 / step) * (d @ d) + 1e-12:
-                    break
-                step *= 0.5
-            step_l1 = step
-        else:
-            direction = _lbfgs_direction(grad, history)
-            if direction @ grad >= 0:
-                direction = -grad
-            step = 1.0
-            new_theta, new_f, new_grad = theta, f, grad
-            for _ in range(60):
-                cand = theta + step * direction
-                cand_f, cand_grad = _smooth(cand, X1, s, c, lam_l2)
-                if cand_f <= obj + 1e-4 * step * (grad @ direction):
-                    new_theta, new_f, new_grad = cand, cand_f, cand_grad
-                    break
-                step *= 0.5
-            delta_t = new_theta - theta
-            delta_g = new_grad - grad
-            if delta_t @ delta_g > 1e-12:
-                history.append((delta_t, delta_g))
-                if len(history) > memory:
-                    history.pop(0)
-        new_obj = new_f + lam_l1 * np.abs(new_theta[:p]).sum()
-        max_change = float(np.max(np.abs(new_theta - theta)))
-        theta, f, grad = new_theta, new_f, new_grad
-        obj = min(new_obj, obj)  # guard float noise; line search is monotone
-        path.append(new_obj)
+        direction = _lbfgs_direction(grad, history)
+        if direction @ grad >= 0:
+            direction = -grad
+        step = 1.0
+        new_theta, new_obj, new_grad = theta, obj, grad
+        for _ in range(60):
+            cand = theta + step * direction
+            cand_obj, cand_grad = _smooth(cand, X1, s, c, lam_l2)
+            if cand_obj <= obj + 1e-4 * step * (grad @ direction):
+                new_theta, new_obj, new_grad = cand, cand_obj, cand_grad
+                break
+            step *= 0.5
+        delta_t = new_theta - theta
+        delta_g = new_grad - grad
+        if delta_t @ delta_g > 1e-12:
+            history.append((delta_t, delta_g))
+            if len(history) > memory:
+                history.pop(0)
+        max_change = float(np.max(np.abs(delta_t)))
+        theta, obj, grad = new_theta, new_obj, new_grad
+        path.append(obj)
         if max_change <= params.tol:
-            converged = _converged(theta, grad, lam_l1, float(c.sum()),
-                                   params.tol)
-            break
+            converged = _converged(theta, grad, 0.0, total, params.tol)
+            if converged or max_change == 0.0:
+                break
     return theta[:p], float(theta[p]), converged, it, np.array(path)
 
 
@@ -371,10 +356,10 @@ def fit_logreg(X, y, params: LogRegParams = LogRegParams(),
         stds = np.ones(X.shape[1])
     Z = (X - means) / stds
 
-    if params.optimizer == "gradient":
-        w_std, b_std, converged, n_iter, path = _fit_gradient(Z, s, c, params)
-    else:
-        w_std, b_std, converged, n_iter, path = _fit_coordinate(Z, s, c, params)
+    # L1 has one solver: proximal Newton, whatever ``optimizer`` says
+    fit = (_fit_gradient if params.optimizer == "gradient"
+           and params.penalty != "l1" else _fit_coordinate)
+    w_std, b_std, converged, n_iter, path = fit(Z, s, c, params)
 
     weights = w_std / stds
     intercept = b_std - float((w_std * means / stds).sum())

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import plots
 from .config import ExperimentConfig
-from .errors import BadParams, ConfigError, PipelineError
+from .errors import BadParams, ConfigError, PipelineError, SingleClass
 from .dataset import (
     INCOME_CODES,
     binarize_target,
@@ -313,6 +313,9 @@ def run_train(cfg: ExperimentConfig, experiment: str, tuned: bool,
     names, X_train, y_train, X_test, y_test, before, after = _experiment_data(
         cfg, experiment, balanced
     )
+    if len(np.unique(y_test)) < 2:  # checked before any fit: scoring needs both
+        raise SingleClass(f"the {len(y_test)}-row test split (test_fraction = "
+                          f"{cfg.test_fraction!r}) does not hold both classes")
     run = _experiment_run(cfg)
 
     warnings = []

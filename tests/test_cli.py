@@ -358,6 +358,22 @@ class TestWarnings:
         assert read_json(out / "report.json")["model"]["converged"] is False
         self.assert_warned(out, "logistic fit stopped after 1 iterations ")
 
+    def test_unstandardized_l1_fit_converges_without_warning(
+            self, synthetic_csv, tmp_path):
+        # every L1 fit runs proximal Newton, though the default optimizer is
+        # gradient
+        out = tmp_path / "out"
+        conf = write_config(tmp_path, "logreg.penalty = l1\n"
+                                      "logreg.standardize = false\n")
+        assert run_cli("train", "--experiment", "health", "--split-first",
+                       "--data", synthetic_csv, "--out", str(out),
+                       "--config", str(conf)) == 0
+        report = read_json(out / "splitfirst_report.json")
+        assert report["config"]["logreg"]["optimizer"] == "gradient"
+        assert report["model"]["converged"] is True
+        assert report["model"]["n_iter"] < 1000
+        assert report["warnings"] == []
+
 
 class TestReportSubcommand:
     @pytest.mark.parametrize("command", [
@@ -496,6 +512,17 @@ class TestExitCodes:
         data = write_rows(tmp_path / "one.csv", rows)
         assert run_cli("train", "--experiment", "health", "--data", data,
                        "--out", str(tmp_path / "out")) == 3
+
+    def test_single_class_test_split_names_split(self, synthetic_csv, tmp_path,
+                                                 capsys):
+        conf = write_config(tmp_path, "test_fraction = 0.001\n")
+        assert run_cli("train", "--experiment", "health",
+                       "--data", synthetic_csv, "--out", str(tmp_path / "out"),
+                       "--config", str(conf)) == 3
+        err = capsys.readouterr().err
+        assert err == ("training error: the 1-row test split (test_fraction "
+                       "= 0.001) does not hold both classes\n")
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_config_key_is_config_error(self, synthetic_csv, tmp_path):
         conf = write_config(tmp_path, "smotee.k = 5\n")

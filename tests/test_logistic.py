@@ -462,6 +462,57 @@ class TestCountTables:
                                    rtol=0, atol=1e-9)
 
 
+class TestOneL1Solver:
+    """Every L1 fit runs proximal Newton, whatever ``optimizer`` says."""
+
+    @pytest.mark.parametrize("standardize", [True, False])
+    def test_l1_gradient_is_coordinate_bit_for_bit(self, counted_table,
+                                                   standardize):
+        _, _, (X, y, counts) = counted_table
+        gradient, coordinate = [
+            fit_logreg(X, y, LogRegParams(penalty="l1", C=0.5,
+                                          optimizer=optimizer,
+                                          standardize=standardize),
+                       counts=counts)
+            for optimizer in ("gradient", "coordinate")]
+        for name in ("weights", "weights_standardized", "objective_path"):
+            assert (getattr(gradient, name).tobytes()
+                    == getattr(coordinate, name).tobytes())
+        assert gradient.intercept.hex() == coordinate.intercept.hex()
+        assert ((gradient.n_iter, gradient.converged)
+                == (coordinate.n_iter, coordinate.converged))
+        assert gradient.converged
+        assert gradient.params.optimizer == "gradient"
+
+
+class TestGradientStop:
+    def test_small_move_before_the_gap_test_holds_goes_on(self):
+        # at C = 1e-8 the first steps barely move the heavily penalized
+        # weights, long before the unpenalized intercept has settled
+        X, y = random_instance(np.random.default_rng(0), n=200, p=3,
+                               informative=False)
+        gradient, coordinate = [
+            fit_logreg(X, y, LogRegParams(C=1e-8, optimizer=optimizer))
+            for optimizer in ("gradient", "coordinate")]
+        assert gradient.converged and coordinate.converged
+        assert gradient.n_iter > 1
+        assert gradient.intercept == pytest.approx(coordinate.intercept,
+                                                   rel=0, abs=1e-6)
+
+    def test_search_that_accepts_no_step_ends_the_fit(self):
+        # at C = 1e-30 the penalty of every candidate, down to 2**-60 of the
+        # first step, outweighs its decrease of the data term; each later
+        # iteration would repeat the same failed search up to max_iter
+        X, y = random_instance(np.random.default_rng(0), n=200, p=3,
+                               informative=False)
+        params = LogRegParams(C=1e-30)
+        model = fit_logreg(X, y, params)
+        assert model.n_iter < params.max_iter
+        Z, w, b = _standardized(X, model)
+        assert model.converged == (_row_gap(w, b, Z, y, params)
+                                   <= 10 * params.tol)
+
+
 class TestPredict:
     def _zero_model(self, p=3):
         rng = np.random.default_rng(0)
