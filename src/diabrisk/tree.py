@@ -7,7 +7,7 @@ decrease. Ties resolve to the lowest feature index, then the lowest
 threshold, so repeated fits are identical. Rows with x[feature] <= threshold
 go left.
 
-The grower fits a count table: distinct rows, each with an integer count
+Both growers fit a count table: distinct rows, each with an integer count
 >= 1 (one each when ``fit_tree`` is given no counts). The split search reads
 only the rows and positives on each side of a cut, so the tree equals the
 fit on the rows repeated that many times, array for array and float for
@@ -15,23 +15,34 @@ float. Tree tuning (``grid_search``) fits and scores each fold's count
 table, and each forest tree grows on the count table of its bootstrap
 sample.
 
-The grower sorts each column once per tree (after SPRINT, Shafer, Agrawal &
-Mehta 1996). Every node holds its rows in each feature's sorted order, as a
-(features, rows) matrix of int32 row ids; a split partitions every row of
-that matrix stably, so the children's rows stay sorted. A node reads its
-candidate features' sorted values, cumulative positives and counts and
-evaluates the Gini decrease only at real cuts, where the sorted value
-changes. Nodes are grown depth first in preorder, so a forest tree draws its
-nodes' ``max_features`` candidates from its stream in the same order as a
-per-node search would.
+Both sort each column once per tree (after SPRINT, Shafer, Agrawal & Mehta
+1996). Every node holds its rows in each feature's sorted order as int32
+row ids; a split partitions every feature's list stably, so the children's
+rows stay sorted. A node reads its candidate features' sorted values,
+cumulative positives and counts and evaluates the Gini decrease only at
+real cuts, where the sorted value changes.
+
+Which grower grows a tree follows from whether its nodes draw candidates:
+- ``fit_tree`` (the income tree and tuning) searches every feature and
+  grows depth first in preorder (``_grow``): a few numpy calls a node, the
+  least on the small count tables tuning fits by the hundred.
+- A forest tree chooses each split among ``max_features`` drawn features
+  and grows a level at a time (``_grow_levels``): every depth's draws,
+  searches and partition take a fixed number of numpy calls, whatever the
+  number of nodes, which pays on the thousands of nodes of an unbounded
+  tree. A level's nodes draw from the tree's stream together, in level
+  order (the left children of the level above, then its right children).
+With every feature as candidates, the two grow the same tree, array for
+array.
 
 A fitted tree is a set of parallel arrays indexed by node id (the layout of
 scikit-learn's ``Tree``): ``feature`` (-1 at a leaf), ``threshold``,
 ``left``, ``right``, ``n_samples``, ``n_pos``, ``impurity`` and
 ``decrease``. Nodes are stored in preorder: node 0 is the root, a split's
 left child is the node right after it, and its right child follows the
-left subtree. The grower builds the arrays from a preorder list of node
-rows through ``_from_preorder``.
+left subtree. ``_grow`` builds the arrays from a preorder list of node rows
+(``_from_preorder``); ``_grow_levels`` renumbers its levels into preorder
+(``_from_levels``).
 
 ``fit_forest`` fits its trees independently (Breiman 2001), in a pool of
 forked processes: one per CPU this process may run on
@@ -106,19 +117,18 @@ def gini_impurity(class_counts) -> float:
     return 1.0 - (f0 * f0 + f1 * f1)
 
 
-def _best_split(Xt, pos, counts, features, sub, min_leaf, n, n_pos):
+def _best_split(Xt, pos, counts, ids, min_leaf, n, n_pos):
     """Best split of a node, or None when no valid split exists:
     ``(feature, threshold, decrease, parent impurity, left rows, left
-    count, left positives)``. ``features`` is a column of candidate feature
-    indices, ascending, and ``sub`` the node's row ids in each candidate's
-    sorted order. ``counts`` holds each row's count and ``pos`` its
-    positives (its label times its count); ``n`` and ``n_pos`` are the
+    count, left positives)``. ``ids`` holds the node's row ids in each
+    feature's sorted order. ``counts`` holds each row's count and ``pos``
+    its positives (its label times its count); ``n`` and ``n_pos`` are the
     node's sums of them. The decrease is evaluated only at real cuts, where
     the sorted value changes, with the arithmetic of a per-feature scan."""
     parent = gini_impurity((n - n_pos, n_pos))
-    xs = Xt[features, sub]
-    cum_pos = pos[sub].cumsum(axis=1)
-    cum_n = counts[sub].cumsum(axis=1)
+    xs = Xt[np.arange(ids.shape[0])[:, None], ids]
+    cum_pos = pos[ids].cumsum(axis=1)
+    cum_n = counts[ids].cumsum(axis=1)
     cut = xs[:, :-1] != xs[:, 1:]
     if min_leaf > 1:
         below = cum_n[:, :-1]
@@ -136,7 +146,7 @@ def _best_split(Xt, pos, counts, features, sub, min_leaf, n, n_pos):
     # each feature's cuts are one run of decrease; the runs are scanned in
     # feature order: a later feature must beat the best so far by the
     # margin, and within the chosen one the first max (lowest threshold) wins
-    bounds = at_f.searchsorted(np.arange(features.shape[0] + 1)).tolist()
+    bounds = at_f.searchsorted(np.arange(ids.shape[0] + 1)).tolist()
     runs = [(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
     tops = np.maximum.reduceat(decrease, [a for a, _ in runs]).tolist()
     best = None
@@ -155,12 +165,12 @@ def _best_split(Xt, pos, counts, features, sub, min_leaf, n, n_pos):
         # the midpoint of two adjacent floats can round up to the upper one,
         # which would send the whole node left
         threshold = lower
-    return (features[f, 0], threshold, best_decrease, parent, c + 1,
+    return (f, threshold, best_decrease, parent, c + 1,
             int(cum_n[f, c]), int(cum_pos[f, c]))
 
 
 def fit_tree(X, y, params: TreeParams = TreeParams(), feature_names=None,
-             counts=None, _rng=None, _max_features=None) -> DecisionTreeModel:
+             counts=None) -> DecisionTreeModel:
     """Grow a CART tree. Degenerate inputs yield a single leaf. ``counts``
     (one integer >= 1 per row, default 1) fits a count table: the tree is
     the one grown on the rows repeated that many times."""
@@ -168,31 +178,33 @@ def fit_tree(X, y, params: TreeParams = TreeParams(), feature_names=None,
     labels = as_labels(y, n_rows=X.shape[0])
     feature_names = as_names(feature_names, X.shape[1])
     counts = as_counts(counts, X.shape[0])
-    return _grow(np.ascontiguousarray(X.T), labels, counts, params,
-                 feature_names, _rng, _max_features)
+    return _grow(np.ascontiguousarray(X.T), labels, counts, params, feature_names)
 
 
-def _grow(Xt, labels, counts, params, feature_names=None, rng=None,
-          max_features=None) -> DecisionTreeModel:
-    """The tree of ``fit_tree`` on the transposed matrix ``Xt`` (one row per
-    feature) and the rows' ``counts``, grown depth first in preorder."""
+def _sorted_ids(Xt):
+    """Each feature's row ids in its sorted order, ties by row id, as a
+    (features, rows) int32 matrix."""
     p, n_rows = Xt.shape
-    pos = counts * labels
-    n_total = int(counts.sum())
-    draw = max_features is not None and max_features < p
-
-    # each feature's row ids in its sorted order, ties by row id; a node keeps
-    # the (p, rows) slice of these lists that holds its own rows
     ids = np.empty((p, n_rows), dtype=np.int32)
     for j in range(p):
         ids[j] = np.argsort(Xt[j], kind="stable")
-    every = np.arange(p)[:, None]
-    goes_left = np.zeros(n_rows, dtype=bool)
+    return ids
+
+
+def _grow(Xt, labels, counts, params, feature_names=None) -> DecisionTreeModel:
+    """The tree of ``fit_tree`` on the transposed matrix ``Xt`` (one row per
+    feature) and the rows' ``counts``, grown depth first in preorder."""
+    p = Xt.shape[0]
+    pos = counts * labels
+    n_total = int(counts.sum())
+
+    # a node keeps the (p, rows) slice of the sorted lists that holds its rows
+    ids = _sorted_ids(Xt)
+    goes_left = np.zeros(Xt.shape[1], dtype=bool)
 
     rows = []
     # stack of (sorted row ids, rows counted, positives, depth); processed
-    # LIFO with left pushed last, so nodes are appended (and any features
-    # drawn) in preorder
+    # LIFO with left pushed last, so nodes are appended in preorder
     stack = [(ids, n_total, int(pos.sum()), 0)]
     while stack:
         ids, size, n_pos, depth = stack.pop()
@@ -200,12 +212,7 @@ def _grow(Xt, labels, counts, params, feature_names=None, rng=None,
         pure = n_pos == 0 or n_pos == size
         depth_capped = params.max_depth is not None and depth >= params.max_depth
         if not (pure or depth_capped or size < params.min_samples_split):
-            if draw:
-                features = np.sort(rng.choice(p, size=max_features, replace=False))
-                features, sub = features[:, None], ids[features]
-            else:
-                features, sub = every, ids
-            found = _best_split(Xt, pos, counts, features, sub,
+            found = _best_split(Xt, pos, counts, ids,
                                 params.min_samples_leaf, size, n_pos)
         if found is None:
             rows.append(_leaf_row(size - n_pos, n_pos))
@@ -250,6 +257,199 @@ def _from_preorder(rows, params, n_features, feature_names) -> DecisionTreeModel
         params=params, n_features=n_features,
         feature_names=tuple(feature_names) if feature_names else None,
     )
+
+
+def _grow_levels(Xt, labels, counts, params, rng, max_features) -> DecisionTreeModel:
+    """The tree of ``_grow`` on ``Xt`` and ``counts``, except that each split
+    is chosen among ``max_features`` features drawn from ``rng``, grown a
+    level at a time. The nodes of a level hold contiguous segments of every
+    feature's sorted list, in level order: the left children of the level
+    above, then its right children. Each level draws the candidates of all
+    its searched nodes at once, in level order: the ascending first
+    ``max_features`` of each row of the argsort of ``rng.random``. Then one
+    pass searches them (``_level_splits``), partitions every feature's list
+    into [left children | right children] and drops the rows of the nodes
+    that became leaves. With ``max_features = p`` nothing is drawn, and the
+    tree is ``_grow``'s, array for array."""
+    p = Xt.shape[0]
+    pos = counts * labels
+    n_total = int(counts.sum())
+    ids = _sorted_ids(Xt)
+    side = np.empty(Xt.shape[1], dtype=np.int8)  # 0 left, 1 right, 2 dropped
+    # the level's nodes: first column in ids, distinct rows, counted rows and
+    # positives
+    start = np.zeros(1, dtype=np.int64)
+    width = np.array([Xt.shape[1]])
+    size = np.array([n_total])
+    n_pos = np.array([int(pos.sum())])
+    levels = []
+    while True:
+        f0 = (size - n_pos) / size
+        f1 = n_pos / size
+        impurity = 1.0 - (f0 * f0 + f1 * f1)
+        searched = np.flatnonzero((n_pos > 0) & (n_pos < size)
+                                  & (size >= params.min_samples_split))
+        if params.max_depth is not None and len(levels) >= params.max_depth:
+            searched = searched[:0]
+        if max_features < p:
+            candidates = np.sort(np.argsort(rng.random((searched.size, p)), axis=1)
+                                 [:, :max_features], axis=1)
+        else:
+            candidates = np.broadcast_to(np.arange(p), (searched.size, p))
+        splits = _level_splits(
+            Xt, pos, counts, ids, start[searched], width[searched],
+            size[searched], n_pos[searched], impurity[searched], candidates,
+            params.min_samples_leaf)
+        found = splits[0] >= 0
+        split = searched[found]
+        j, cut, best, m_left, n_left, pos_left = (a[found] for a in splits)
+        feature = np.full(size.size, -1)
+        feature[split] = j
+        threshold = np.full(size.size, np.nan)
+        threshold[split] = cut
+        decrease = np.zeros(size.size)
+        decrease[split] = (size[split] / n_total) * best
+        levels.append((feature, threshold, size, n_pos, impurity, decrease, split))
+        if split.size == 0:
+            return _from_levels(levels, params, p)
+
+        side[ids[0]] = np.repeat(np.where(feature >= 0, 1, 2).astype(np.int8), width)
+        side[ids[np.repeat(j, m_left), _ranges(start[split], m_left)]] = 0
+        width = np.concatenate((m_left, width[split] - m_left))
+        ids = _partition(ids, side, int(m_left.sum()), int(width.sum()))
+        start = np.cumsum(width) - width
+        size = np.concatenate((n_left, size[split] - n_left))
+        n_pos = np.concatenate((pos_left, n_pos[split] - pos_left))
+
+
+def _partition(ids, side, n_left, n_kept):
+    """Every feature's list of ``ids``, stably partitioned into its
+    ``n_left`` rows of side 0, then its rows of side 1, ``n_kept`` rows in
+    all; rows of side 2 are dropped. It goes one feature at a time, so that
+    it holds no temporary of the matrix's size. Take and compress on each
+    list run about three times faster than fancy and boolean indexing of the
+    matrix (1.7-2.1 against 6.2 ms on 21 lists of 13,500 rows)."""
+    parted = np.empty((ids.shape[0], n_kept), dtype=ids.dtype)
+    for row, out in zip(ids, parted):
+        key = side.take(row)
+        np.compress(key == 0, row, out=out[:n_left])
+        np.compress(key == 1, row, out=out[n_left:])
+    return parted
+
+
+def _ranges(starts, lengths):
+    """``starts[k] + arange(lengths[k])`` for every k, concatenated."""
+    first = np.cumsum(lengths) - lengths
+    return np.arange(int(lengths.sum())) + np.repeat(starts - first, lengths)
+
+
+def _level_splits(Xt, pos, counts, ids, start, width, size, n_pos, parent,
+                  candidates, min_leaf):
+    """``_best_split`` of each of K nodes of a level, over the node's row of
+    ``candidates`` (ascending feature indices): ``(feature, threshold,
+    decrease, left rows, left count, left positives)``, with feature -1 where
+    a node has no valid split. Node k holds columns ``start[k]:start[k] +
+    width[k]`` of ``ids``, ``size[k]`` counted rows, ``n_pos[k]`` positives
+    and impurity ``parent[k]``. Each candidate slot is one pass over the
+    nodes' rows in that slot's features, evaluating the decrease only at
+    real cuts, with ``_best_split``'s arithmetic and tie rule."""
+    K = width.size
+    feature = np.full(K, -1)
+    best = np.full(K, -1.0)
+    lower = np.zeros(K)
+    upper = np.zeros(K)
+    m_left = np.zeros(K, dtype=np.int64)
+    n_left = np.zeros(K, dtype=np.int64)
+    pos_left = np.zeros(K, dtype=np.int64)
+    first = np.cumsum(width) - width  # each node's first position in a pass
+    node = np.repeat(np.arange(K), width)
+    column = _ranges(start, width)
+    inside = node[:-1] == node[1:]  # a cut lies inside one node
+    for slot in range(candidates.shape[1]):
+        f = np.repeat(candidates[:, slot], width)
+        rid = ids.take(f * ids.shape[1] + column)
+        xs = Xt.take(f * Xt.shape[1] + rid)
+        n_at = counts.take(rid)
+        pos_at = pos.take(rid)
+        cum_n = n_at.cumsum()
+        cum_pos = pos_at.cumsum()
+        # the running sums before each node's first row
+        n_before = cum_n[first] - n_at[first]
+        pos_before = cum_pos[first] - pos_at[first]
+        cut = inside & (xs[:-1] != xs[1:])
+        if min_leaf > 1:
+            below = cum_n[:-1] - np.repeat(n_before, width)[:-1]
+            cut &= (below >= min_leaf) & (below <= size[node[:-1]] - min_leaf)
+        at = np.flatnonzero(cut)
+        if at.size == 0:
+            continue
+        k = node[at]
+        n = size[k]
+        nl = cum_n[at] - n_before[k]
+        nr = n - nl
+        pl = cum_pos[at] - pos_before[k]
+        pr = n_pos[k] - pl
+        gini_left = 1.0 - ((pl / nl) ** 2 + ((nl - pl) / nl) ** 2)
+        gini_right = 1.0 - ((pr / nr) ** 2 + ((nr - pr) / nr) ** 2)
+        decrease = parent[k] - (nl * gini_left + nr * gini_right) / n
+        # each node's cuts are one run; its first max wins within the slot
+        new = np.empty(at.size, dtype=bool)
+        new[0] = True
+        np.not_equal(k[1:], k[:-1], out=new[1:])
+        runs = np.flatnonzero(new)
+        top = np.maximum.reduceat(decrease, runs)
+        tops = np.flatnonzero(decrease == top[new.cumsum() - 1])
+        i = tops[tops.searchsorted(runs)]
+        # slots run in feature order: a later feature must beat the best so
+        # far by the margin
+        nodes = k[runs]
+        wins = top > best[nodes] + 1e-15
+        won, i = nodes[wins], i[wins]
+        c = at[i]
+        feature[won] = candidates[won, slot]
+        best[won] = top[wins]
+        lower[won] = xs[c]
+        upper[won] = xs[c + 1]
+        m_left[won] = c - first[won] + 1
+        n_left[won] = nl[i]
+        pos_left[won] = pl[i]
+    threshold = (lower + upper) / 2.0
+    # the midpoint of two adjacent floats can round up to the upper one,
+    # which would send the whole node left
+    threshold = np.where(threshold < upper, threshold, lower)
+    return feature, threshold, best, m_left, n_left, pos_left
+
+
+def _from_levels(levels, params, n_features) -> DecisionTreeModel:
+    """Model from per-level node arrays ``(feature, threshold, n_samples,
+    n_pos, impurity, decrease, split)``, renumbered into preorder. ``split``
+    lists a level's split nodes in order: the left child of the i-th is node
+    i of the next level, its right child node ``len(split) + i``."""
+    subtree = [None] * len(levels)  # each node's number of nodes under it
+    for d in reversed(range(len(levels))):
+        *_, split = levels[d]
+        subtree[d] = np.ones(levels[d][0].size, dtype=np.int64)
+        if split.size:
+            below = subtree[d + 1]
+            subtree[d][split] += below[:split.size] + below[split.size:]
+    n_nodes = int(subtree[0][0])
+    columns = [np.empty(n_nodes, dtype=a.dtype) for a in levels[0][:-1]]
+    left = np.full(n_nodes, -1)
+    right = np.full(n_nodes, -1)
+    at = np.zeros(1, dtype=np.int64)  # the preorder ids of a level's nodes
+    for d, (*arrays, split) in enumerate(levels):
+        for column, values in zip(columns, arrays):
+            column[at] = values
+        if split.size:
+            parents = at[split]
+            left[parents] = parents + 1
+            right[parents] = parents + 1 + subtree[d + 1][:split.size]
+            at = np.concatenate((left[parents], right[parents]))
+    feature, threshold, n_samples, n_pos, impurity, decrease = columns
+    return DecisionTreeModel(
+        feature=feature, threshold=threshold, left=left, right=right,
+        n_samples=n_samples, n_pos=n_pos, impurity=impurity, decrease=decrease,
+        params=params, n_features=n_features)
 
 
 def predict_tree(model: DecisionTreeModel, X):
@@ -338,18 +538,20 @@ def _start_forest_worker(parent, forest):
 
 def _fit_forest_tree(t, forest=None):
     """Tree ``t`` of a forest (in a pool worker, of the worker's forest). Its
-    stream ``default_rng([seed, t])`` draws the bootstrap rows and then each
-    node's candidate features in preorder, so the tree does not depend on
-    the process or the order it is fitted in. The tree grows on the
-    bootstrap's count table: each drawn row once, with its number of draws."""
+    stream ``default_rng([seed, t])`` draws the bootstrap rows and then, a
+    level at a time, the candidate features of the level's nodes, so the
+    tree does not depend on the process or the order it is fitted in. The
+    tree grows on the bootstrap's count table (each drawn row once, with its
+    number of draws) by the level-wise grower, which takes its deep levels
+    of many small nodes in a few numpy calls each."""
     X, labels, seed, max_features = _worker_forest if forest is None else forest
     rng = np.random.default_rng([seed, t])
     n = X.shape[0]
     counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
     held = np.flatnonzero(counts)
     # the drawn rows go straight into the grower's transposed layout
-    return _grow(np.take(X.T, held, axis=1), labels[held], counts[held],
-                 TreeParams(), rng=rng, max_features=max_features)
+    return _grow_levels(np.take(X.T, held, axis=1), labels[held], counts[held],
+                        TreeParams(), rng, max_features)
 
 
 def _tree_raw_importance(tree: DecisionTreeModel) -> np.ndarray:

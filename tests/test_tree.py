@@ -358,8 +358,8 @@ class TestPinnedText:
     PINNED = {
         "unbounded": "1b19f62a6f5312806ddb9a03d48c49f8e0f18d3e665b31403e6dbc6d96412d49",
         "bounded": "ab9a176100e6781679124506400850ecb712b864769d9fd2666f70816c53ed02",
-        "forest0": "a14d3bc81e2c7440f24607310d66ee8a066cc1e734ad583b006b7e48fa96fd2d",
-        "forest1": "49148faee034c4c7978a207f17d0b7b4458591e3bb526a8e27c8aa1856b0c626",
+        "forest0": "8784e1fa1541b5887d37f7251a178d9c11822324b580b8f35d6b6a30d6244376",
+        "forest1": "3b41ef5ba83ace1b53cb2d9d1027347e9ebe219c5d814591ba6d953c7934d3f3",
     }
 
     @staticmethod
@@ -450,10 +450,26 @@ class TestCountTable:
     @pytest.mark.parametrize("seed", range(4))
     def test_max_features_draws_unchanged(self, seed):
         X, y, Xd, yd, counts = duplicated_rows(seed, n_cols=3)
-        got = fit_tree(Xd, yd, counts=counts,
-                       _rng=np.random.default_rng([seed, 9]), _max_features=1)
-        want = fit_tree(X, y, _rng=np.random.default_rng([seed, 9]),
-                        _max_features=1)
+        got = grow_levels(Xd, yd, counts=counts,
+                          rng=np.random.default_rng([seed, 9]), max_features=1)
+        want = grow_levels(X, y, rng=np.random.default_rng([seed, 9]),
+                           max_features=1)
+        self.assert_same_tree(got, want)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bootstrap_counts_equal_gathered_rows(self, seed):
+        # a bootstrap's count table holds equal rows under different row
+        # ids; under draws it grows the tree of its gathered rows
+        X, y = tied_table(300 + seed)
+        n = len(y)
+        X = np.column_stack([X, np.random.default_rng(seed).normal(size=(n, 3)).round(1)])
+        sample = np.random.default_rng(seed).integers(0, n, size=n)
+        counts = np.bincount(sample, minlength=n)
+        held = np.flatnonzero(counts)
+        got = grow_levels(X[held], y[held], counts=counts[held],
+                          rng=np.random.default_rng([seed, 2]), max_features=2)
+        want = grow_levels(X[sample], y[sample],
+                           rng=np.random.default_rng([seed, 2]), max_features=2)
         self.assert_same_tree(got, want)
 
     def test_unit_counts_equal_no_counts(self):
@@ -573,6 +589,74 @@ def reference_forest(X, y, params):
     return trees
 
 
+def grow_levels(X, y, params=TreeParams(), counts=None, rng=None, max_features=None):
+    """The forest trees' level-wise grower on a table, each node choosing
+    among ``max_features`` features drawn from ``rng``; with
+    ``max_features`` None, among every feature, with no draws."""
+    X = as_matrix(X)
+    p = X.shape[1]
+    return tree._grow_levels(
+        np.ascontiguousarray(X.T), as_labels(y, n_rows=X.shape[0]),
+        as_counts(counts, X.shape[0]), params, rng,
+        p if max_features is None else max_features)
+
+
+# A frozen per-node reference of the level-wise grower's draws: nodes are
+# searched one by one with reference_best_split, a level at a time, in level
+# order (the left children of the level above, then its right children).
+# Each level draws its searched nodes' candidates at once: the ascending
+# first max_features of each row of the argsort of rng.random.
+
+def reference_level_tree(X, y, rng, max_features):
+    X = as_matrix(X)
+    labels = as_labels(y, n_rows=X.shape[0])
+    n_total, p = X.shape
+    root = {}
+    level = [(np.arange(n_total), root)]
+    while level:
+        # a forest tree's default params search every impure node
+        searched = [0 < labels[idx].sum() < idx.size for idx, _ in level]
+        draws = iter(np.sort(np.argsort(rng.random((sum(searched), p)), axis=1)
+                             [:, :max_features], axis=1))
+        lefts, rights = [], []
+        for (idx, node), search in zip(level, searched):
+            size, n_pos = idx.size, int(labels[idx].sum())
+            found = None
+            if search:
+                found = reference_best_split(X[idx], labels[idx], None, next(draws), 1)
+            if found is None:
+                node["row"] = _leaf_row(size - n_pos, n_pos)
+                continue
+            j, threshold, decrease, impurity = found
+            node["row"] = (j, threshold, size, n_pos, impurity,
+                           (size / n_total) * decrease)
+            node["children"] = ({}, {})
+            goes_left = X[idx, j] <= threshold
+            lefts.append((idx[goes_left], node["children"][0]))
+            rights.append((idx[~goes_left], node["children"][1]))
+        level = lefts + rights
+    rows = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        rows.append(node["row"])
+        stack.extend(reversed(node.get("children", ())))
+    return _from_preorder(rows, TreeParams(), p, None)
+
+
+def reference_level_forest(X, y, params):
+    """Tree t is grown on the bootstrap rows that ``default_rng([seed, t])``
+    draws, and draws its candidates from it a level at a time."""
+    p = X.shape[1]
+    max_features = min(params.max_features or math.ceil(math.sqrt(p)), p)
+    trees = []
+    for t in range(params.n_trees):
+        rng = np.random.default_rng([params.seed, t])
+        sample = rng.integers(0, X.shape[0], size=X.shape[0])
+        trees.append(reference_level_tree(X[sample], y[sample], rng, max_features))
+    return trees
+
+
 def assert_same_tree(got, want):
     TestCountTable.assert_same_tree(got, want)
     assert got.n_features == want.n_features
@@ -619,7 +703,9 @@ class TestPresortedOracle:
         params = TreeParams(min_samples_leaf=1 + seed % 4,
                             max_depth=None if seed % 3 else 4)
         for args in [(), (params,)]:
-            assert_same_tree(fit_tree(X, y, *args), reference_fit_tree(X, y, *args))
+            want = reference_fit_tree(X, y, *args)
+            assert_same_tree(fit_tree(X, y, *args), want)
+            assert_same_tree(grow_levels(X, y, *args), want)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_tied_count_tables(self, seed):
@@ -627,8 +713,9 @@ class TestPresortedOracle:
         table, counts = np.unique(np.column_stack([X, y]), axis=0, return_counts=True)
         Xd, yd = table[:, :-1], table[:, -1].astype(int)
         params = TreeParams(min_samples_leaf=1 + seed % 5)
-        assert_same_tree(fit_tree(Xd, yd, params, counts=counts),
-                         reference_fit_tree(Xd, yd, params, counts=counts))
+        want = reference_fit_tree(Xd, yd, params, counts=counts)
+        assert_same_tree(fit_tree(Xd, yd, params, counts=counts), want)
+        assert_same_tree(grow_levels(Xd, yd, params, counts=counts), want)
 
     @pytest.mark.parametrize("n", [2, 17, 300, 3000])
     def test_income_tables(self, n):
@@ -636,8 +723,10 @@ class TestPresortedOracle:
         for params in [TreeParams(), TreeParams(max_depth=3, min_samples_leaf=20)]:
             assert_same_tree(fit_tree(X, y, params, feature_names=["Income"]),
                              reference_fit_tree(X, y, params, feature_names=["Income"]))
-            assert_same_tree(fit_tree(Xd, yd, params, counts=counts),
-                             reference_fit_tree(Xd, yd, params, counts=counts))
+            want = reference_fit_tree(Xd, yd, params, counts=counts)
+            assert_same_tree(fit_tree(Xd, yd, params, counts=counts), want)
+            assert_same_tree(grow_levels(Xd, yd, params, counts=counts), want)
+            assert_same_tree(grow_levels(X, y, params), reference_fit_tree(X, y, params))
 
     @pytest.mark.parametrize("params", GRID_CELLS, ids=[
         f"d{c.max_depth}-s{c.min_samples_split}-l{c.min_samples_leaf}"
@@ -648,23 +737,26 @@ class TestPresortedOracle:
         Xw = np.column_stack([rng.integers(12, 60, size=600),
                               rng.normal(size=600).round(1)]).astype(float)
         yw = (Xw[:, 0] / 10 + Xw[:, 1] + rng.logistic(size=600) > 4).astype(int)
-        assert_same_tree(fit_tree(Xd, yd, params, counts=counts),
-                         reference_fit_tree(Xd, yd, params, counts=counts))
-        assert_same_tree(fit_tree(Xw, yw, params), reference_fit_tree(Xw, yw, params))
+        want = reference_fit_tree(Xd, yd, params, counts=counts)
+        assert_same_tree(fit_tree(Xd, yd, params, counts=counts), want)
+        assert_same_tree(grow_levels(Xd, yd, params, counts=counts), want)
+        want = reference_fit_tree(Xw, yw, params)
+        assert_same_tree(fit_tree(Xw, yw, params), want)
+        assert_same_tree(grow_levels(Xw, yw, params), want)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_max_features_draws(self, seed):
         X, y = tied_table(100 + seed)
         X = np.column_stack([X, np.random.default_rng(seed).normal(size=(len(y), 3))])
         for max_features in (1, 2, X.shape[1] - 1):
-            got = fit_tree(X, y, _rng=np.random.default_rng([seed, 1]),
-                           _max_features=max_features)
-            want = reference_fit_tree(X, y, _rng=np.random.default_rng([seed, 1]),
-                                      _max_features=max_features)
+            got = grow_levels(X, y, rng=np.random.default_rng([seed, 1]),
+                              max_features=max_features)
+            want = reference_level_tree(X, y, np.random.default_rng([seed, 1]),
+                                        max_features)
             assert_same_tree(got, want)
 
     # (seed, max_features, repeated rows); "p" is every feature, so that no
-    # node draws. Repeated rows are each row three times, a third of the
+    # node draws, and the forest equals the preorder recipe. Repeated rows are each row three times, a third of the
     # copies with the other label: a bootstrap then holds equal rows under
     # different row ids, some of them with both labels.
     FOREST_CASES = [
@@ -683,10 +775,11 @@ class TestPresortedOracle:
             X, y = np.repeat(X, 3, axis=0), np.repeat(y, 3)
             flip = np.random.default_rng(seed).random(len(y)) < 1 / 3
             y[flip] = 1 - y[flip]
+        reference = reference_level_forest
         if max_features == "p":
-            max_features = X.shape[1]
+            max_features, reference = X.shape[1], reference_forest
         params = ForestParams(n_trees=3, max_features=max_features, seed=seed)
-        for got, want in zip(fit_forest(X, y, params), reference_forest(X, y, params),
+        for got, want in zip(fit_forest(X, y, params), reference(X, y, params),
                              strict=True):
             assert_same_tree(got, want)
 
@@ -706,6 +799,7 @@ class TestPresortedOracle:
         assert model.n_samples[:3].tolist() == [7, 2, 5]
         labels, _ = predict_tree(model, X)
         assert np.array_equal(labels, [1, 1, 0, 0, 0, 1, 1])
+        assert_same_tree(grow_levels(X, y), model)
 
 
 # ---------------------------------------------------------------- pool
@@ -743,13 +837,13 @@ class TestForestPool:
     def grown_here(self, monkeypatch):
         """A list that gets one entry per tree grown in this process."""
         grown = []
-        grow = tree._grow
+        grow = tree._grow_levels
 
         def counted(*args, **kwargs):
             grown.append(1)
             return grow(*args, **kwargs)
 
-        monkeypatch.setattr(tree, "_grow", counted)
+        monkeypatch.setattr(tree, "_grow_levels", counted)
         return grown
 
     @pytest.mark.parametrize("cpus", [1, 2])
@@ -758,7 +852,7 @@ class TestForestPool:
         X, y = forest_data()
         params = ForestParams(n_trees=5, max_features=2, seed=6)
         trees = fit_forest(X, y, params)
-        for got, want in zip(trees, reference_forest(X, y, params), strict=True):
+        for got, want in zip(trees, reference_level_forest(X, y, params), strict=True):
             assert_same_tree(got, want)
         # with two CPUs every tree is grown in a worker process
         assert len(grown_here) == (5 if cpus == 1 else 0)
@@ -777,7 +871,7 @@ from diabrisk import tree
 os.sched_getaffinity = lambda pid: {{0, 1}}
 def fail(*args, **kwargs):
     {fail}
-tree._grow = fail
+tree._grow_levels = fail
 X = np.arange(40.0).reshape(20, 2)
 try:
     tree.fit_forest(X, np.arange(20) % 2, tree.ForestParams(n_trees=4))
@@ -806,7 +900,7 @@ os.sched_getaffinity = lambda pid: {0, 1}
 def stall(*args, **kwargs):
     open(os.path.join(sys.argv[1], str(os.getpid())), "w").close()
     time.sleep(300)
-tree._grow = stall
+tree._grow_levels = stall
 tree.fit_forest(np.arange(40.0).reshape(20, 2), np.arange(20) % 2,
                 tree.ForestParams(n_trees=4))
 """
