@@ -7,41 +7,34 @@ decrease. Ties resolve to the lowest feature index, then the lowest
 threshold, so repeated fits are identical. Rows with x[feature] <= threshold
 go left.
 
-Both growers fit a count table: distinct rows, each with an integer count
->= 1 (one each when ``fit_tree`` is given no counts). The split search reads
+A tree fits a count table: distinct rows, each with an integer count >= 1
+(one each when ``fit_tree`` is given no counts). The split search reads
 only the rows and positives on each side of a cut, so the tree equals the
 fit on the rows repeated that many times, array for array and float for
 float. Tree tuning (``grid_search``) fits and scores each fold's count
 table, and each forest tree grows on the count table of its bootstrap
 sample.
 
-Both sort each column once per tree (after SPRINT, Shafer, Agrawal & Mehta
-1996). Every node holds its rows in each feature's sorted order as int32
-row ids; a split partitions every feature's list stably, so the children's
-rows stay sorted. A node reads its candidate features' sorted values,
-cumulative positives and counts and evaluates the Gini decrease only at
-real cuts, where the sorted value changes.
-
-Which grower grows a tree follows from whether its nodes draw candidates:
-- ``fit_tree`` (the income tree and tuning) searches every feature and
-  grows depth first in preorder (``_grow``): a few numpy calls a node, the
-  least on the small count tables tuning fits by the hundred.
-- A forest tree chooses each split among ``max_features`` drawn features
-  and grows a level at a time (``_grow_levels``): every depth's draws,
-  searches and partition take a fixed number of numpy calls, whatever the
-  number of nodes, which pays on the thousands of nodes of an unbounded
-  tree. A level's nodes draw from the tree's stream together, in level
-  order (the left children of the level above, then its right children).
-With every feature as candidates, the two grow the same tree, array for
-array.
+Each column is sorted once per tree (after SPRINT, Shafer, Agrawal & Mehta
+1996), and the tree grows a level at a time (``_grow_levels``), the
+depth-wise order of presorted growers. The nodes of a depth hold their
+rows in each feature's sorted order as int32 row ids, and a fixed number
+of numpy calls per depth, whatever its number of nodes, searches them all
+and partitions every feature's lists stably into the next depth's, so the
+children's rows stay sorted. A node reads its candidate features' sorted
+values, cumulative positives and counts and evaluates the Gini decrease
+only at real cuts, where the sorted value changes. ``fit_tree`` (the
+income tree and tuning) searches every feature of every node. A forest
+tree chooses each split among ``max_features`` drawn features: a level's
+nodes draw from the tree's stream together, in level order (the left
+children of the level above, then its right children).
 
 A fitted tree is a set of parallel arrays indexed by node id (the layout of
 scikit-learn's ``Tree``): ``feature`` (-1 at a leaf), ``threshold``,
 ``left``, ``right``, ``n_samples``, ``n_pos``, ``impurity`` and
 ``decrease``. Nodes are stored in preorder: node 0 is the root, a split's
 left child is the node right after it, and its right child follows the
-left subtree. ``_grow`` builds the arrays from a preorder list of node rows
-(``_from_preorder``); ``_grow_levels`` renumbers its levels into preorder
+left subtree. The grower renumbers its levels into preorder
 (``_from_levels``).
 
 ``fit_forest`` fits its trees independently (Breiman 2001), in a pool of
@@ -117,58 +110,6 @@ def gini_impurity(class_counts) -> float:
     return 1.0 - (f0 * f0 + f1 * f1)
 
 
-def _best_split(Xt, pos, counts, ids, min_leaf, n, n_pos):
-    """Best split of a node, or None when no valid split exists:
-    ``(feature, threshold, decrease, parent impurity, left rows, left
-    count, left positives)``. ``ids`` holds the node's row ids in each
-    feature's sorted order. ``counts`` holds each row's count and ``pos``
-    its positives (its label times its count); ``n`` and ``n_pos`` are the
-    node's sums of them. The decrease is evaluated only at real cuts, where
-    the sorted value changes, with the arithmetic of a per-feature scan."""
-    parent = gini_impurity((n - n_pos, n_pos))
-    xs = Xt[np.arange(ids.shape[0])[:, None], ids]
-    cum_pos = pos[ids].cumsum(axis=1)
-    cum_n = counts[ids].cumsum(axis=1)
-    cut = xs[:, :-1] != xs[:, 1:]
-    if min_leaf > 1:
-        below = cum_n[:, :-1]
-        cut &= (below >= min_leaf) & (below <= n - min_leaf)
-    at_f, at_c = cut.nonzero()
-    if at_c.size == 0:
-        return None
-    n_left = cum_n[at_f, at_c]
-    n_right = n - n_left
-    pos_left = cum_pos[at_f, at_c]
-    pos_right = n_pos - pos_left
-    gini_left = 1.0 - ((pos_left / n_left) ** 2 + ((n_left - pos_left) / n_left) ** 2)
-    gini_right = 1.0 - ((pos_right / n_right) ** 2 + ((n_right - pos_right) / n_right) ** 2)
-    decrease = parent - (n_left * gini_left + n_right * gini_right) / n
-    # each feature's cuts are one run of decrease; the runs are scanned in
-    # feature order: a later feature must beat the best so far by the
-    # margin, and within the chosen one the first max (lowest threshold) wins
-    bounds = at_f.searchsorted(np.arange(ids.shape[0] + 1)).tolist()
-    runs = [(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
-    tops = np.maximum.reduceat(decrease, [a for a, _ in runs]).tolist()
-    best = None
-    best_decrease = -1.0
-    for run, top in zip(runs, tops):
-        if top > best_decrease + 1e-15:
-            best, best_decrease = run, top
-    if best is None:
-        return None
-    a, b = best
-    i = a + int(decrease[a:b].argmax())
-    f, c = int(at_f[i]), int(at_c[i])
-    lower, upper = xs[f, c], xs[f, c + 1]
-    threshold = (lower + upper) / 2.0
-    if not threshold < upper:
-        # the midpoint of two adjacent floats can round up to the upper one,
-        # which would send the whole node left
-        threshold = lower
-    return (f, threshold, best_decrease, parent, c + 1,
-            int(cum_n[f, c]), int(cum_pos[f, c]))
-
-
 def fit_tree(X, y, params: TreeParams = TreeParams(), feature_names=None,
              counts=None) -> DecisionTreeModel:
     """Grow a CART tree. Degenerate inputs yield a single leaf. ``counts``
@@ -178,103 +119,32 @@ def fit_tree(X, y, params: TreeParams = TreeParams(), feature_names=None,
     labels = as_labels(y, n_rows=X.shape[0])
     feature_names = as_names(feature_names, X.shape[1])
     counts = as_counts(counts, X.shape[0])
-    return _grow(np.ascontiguousarray(X.T), labels, counts, params, feature_names)
+    if X.shape[0] == 0:
+        raise EmptyNode("a tree needs at least one row")
+    return _grow_levels(np.ascontiguousarray(X.T), labels, counts, params,
+                        None, X.shape[1], feature_names)
 
 
-def _sorted_ids(Xt):
-    """Each feature's row ids in its sorted order, ties by row id, as a
-    (features, rows) int32 matrix."""
-    p, n_rows = Xt.shape
-    ids = np.empty((p, n_rows), dtype=np.int32)
-    for j in range(p):
-        ids[j] = np.argsort(Xt[j], kind="stable")
-    return ids
-
-
-def _grow(Xt, labels, counts, params, feature_names=None) -> DecisionTreeModel:
-    """The tree of ``fit_tree`` on the transposed matrix ``Xt`` (one row per
-    feature) and the rows' ``counts``, grown depth first in preorder."""
+def _grow_levels(Xt, labels, counts, params, rng, max_features,
+                 feature_names=None) -> DecisionTreeModel:
+    """The tree on the transposed matrix ``Xt`` (one row per feature) and
+    the rows' ``counts``, each split chosen among ``max_features`` features
+    drawn from ``rng`` (every feature, with no draw, when ``max_features``
+    is p), grown a level at a time. The nodes of a level hold contiguous
+    segments of every feature's sorted list of row ids, in level order: the
+    left children of the level above, then its right children. Each level
+    draws the candidates of all its searched nodes at once, in level order:
+    the ascending first ``max_features`` of each row of the argsort of
+    ``rng.random``. Then one pass searches them (``_level_splits``),
+    partitions every feature's list into [left children | right children]
+    and drops the rows of the nodes that became leaves."""
     p = Xt.shape[0]
     pos = counts * labels
     n_total = int(counts.sum())
-
-    # a node keeps the (p, rows) slice of the sorted lists that holds its rows
-    ids = _sorted_ids(Xt)
-    goes_left = np.zeros(Xt.shape[1], dtype=bool)
-
-    rows = []
-    # stack of (sorted row ids, rows counted, positives, depth); processed
-    # LIFO with left pushed last, so nodes are appended in preorder
-    stack = [(ids, n_total, int(pos.sum()), 0)]
-    while stack:
-        ids, size, n_pos, depth = stack.pop()
-        found = None
-        pure = n_pos == 0 or n_pos == size
-        depth_capped = params.max_depth is not None and depth >= params.max_depth
-        if not (pure or depth_capped or size < params.min_samples_split):
-            found = _best_split(Xt, pos, counts, ids,
-                                params.min_samples_leaf, size, n_pos)
-        if found is None:
-            rows.append(_leaf_row(size - n_pos, n_pos))
-            continue
-        j, threshold, decrease, impurity, m_left, n_left, pos_left = found
-        rows.append((j, threshold, size, n_pos, impurity,
-                     (size / n_total) * decrease))
-        # one stable partition of every feature's list
-        going = ids[j, :m_left]
-        goes_left[going] = True
-        keep = goes_left[ids]
-        goes_left[going] = False
-        left = ids[keep].reshape(p, m_left)
-        right = ids[~keep].reshape(p, -1)
-        stack.append((right, size - n_left, n_pos - pos_left, depth + 1))
-        stack.append((left, n_left, pos_left, depth + 1))
-    return _from_preorder(rows, params, p, feature_names)
-
-
-def _leaf_row(n_neg, n_pos):
-    return (-1, math.nan, n_neg + n_pos, n_pos, gini_impurity((n_neg, n_pos)), 0.0)
-
-
-def _from_preorder(rows, params, n_features, feature_names) -> DecisionTreeModel:
-    """Model from preorder node rows ``(feature, threshold, n_samples, n_pos,
-    impurity, decrease)``. A split's left child is the next row; its right
-    child is the row after the left subtree ends."""
-    left = np.full(len(rows), -1)
-    right = np.full(len(rows), -1)
-    waiting = []  # splits whose right child is still to come, innermost last
-    for k in range(1, len(rows)):
-        if rows[k - 1][0] >= 0:
-            left[k - 1] = k
-            waiting.append(k - 1)
-        else:
-            right[waiting.pop()] = k
-    feature, threshold, n_samples, n_pos, impurity, decrease = (
-        np.array(column) for column in zip(*rows))
-    return DecisionTreeModel(
-        feature=feature, threshold=threshold, left=left, right=right,
-        n_samples=n_samples, n_pos=n_pos, impurity=impurity, decrease=decrease,
-        params=params, n_features=n_features,
-        feature_names=tuple(feature_names) if feature_names else None,
-    )
-
-
-def _grow_levels(Xt, labels, counts, params, rng, max_features) -> DecisionTreeModel:
-    """The tree of ``_grow`` on ``Xt`` and ``counts``, except that each split
-    is chosen among ``max_features`` features drawn from ``rng``, grown a
-    level at a time. The nodes of a level hold contiguous segments of every
-    feature's sorted list, in level order: the left children of the level
-    above, then its right children. Each level draws the candidates of all
-    its searched nodes at once, in level order: the ascending first
-    ``max_features`` of each row of the argsort of ``rng.random``. Then one
-    pass searches them (``_level_splits``), partitions every feature's list
-    into [left children | right children] and drops the rows of the nodes
-    that became leaves. With ``max_features = p`` nothing is drawn, and the
-    tree is ``_grow``'s, array for array."""
-    p = Xt.shape[0]
-    pos = counts * labels
-    n_total = int(counts.sum())
-    ids = _sorted_ids(Xt)
+    # each feature's row ids in its sorted order, ties by row id
+    ids = np.empty(Xt.shape, dtype=np.int32)
+    for row, out in zip(Xt, ids):
+        out[:] = np.argsort(row, kind="stable")
     side = np.empty(Xt.shape[1], dtype=np.int8)  # 0 left, 1 right, 2 dropped
     # the level's nodes: first column in ids, distinct rows, counted rows and
     # positives
@@ -287,15 +157,15 @@ def _grow_levels(Xt, labels, counts, params, rng, max_features) -> DecisionTreeM
         f0 = (size - n_pos) / size
         f1 = n_pos / size
         impurity = 1.0 - (f0 * f0 + f1 * f1)
-        searched = np.flatnonzero((n_pos > 0) & (n_pos < size)
-                                  & (size >= params.min_samples_split))
+        searched = ((n_pos > 0) & (n_pos < size)
+                    & (size >= params.min_samples_split)).nonzero()[0]
         if params.max_depth is not None and len(levels) >= params.max_depth:
             searched = searched[:0]
         if max_features < p:
             candidates = np.sort(np.argsort(rng.random((searched.size, p)), axis=1)
                                  [:, :max_features], axis=1)
         else:
-            candidates = np.broadcast_to(np.arange(p), (searched.size, p))
+            candidates = np.arange(p)[None].repeat(searched.size, axis=0)
         splits = _level_splits(
             Xt, pos, counts, ids, start[searched], width[searched],
             size[searched], n_pos[searched], impurity[searched], candidates,
@@ -311,13 +181,13 @@ def _grow_levels(Xt, labels, counts, params, rng, max_features) -> DecisionTreeM
         decrease[split] = (size[split] / n_total) * best
         levels.append((feature, threshold, size, n_pos, impurity, decrease, split))
         if split.size == 0:
-            return _from_levels(levels, params, p)
+            return _from_levels(levels, params, p, feature_names)
 
-        side[ids[0]] = np.repeat(np.where(feature >= 0, 1, 2).astype(np.int8), width)
-        side[ids[np.repeat(j, m_left), _ranges(start[split], m_left)]] = 0
+        side[ids[0]] = np.where(feature >= 0, 1, 2).astype(np.int8).repeat(width)
+        side[ids[j.repeat(m_left), _ranges(start[split], m_left)]] = 0
         width = np.concatenate((m_left, width[split] - m_left))
         ids = _partition(ids, side, int(m_left.sum()), int(width.sum()))
-        start = np.cumsum(width) - width
+        start = width.cumsum() - width
         size = np.concatenate((n_left, size[split] - n_left))
         n_pos = np.concatenate((pos_left, n_pos[split] - pos_left))
 
@@ -332,27 +202,27 @@ def _partition(ids, side, n_left, n_kept):
     parted = np.empty((ids.shape[0], n_kept), dtype=ids.dtype)
     for row, out in zip(ids, parted):
         key = side.take(row)
-        np.compress(key == 0, row, out=out[:n_left])
-        np.compress(key == 1, row, out=out[n_left:])
+        row.compress(key == 0, out=out[:n_left])
+        row.compress(key == 1, out=out[n_left:])
     return parted
 
 
 def _ranges(starts, lengths):
     """``starts[k] + arange(lengths[k])`` for every k, concatenated."""
-    first = np.cumsum(lengths) - lengths
-    return np.arange(int(lengths.sum())) + np.repeat(starts - first, lengths)
+    first = lengths.cumsum() - lengths
+    return np.arange(int(lengths.sum())) + (starts - first).repeat(lengths)
 
 
 def _level_splits(Xt, pos, counts, ids, start, width, size, n_pos, parent,
                   candidates, min_leaf):
-    """``_best_split`` of each of K nodes of a level, over the node's row of
+    """The best split of each of K nodes of a level, over the node's row of
     ``candidates`` (ascending feature indices): ``(feature, threshold,
     decrease, left rows, left count, left positives)``, with feature -1 where
     a node has no valid split. Node k holds columns ``start[k]:start[k] +
     width[k]`` of ``ids``, ``size[k]`` counted rows, ``n_pos[k]`` positives
     and impurity ``parent[k]``. Each candidate slot is one pass over the
     nodes' rows in that slot's features, evaluating the decrease only at
-    real cuts, with ``_best_split``'s arithmetic and tie rule."""
+    real cuts, with the arithmetic of a per-feature scan."""
     K = width.size
     feature = np.full(K, -1)
     best = np.full(K, -1.0)
@@ -361,12 +231,12 @@ def _level_splits(Xt, pos, counts, ids, start, width, size, n_pos, parent,
     m_left = np.zeros(K, dtype=np.int64)
     n_left = np.zeros(K, dtype=np.int64)
     pos_left = np.zeros(K, dtype=np.int64)
-    first = np.cumsum(width) - width  # each node's first position in a pass
-    node = np.repeat(np.arange(K), width)
+    first = width.cumsum() - width  # each node's first position in a pass
+    node = np.arange(K).repeat(width)
     column = _ranges(start, width)
     inside = node[:-1] == node[1:]  # a cut lies inside one node
     for slot in range(candidates.shape[1]):
-        f = np.repeat(candidates[:, slot], width)
+        f = candidates[:, slot].repeat(width)
         rid = ids.take(f * ids.shape[1] + column)
         xs = Xt.take(f * Xt.shape[1] + rid)
         n_at = counts.take(rid)
@@ -378,9 +248,9 @@ def _level_splits(Xt, pos, counts, ids, start, width, size, n_pos, parent,
         pos_before = cum_pos[first] - pos_at[first]
         cut = inside & (xs[:-1] != xs[1:])
         if min_leaf > 1:
-            below = cum_n[:-1] - np.repeat(n_before, width)[:-1]
+            below = cum_n[:-1] - n_before.repeat(width)[:-1]
             cut &= (below >= min_leaf) & (below <= size[node[:-1]] - min_leaf)
-        at = np.flatnonzero(cut)
+        at = cut.nonzero()[0]
         if at.size == 0:
             continue
         k = node[at]
@@ -396,9 +266,9 @@ def _level_splits(Xt, pos, counts, ids, start, width, size, n_pos, parent,
         new = np.empty(at.size, dtype=bool)
         new[0] = True
         np.not_equal(k[1:], k[:-1], out=new[1:])
-        runs = np.flatnonzero(new)
+        runs = new.nonzero()[0]
         top = np.maximum.reduceat(decrease, runs)
-        tops = np.flatnonzero(decrease == top[new.cumsum() - 1])
+        tops = (decrease == top[new.cumsum() - 1]).nonzero()[0]
         i = tops[tops.searchsorted(runs)]
         # slots run in feature order: a later feature must beat the best so
         # far by the margin
@@ -420,7 +290,7 @@ def _level_splits(Xt, pos, counts, ids, start, width, size, n_pos, parent,
     return feature, threshold, best, m_left, n_left, pos_left
 
 
-def _from_levels(levels, params, n_features) -> DecisionTreeModel:
+def _from_levels(levels, params, n_features, feature_names) -> DecisionTreeModel:
     """Model from per-level node arrays ``(feature, threshold, n_samples,
     n_pos, impurity, decrease, split)``, renumbered into preorder. ``split``
     lists a level's split nodes in order: the left child of the i-th is node
@@ -449,7 +319,8 @@ def _from_levels(levels, params, n_features) -> DecisionTreeModel:
     return DecisionTreeModel(
         feature=feature, threshold=threshold, left=left, right=right,
         n_samples=n_samples, n_pos=n_pos, impurity=impurity, decrease=decrease,
-        params=params, n_features=n_features)
+        params=params, n_features=n_features,
+        feature_names=tuple(feature_names) if feature_names else None)
 
 
 def predict_tree(model: DecisionTreeModel, X):

@@ -28,8 +28,6 @@ from diabrisk.tree import (
     impurity_importance,
     predict_tree,
     tree_to_text,
-    _from_preorder,
-    _leaf_row,
     _tree_raw_importance,
 )
 
@@ -212,6 +210,10 @@ class TestFitTree:
         grid = np.linspace(0.5, 8.5, 200).reshape(-1, 1)
         _, scores = predict_tree(model, grid)
         assert len(np.unique(scores)) <= 8
+
+    def test_no_rows_is_empty_node(self):
+        with pytest.raises(EmptyNode, match="at least one row"):
+            fit_tree(np.empty((0, 2)), np.empty(0, dtype=int))
 
     def test_non_finite_x_is_data_error(self):
         X = np.zeros((10, 3))
@@ -450,10 +452,8 @@ class TestCountTable:
     @pytest.mark.parametrize("seed", range(4))
     def test_max_features_draws_unchanged(self, seed):
         X, y, Xd, yd, counts = duplicated_rows(seed, n_cols=3)
-        got = grow_levels(Xd, yd, counts=counts,
-                          rng=np.random.default_rng([seed, 9]), max_features=1)
-        want = grow_levels(X, y, rng=np.random.default_rng([seed, 9]),
-                           max_features=1)
+        got = grow_levels(Xd, yd, np.random.default_rng([seed, 9]), 1, counts=counts)
+        want = grow_levels(X, y, np.random.default_rng([seed, 9]), 1)
         self.assert_same_tree(got, want)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -466,10 +466,9 @@ class TestCountTable:
         sample = np.random.default_rng(seed).integers(0, n, size=n)
         counts = np.bincount(sample, minlength=n)
         held = np.flatnonzero(counts)
-        got = grow_levels(X[held], y[held], counts=counts[held],
-                          rng=np.random.default_rng([seed, 2]), max_features=2)
-        want = grow_levels(X[sample], y[sample],
-                           rng=np.random.default_rng([seed, 2]), max_features=2)
+        got = grow_levels(X[held], y[held], np.random.default_rng([seed, 2]), 2,
+                          counts=counts[held])
+        want = grow_levels(X[sample], y[sample], np.random.default_rng([seed, 2]), 2)
         self.assert_same_tree(got, want)
 
     def test_unit_counts_equal_no_counts(self):
@@ -493,8 +492,36 @@ class TestCountTable:
 
 # ---------------------------------------------------------------- oracle
 # A frozen copy of the per-node grower that the presorted one replaced: one
-# stable argsort per node per candidate feature. The presorted grower must
-# equal it array for array, dtype included.
+# stable argsort per node per candidate feature, nodes grown depth first in
+# preorder. The level-wise grower must equal it array for array, dtype
+# included.
+
+def _leaf_row(n_neg, n_pos):
+    return (-1, math.nan, n_neg + n_pos, n_pos, gini_impurity((n_neg, n_pos)), 0.0)
+
+
+def _from_preorder(rows, params, n_features, feature_names) -> DecisionTreeModel:
+    """Model from preorder node rows ``(feature, threshold, n_samples, n_pos,
+    impurity, decrease)``. A split's left child is the next row; its right
+    child is the row after the left subtree ends."""
+    left = np.full(len(rows), -1)
+    right = np.full(len(rows), -1)
+    waiting = []  # splits whose right child is still to come, innermost last
+    for k in range(1, len(rows)):
+        if rows[k - 1][0] >= 0:
+            left[k - 1] = k
+            waiting.append(k - 1)
+        else:
+            right[waiting.pop()] = k
+    feature, threshold, n_samples, n_pos, impurity, decrease = (
+        np.array(column) for column in zip(*rows))
+    return DecisionTreeModel(
+        feature=feature, threshold=threshold, left=left, right=right,
+        n_samples=n_samples, n_pos=n_pos, impurity=impurity, decrease=decrease,
+        params=params, n_features=n_features,
+        feature_names=tuple(feature_names) if feature_names else None,
+    )
+
 
 def reference_best_split(X, pos, counts, feature_indices, min_leaf):
     n = pos.shape[0] if counts is None else int(counts.sum())
@@ -589,16 +616,13 @@ def reference_forest(X, y, params):
     return trees
 
 
-def grow_levels(X, y, params=TreeParams(), counts=None, rng=None, max_features=None):
-    """The forest trees' level-wise grower on a table, each node choosing
-    among ``max_features`` features drawn from ``rng``; with
-    ``max_features`` None, among every feature, with no draws."""
+def grow_levels(X, y, rng, max_features, counts=None):
+    """The grower on a table with forest trees' params, each node choosing
+    among ``max_features`` features drawn from ``rng``."""
     X = as_matrix(X)
-    p = X.shape[1]
     return tree._grow_levels(
         np.ascontiguousarray(X.T), as_labels(y, n_rows=X.shape[0]),
-        as_counts(counts, X.shape[0]), params, rng,
-        p if max_features is None else max_features)
+        as_counts(counts, X.shape[0]), TreeParams(), rng, max_features)
 
 
 # A frozen per-node reference of the level-wise grower's draws: nodes are
@@ -703,9 +727,7 @@ class TestPresortedOracle:
         params = TreeParams(min_samples_leaf=1 + seed % 4,
                             max_depth=None if seed % 3 else 4)
         for args in [(), (params,)]:
-            want = reference_fit_tree(X, y, *args)
-            assert_same_tree(fit_tree(X, y, *args), want)
-            assert_same_tree(grow_levels(X, y, *args), want)
+            assert_same_tree(fit_tree(X, y, *args), reference_fit_tree(X, y, *args))
 
     @pytest.mark.parametrize("seed", range(12))
     def test_tied_count_tables(self, seed):
@@ -713,9 +735,8 @@ class TestPresortedOracle:
         table, counts = np.unique(np.column_stack([X, y]), axis=0, return_counts=True)
         Xd, yd = table[:, :-1], table[:, -1].astype(int)
         params = TreeParams(min_samples_leaf=1 + seed % 5)
-        want = reference_fit_tree(Xd, yd, params, counts=counts)
-        assert_same_tree(fit_tree(Xd, yd, params, counts=counts), want)
-        assert_same_tree(grow_levels(Xd, yd, params, counts=counts), want)
+        assert_same_tree(fit_tree(Xd, yd, params, counts=counts),
+                         reference_fit_tree(Xd, yd, params, counts=counts))
 
     @pytest.mark.parametrize("n", [2, 17, 300, 3000])
     def test_income_tables(self, n):
@@ -723,10 +744,8 @@ class TestPresortedOracle:
         for params in [TreeParams(), TreeParams(max_depth=3, min_samples_leaf=20)]:
             assert_same_tree(fit_tree(X, y, params, feature_names=["Income"]),
                              reference_fit_tree(X, y, params, feature_names=["Income"]))
-            want = reference_fit_tree(Xd, yd, params, counts=counts)
-            assert_same_tree(fit_tree(Xd, yd, params, counts=counts), want)
-            assert_same_tree(grow_levels(Xd, yd, params, counts=counts), want)
-            assert_same_tree(grow_levels(X, y, params), reference_fit_tree(X, y, params))
+            assert_same_tree(fit_tree(Xd, yd, params, counts=counts),
+                             reference_fit_tree(Xd, yd, params, counts=counts))
 
     @pytest.mark.parametrize("params", GRID_CELLS, ids=[
         f"d{c.max_depth}-s{c.min_samples_split}-l{c.min_samples_leaf}"
@@ -737,28 +756,25 @@ class TestPresortedOracle:
         Xw = np.column_stack([rng.integers(12, 60, size=600),
                               rng.normal(size=600).round(1)]).astype(float)
         yw = (Xw[:, 0] / 10 + Xw[:, 1] + rng.logistic(size=600) > 4).astype(int)
-        want = reference_fit_tree(Xd, yd, params, counts=counts)
-        assert_same_tree(fit_tree(Xd, yd, params, counts=counts), want)
-        assert_same_tree(grow_levels(Xd, yd, params, counts=counts), want)
-        want = reference_fit_tree(Xw, yw, params)
-        assert_same_tree(fit_tree(Xw, yw, params), want)
-        assert_same_tree(grow_levels(Xw, yw, params), want)
+        assert_same_tree(fit_tree(Xd, yd, params, counts=counts),
+                         reference_fit_tree(Xd, yd, params, counts=counts))
+        assert_same_tree(fit_tree(Xw, yw, params), reference_fit_tree(Xw, yw, params))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_max_features_draws(self, seed):
         X, y = tied_table(100 + seed)
         X = np.column_stack([X, np.random.default_rng(seed).normal(size=(len(y), 3))])
         for max_features in (1, 2, X.shape[1] - 1):
-            got = grow_levels(X, y, rng=np.random.default_rng([seed, 1]),
-                              max_features=max_features)
+            got = grow_levels(X, y, np.random.default_rng([seed, 1]), max_features)
             want = reference_level_tree(X, y, np.random.default_rng([seed, 1]),
                                         max_features)
             assert_same_tree(got, want)
 
     # (seed, max_features, repeated rows); "p" is every feature, so that no
-    # node draws, and the forest equals the preorder recipe. Repeated rows are each row three times, a third of the
-    # copies with the other label: a bootstrap then holds equal rows under
-    # different row ids, some of them with both labels.
+    # node draws, and the forest equals the preorder recipe. Repeated rows
+    # are each row three times, a third of the copies with the other label:
+    # a bootstrap then holds equal rows under different row ids, some of
+    # them with both labels.
     FOREST_CASES = [
         *(pytest.param(seed, 1 + seed % 3, False, id=str(seed)) for seed in range(4)),
         pytest.param(4, "p", False, id="every-feature"),
@@ -799,7 +815,6 @@ class TestPresortedOracle:
         assert model.n_samples[:3].tolist() == [7, 2, 5]
         labels, _ = predict_tree(model, X)
         assert np.array_equal(labels, [1, 1, 0, 0, 0, 1, 1])
-        assert_same_tree(grow_levels(X, y), model)
 
 
 # ---------------------------------------------------------------- pool
