@@ -5,15 +5,18 @@
 OLD_SRC and NEW_SRC are ``src/`` directories of two checkouts. The script
 makes the seed-1 synthetic tables with this checkout's ``perfbench/synth.py``
 and runs the six benchmark commands, ``tune-only --experiment health``,
-``train --experiment health --split-first`` and an L1 ``train --experiment
-health``, with each side's sources, with ``--seed 1`` and one BLAS thread.
-Each command but the last reads that side's ``perfbench/configs/*.cfg``
-(next to its ``src/``). The split-first one covers the split-first SMOTE
-path of the health model and the ``splitfirst_`` file names. The L1 one
-covers the proximal Newton final fit on the training rows' count table in
-raw units; the script writes its config, ``WRITTEN_CONFIGS``, into its
-temporary work directory, and both sides read that one file. Both sides
-write under the same ``--out`` path, because ``report.json`` echoes it.
+``train --experiment health --split-first``, an L1 ``train --experiment
+health`` and a one-tree ``features``, with each side's sources, with ``--seed
+1`` and one BLAS thread. Each command but the last two reads that side's
+``perfbench/configs/*.cfg`` (next to its ``src/``). The split-first one
+covers the split-first SMOTE path of the health model and the
+``splitfirst_`` file names. The L1 one covers the proximal Newton final fit
+on the training rows' count table in raw units. The one-tree ``features``
+fits its forest in the calling process; the four-tree ``features`` fits
+it in a pool wherever two or more CPUs are available. The script writes the
+last two commands' configs, ``WRITTEN_CONFIGS``, into its temporary work
+directory, and both sides read those files. Both sides write under the
+same ``--out`` path, because ``report.json`` echoes it.
 Every file is then compared byte for byte, except ``created_unix_time`` in
 each ``*manifest.json``. Each file that differs is printed; for a CSV or JSON
 file the line adds the largest absolute difference between numbers in the
@@ -48,6 +51,7 @@ WHERE = "import diabrisk; print(diabrisk.__file__)"
 WRITTEN_CONFIGS = {
     "l1-raw.cfg": ("logreg.penalty = l1\nlogreg.optimizer = coordinate\n"
                    "logreg.standardize = false\n"),
+    "one-tree.cfg": "forest.n_trees = 1\n",
 }
 
 # command name -> (table scale, config file, CLI arguments); a config file
@@ -69,6 +73,7 @@ COMMANDS = {
                                   "--split-first")),
     "train-health-l1": (0.10, "l1-raw.cfg",
                         ("train", "--experiment", "health")),
+    "features-one-tree": (0.05, "one-tree.cfg", ("features",)),
 }
 
 

@@ -174,8 +174,7 @@ def run_features(cfg: ExperimentConfig) -> dict:
         **dict(zip(names, path.T)),
     })
 
-    trees = fit_forest(X, y, cfg.forest)
-    importance, degenerate = impurity_importance(trees)
+    importance, degenerate = impurity_importance(fit_forest(X, y, cfg.forest))
     run.write_csv("forest_importance.csv",
                   {"name": names, "importance": importance})
 

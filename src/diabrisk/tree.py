@@ -39,10 +39,10 @@ left subtree. The grower renumbers its levels into preorder
 
 ``fit_forest`` fits its trees independently (Breiman 2001), in a pool of
 forked processes: one per CPU this process may run on
-(``os.sched_getaffinity``), at most one per tree. With one worker, or where
-``fork`` is unavailable, it fits them one after another in the calling
-process. Each tree has its own random stream, so the forest is the same
-either way. On Linux the workers are killed with their parent.
+(``os.sched_getaffinity``), at most one per tree, or in the calling process
+with one worker or no ``fork``. Each tree has its own random stream, so the
+forest is the same either way. Only a tree's importance row leaves the
+process that grew it. On Linux the workers are killed with their parent.
 """
 from __future__ import annotations
 
@@ -345,12 +345,12 @@ def predict_tree(model: DecisionTreeModel, X):
     return (pos >= neg).astype(int), pos / (neg + pos)
 
 
-def fit_forest(X, y, params: ForestParams = ForestParams()) -> tuple:
-    """The fitted trees, each grown on its own bootstrap sample of the rows
-    with the default (unbounded) ``TreeParams``, each split chosen among
-    ``max_features`` randomly drawn columns. They are fitted in forked
-    processes, one per available CPU, or in this process when there is one
-    CPU, one tree or no ``fork``; the trees are the same either way."""
+def fit_forest(X, y, params: ForestParams = ForestParams()) -> np.ndarray:
+    """Each tree's raw impurity importance, an ``(n_trees, p)`` float array.
+    Each tree grows on its own bootstrap sample of the rows with the default
+    (unbounded) ``TreeParams``, each split chosen among ``max_features``
+    randomly drawn columns, in one forked process per available CPU, or in
+    this process with one CPU, one tree or no ``fork``: the same either way."""
     X = as_matrix(X)
     labels = as_labels(y, n_rows=X.shape[0])
     if X.shape[0] < 2:
@@ -363,19 +363,20 @@ def fit_forest(X, y, params: ForestParams = ForestParams()) -> tuple:
         max_features = math.ceil(math.sqrt(p))
     forest = (X, labels, params.seed, min(max_features, p))
     workers = _forest_workers(params.n_trees)
+    trees = range(params.n_trees)
     if workers == 1:
-        return tuple(_fit_forest_tree(t, forest) for t in range(params.n_trees))
+        return np.array([_forest_tree_importance(t, forest) for t in trees])
     # imported here, so that importing the package does not load them
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     # forked workers inherit the forest through the initializer's arguments,
-    # unpickled; only tree indices and fitted trees cross between processes.
+    # unpickled; only tree indices and importance rows cross between processes.
     # With fork, the pool forks all its workers before it starts a thread.
     with ProcessPoolExecutor(
             workers, mp_context=multiprocessing.get_context("fork"),
             initializer=_start_forest_worker,
             initargs=(os.getpid(), forest)) as pool:
-        return tuple(pool.map(_fit_forest_tree, range(params.n_trees)))
+        return np.array(list(pool.map(_forest_tree_importance, trees)))
 
 
 def _forest_workers(n_trees: int) -> int:
@@ -425,23 +426,28 @@ def _fit_forest_tree(t, forest=None):
                         TreeParams(), rng, max_features)
 
 
+def _forest_tree_importance(t, forest=None) -> np.ndarray:
+    """The raw importance of tree ``t`` of a forest (``_fit_forest_tree``)."""
+    return _tree_raw_importance(_fit_forest_tree(t, forest))
+
+
 def _tree_raw_importance(tree: DecisionTreeModel) -> np.ndarray:
     split = tree.feature >= 0
     return np.bincount(tree.feature[split], weights=tree.decrease[split],
                        minlength=tree.n_features)
 
 
-def impurity_importance(trees):
-    """(values, degenerate): the mean impurity decrease per feature,
+def impurity_importance(rows):
+    """(values, degenerate): the mean of ``fit_forest``'s importance rows,
     normalized to sum 1, and whether no split occurred anywhere."""
-    if len(trees) == 0:
-        raise DimensionMismatch("a forest needs at least one tree")
-    raw = np.mean([_tree_raw_importance(t) for t in trees], axis=0)
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2 or len(rows) == 0:
+        raise DimensionMismatch(f"need at least one tree, one row each: {rows.shape}")
+    raw = rows.mean(axis=0)
     total = raw.sum()
     if total <= 0.0:
         # forests of bare leaves carry no signal; report uniform, flagged
-        n_features = trees[0].n_features
-        return np.full(n_features, 1.0 / n_features), True
+        return np.full(rows.shape[1], 1.0 / rows.shape[1]), True
     return raw / total, False
 
 

@@ -83,13 +83,31 @@ def naive_predict(model, X):
     return np.array(labels, dtype=int), np.array(scores, dtype=float)
 
 
+def forest_trees(X, y, params):
+    """The trees of the forest that ``fit_forest(X, y, params)`` grows, each
+    by the recipe its workers run, ``_fit_forest_tree``; ``fit_forest``
+    itself returns only their importance rows."""
+    p = X.shape[1]
+    max_features = min(params.max_features or math.ceil(math.sqrt(p)), p)
+    forest = (as_matrix(X), as_labels(y, n_rows=X.shape[0]), params.seed, max_features)
+    return [tree._fit_forest_tree(t, forest) for t in range(params.n_trees)]
+
+
+def assert_same_rows(rows, trees):
+    """``fit_forest``'s rows are the raw importance of ``trees``, bit for
+    bit."""
+    want = np.array([_tree_raw_importance(t) for t in trees])
+    assert rows.dtype == want.dtype and rows.shape == want.shape
+    assert rows.tobytes() == want.tobytes()
+
+
 def oracle_trees():
     """Fitted trees of every shape: name -> (model, query rows)."""
     rng = np.random.default_rng(12)
     X = rng.integers(0, 6, size=(200, 4)).astype(float)
     y = (X[:, 0] + rng.normal(scale=1.5, size=200) > 2.5).astype(int)
     Xq = rng.integers(-1, 7, size=(150, 4)).astype(float)
-    forest = fit_forest(X, y, ForestParams(n_trees=2, max_features=2, seed=4))
+    forest = forest_trees(X, y, ForestParams(n_trees=2, max_features=2, seed=4))
     return {
         "bounded": (fit_tree(X, y, TreeParams(max_depth=4, min_samples_leaf=5)), Xq),
         "unbounded": (fit_tree(X, y, feature_names=list("abcd")), Xq),
@@ -249,24 +267,26 @@ class TestForest:
         rng = np.random.default_rng(6)
         X = rng.normal(size=(80, 4))
         y = (X[:, 2] > 0).astype(int)
-        forest = fit_forest(
-            X, y, ForestParams(n_trees=1, max_features=4, seed=3)
-        )
+        params = ForestParams(n_trees=1, max_features=4, seed=3)
+        forest = forest_trees(X, y, params)
         # the forest's one tree is a plain fit on its bootstrap rows
         sample = np.random.default_rng([3, 0]).integers(0, 80, size=80)
         single = fit_tree(X[sample], y[sample])
         assert tree_to_text(forest[0]) == tree_to_text(single)
+        assert_same_rows(fit_forest(X, y, params), [single])
 
     def test_seed_determinism(self):
         rng = np.random.default_rng(7)
         X = rng.normal(size=(60, 5))
         y = (X[:, 0] > 0.2).astype(int)
-        a = fit_forest(X, y, ForestParams(n_trees=5, seed=9))
-        b = fit_forest(X, y, ForestParams(n_trees=5, seed=9))
+        params = ForestParams(n_trees=5, seed=9)
+        a = forest_trees(X, y, params)
+        b = forest_trees(X, y, params)
         assert all(
             tree_to_text(ta) == tree_to_text(tb)
             for ta, tb in zip(a, b)
         )
+        assert fit_forest(X, y, params).tobytes() == fit_forest(X, y, params).tobytes()
 
     def test_informative_feature_dominates_importance(self):
         rng = np.random.default_rng(8)
@@ -374,7 +394,7 @@ class TestPinnedText:
         ]).astype(float)
         y = ((9 - X[:, 0]) * 0.3 + (X[:, 1] - 30) * 0.05 + X[:, 2]
              + rng.logistic(size=600) > 1.0).astype(int)
-        forest = fit_forest(X, y, ForestParams(n_trees=2, max_features=2, seed=3))
+        forest = forest_trees(X, y, ForestParams(n_trees=2, max_features=2, seed=3))
         return {
             "unbounded": fit_tree(X, y, feature_names=["Income", "BMI", "noise"]),
             "bounded": fit_tree(X, y, TreeParams(max_depth=5, min_samples_leaf=20)),
@@ -782,7 +802,8 @@ class TestPresortedOracle:
     ]
 
     @pytest.mark.parametrize("seed, max_features, repeated", FOREST_CASES)
-    def test_forests(self, seed, max_features, repeated):
+    @pytest.mark.usefixtures("no_hang")
+    def test_forests(self, monkeypatch, seed, max_features, repeated):
         X, y = tied_table(200 + seed)
         if len(np.unique(y)) < 2 or len(y) < 2:
             y = np.arange(len(X)) % 2
@@ -795,9 +816,13 @@ class TestPresortedOracle:
         if max_features == "p":
             max_features, reference = X.shape[1], reference_forest
         params = ForestParams(n_trees=3, max_features=max_features, seed=seed)
-        for got, want in zip(fit_forest(X, y, params), reference(X, y, params),
-                             strict=True):
+        trees = reference(X, y, params)
+        for got, want in zip(forest_trees(X, y, params), trees, strict=True):
             assert_same_tree(got, want)
+        # the rows are the same in this process and in a pool
+        for cpus in (1, 2):
+            visible_cpus(monkeypatch, cpus)
+            assert_same_rows(fit_forest(X, y, params), trees)
 
     def test_midpoint_rounding_to_the_upper_value(self):
         # the midpoint of these two adjacent floats rounds to the upper one;
@@ -866,12 +891,14 @@ class TestForestPool:
         visible_cpus(monkeypatch, cpus)
         X, y = forest_data()
         params = ForestParams(n_trees=5, max_features=2, seed=6)
-        trees = fit_forest(X, y, params)
-        for got, want in zip(trees, reference_level_forest(X, y, params), strict=True):
-            assert_same_tree(got, want)
+        rows = fit_forest(X, y, params)
         # with two CPUs every tree is grown in a worker process
         assert len(grown_here) == (5 if cpus == 1 else 0)
         assert multiprocessing.active_children() == []
+        trees = reference_level_forest(X, y, params)
+        for got, want in zip(forest_trees(X, y, params), trees, strict=True):
+            assert_same_tree(got, want)
+        assert_same_rows(rows, trees)
 
     def test_one_tree_fits_in_process(self, monkeypatch, grown_here):
         visible_cpus(monkeypatch, 2)
@@ -965,3 +992,12 @@ class TestEmptyForest:
     def test_impurity_importance(self):
         with pytest.raises(DimensionMismatch, match="at least one tree"):
             impurity_importance(())
+
+    # importance rows are an (n_trees, p) matrix; the mean of a lone tree's
+    # row would be a scalar
+    @pytest.mark.parametrize("rows", [
+        np.empty((0, 3)), np.array([0.25, 0.75]), np.float64(1.0), np.ones((2, 3, 1)),
+    ], ids=["no-rows", "one-tree-row", "scalar", "three-d"])
+    def test_rows_not_a_matrix(self, rows):
+        with pytest.raises(DimensionMismatch, match="at least one tree"):
+            impurity_importance(rows)
