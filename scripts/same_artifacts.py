@@ -6,16 +6,21 @@ OLD_SRC and NEW_SRC are ``src/`` directories of two checkouts. The script
 makes the seed-1 synthetic tables with this checkout's ``perfbench/synth.py``
 and runs the six benchmark commands, ``tune-only --experiment health``,
 ``train --experiment health --split-first``, an L1 ``train --experiment
-health`` and a one-tree ``features``, with each side's sources, with ``--seed
-1`` and one BLAS thread. Each command but the last two reads that side's
-``perfbench/configs/*.cfg`` (next to its ``src/``). The split-first one
-covers the split-first SMOTE path of the health model and the
-``splitfirst_`` file names. The L1 one covers the proximal Newton final fit
-on the training rows' count table in raw units. The one-tree ``features``
-fits its forest in the calling process; the four-tree ``features`` fits
-it in a pool wherever two or more CPUs are available. The script writes the
-last two commands' configs, ``WRITTEN_CONFIGS``, into its temporary work
-directory, and both sides read those files. Both sides write under the
+health``, a one-tree ``features``, ``tune-only --experiment income`` and a
+bounded tuned ``train --experiment income``, with each side's sources, with
+``--seed 1`` and one BLAS thread. Each command reads that side's
+``perfbench/configs/*.cfg`` (next to its ``src/``) or one of the configs
+in ``WRITTEN_CONFIGS``, which the script writes into its temporary work
+directory for both sides to read. The split-first one covers the
+split-first SMOTE path of the health model and the ``splitfirst_`` file
+names. The L1 one covers the proximal Newton final fit on the training
+rows' count table in raw units. The one-tree ``features`` fits its forest in
+the calling process; the four-tree ``features`` fits it in a pool wherever
+two or more CPUs are available. ``tune-only --experiment income`` runs the
+default tree grid on a table SMOTE'd whole, with no refit. The bounded one
+tunes ``max_depth`` 2 and 4 from ``tree.min_samples_leaf = 20``, with a
+``min_samples_split`` of 10,000 that turns some splits of the tree grown
+with the grid's smallest value into leaves. Both sides write under the
 same ``--out`` path, because ``report.json`` echoes it.
 Every file is then compared byte for byte, except ``created_unix_time`` in
 each ``*manifest.json``. Each file that differs is printed; for a CSV or JSON
@@ -52,6 +57,9 @@ WRITTEN_CONFIGS = {
     "l1-raw.cfg": ("logreg.penalty = l1\nlogreg.optimizer = coordinate\n"
                    "logreg.standardize = false\n"),
     "one-tree.cfg": "forest.n_trees = 1\n",
+    "income-bounded.cfg": ("tree.min_samples_leaf = 20\n"
+                           "grid.tree.max_depth = 2, 4\n"
+                           "grid.tree.min_samples_split = 2, 10000\n"),
 }
 
 # command name -> (table scale, config file, CLI arguments); a config file
@@ -74,6 +82,11 @@ COMMANDS = {
     "train-health-l1": (0.10, "l1-raw.cfg",
                         ("train", "--experiment", "health")),
     "features-one-tree": (0.05, "one-tree.cfg", ("features",)),
+    "tune-only-income": (0.15, "income-tuned.cfg",
+                         ("tune-only", "--experiment", "income")),
+    "train-income-tuned-bounded": (0.15, "income-bounded.cfg",
+                                   ("train", "--experiment", "income",
+                                    "--tuned")),
 }
 
 

@@ -7,7 +7,11 @@ score count tables over the fold's distinct (row, label) pairs
 fold's rows (see ``tree``), and a logistic fit minimizes the same objective
 as one on the fold's rows (see ``logistic``). The tables pay off when rows
 repeat, as in the six-column health and one-column income tables; on a
-wide table of nearly distinct rows they save no rows and cost a sort."""
+wide table of nearly distinct rows they save no rows and cost a sort.
+
+A family scores all cells of a fold at once, ``score(cells, fold)``: the
+logistic family fits every cell, the tree family one tree per
+``min_samples_leaf`` (``_score_tree``). ``n_fits`` counts cells x folds."""
 from __future__ import annotations
 
 import itertools
@@ -19,7 +23,7 @@ from .dataset import as_labels, as_matrix, count_tables
 from .errors import BadParams, FoldDegenerate, SingleClass
 from .logistic import LogRegParams, fit_logreg, predict_proba
 from .metrics import roc_curve
-from .tree import TreeParams, fit_tree, predict_tree
+from .tree import TreeParams, fit_tree, predict_tree, stop_early
 
 DEFAULT_LOGISTIC_GRID = {
     "C": [0.01, 0.1, 1.0, 10.0, 100.0],
@@ -84,22 +88,51 @@ def _combinations(grid: dict):
 
 
 # fit, predict and roc_curve are read as module globals at each call, so a
-# wrapper set on those attributes (perfbench/tracer.py) sees every grid fit
-def _score_logistic(params, fold):
+# wrapper set on those attributes (perfbench/tracer.py) sees every fit,
+# prediction and curve of the search
+def _score_logistic(cells, fold):
+    """Each cell's AUC on ``fold``: one fit per cell, in grid order."""
     (X_train, y_train, n_train), (X_valid, y_valid, n_valid) = fold
-    model = fit_logreg(X_train, y_train, params, counts=n_train)
-    return roc_curve(y_valid, predict_proba(model, X_valid),
-                     counts=n_valid).auc
+    scores = []
+    for params in cells:
+        model = fit_logreg(X_train, y_train, params, counts=n_train)
+        scores.append(roc_curve(y_valid, predict_proba(model, X_valid),
+                                counts=n_valid).auc)
+    return scores
 
 
-def _score_tree(params, fold):
+def _score_tree(cells, fold):
+    """Each cell's AUC on ``fold``: one fit per ``min_samples_leaf``, with
+    the loosest stopping rules among its cells, from which ``stop_early``
+    derives each cell's tree. Cells whose trees have the same shape share
+    them, and each distinct tree is scored once."""
     (X_train, y_train, n_train), (X_valid, y_valid, n_valid) = fold
-    model = fit_tree(X_train, y_train, params, counts=n_train)
-    return roc_curve(y_valid, predict_tree(model, X_valid)[1],
-                     counts=n_valid).auc
+    scores = [None] * len(cells)
+    groups = {}
+    for i, params in enumerate(cells):
+        groups.setdefault(params.min_samples_leaf, []).append(i)
+    for group in groups.values():
+        depths = [cells[i].max_depth for i in group]
+        loosest = replace(
+            cells[group[0]],
+            max_depth=None if None in depths else max(depths),
+            min_samples_split=min(cells[i].min_samples_split for i in group))
+        grown = fit_tree(X_train, y_train, loosest, counts=n_train)
+        scored = {}  # tree shape -> AUC
+        for i in group:
+            model = stop_early(grown, cells[i])
+            # a derived tree's shape, its right children (a left child is
+            # the next node in preorder), says which grown nodes it kept
+            shape = model.right.tobytes()
+            if shape not in scored:
+                scored[shape] = roc_curve(
+                    y_valid, predict_tree(model, X_valid)[1], counts=n_valid).auc
+            scores[i] = scored[shape]
+        del grown  # one grown tree is held at a time
+    return scores
 
 
-# family -> (params type, fold scorer, default grid)
+# family -> (params type, per-fold scorer of a list of cells, default grid)
 FAMILIES = {
     "logistic": (LogRegParams, _score_logistic, DEFAULT_LOGISTIC_GRID),
     "tree": (TreeParams, _score_tree, DEFAULT_TREE_GRID),
@@ -107,16 +140,19 @@ FAMILIES = {
 
 
 def _draw_folds(y, n, cv: CvConfig):
-    """(train, valid) index pairs whose sides all contain both classes;
-    re-drawn from a derived seed when violated, at most 10 attempts."""
+    """(train, valid) index pairs whose sides all contain both classes of
+    the 0/1 labels ``y``; re-drawn from a derived seed when violated, at
+    most 10 attempts."""
     for attempt in range(10):
         seed = cv.seed if attempt == 0 else hash((cv.seed, attempt)) % (2**31)
         pairs = []
         for fold in k_fold_indices(n, cv.folds, seed):
+            # a fold has both classes when its positives are neither none nor
+            # all of it; a training side, the other folds, then has both too
+            if not 0 < y[fold].sum() < fold.size:
+                break
             mask = np.ones(n, dtype=bool)
             mask[fold] = False
-            if len(np.unique(y[mask])) < 2 or len(np.unique(y[fold])) < 2:
-                break
             pairs.append((np.flatnonzero(mask), fold))
         else:
             return pairs
@@ -148,6 +184,6 @@ def grid_search(X, y, family: str, grid: dict = None,
     table = count_tables(X, labels)
     for f, (train, valid) in enumerate(folds):
         fold = (table(train), table(valid))
-        scores[:, f] = [score(params, fold) for params in cell_params]
+        scores[:, f] = score(cell_params, fold)
         del fold  # dropped before the next fold's data is built
     return GridResult(family=family, combos=tuple(combos), scores=scores)

@@ -15,6 +15,15 @@ float. Tree tuning (``grid_search``) fits and scores each fold's count
 table, and each forest tree grows on the count table of its bootstrap
 sample.
 
+``max_depth`` and ``min_samples_split`` only decide which nodes are
+searched (``size >= min_samples_split`` and depth < ``max_depth``), not
+what a searched node finds, so the trees they give are nested subtrees of
+one grown tree (Breiman, Friedman, Olshen & Stone, *CART*, 1984, ch. 3);
+``min_samples_leaf`` changes the splits themselves. ``stop_early`` derives
+the tree of tighter stopping rules from a tree grown with looser ones,
+equal to its own fit array for array, and tree tuning grows one tree per
+fold and ``min_samples_leaf``.
+
 Each column is sorted once per tree (after SPRINT, Shafer, Agrawal & Mehta
 1996), and the tree grows a level at a time (``_grow_levels``), the
 depth-wise order of presorted growers. The nodes of a depth hold their
@@ -321,6 +330,41 @@ def _from_levels(levels, params, n_features, feature_names) -> DecisionTreeModel
         n_samples=n_samples, n_pos=n_pos, impurity=impurity, decrease=decrease,
         params=params, n_features=n_features,
         feature_names=tuple(feature_names) if feature_names else None)
+
+
+def stop_early(model: DecisionTreeModel, params: TreeParams) -> DecisionTreeModel:
+    """The tree ``fit_tree`` grows with ``params``, derived from ``model``:
+    a tree grown on the same table with the same ``min_samples_leaf`` and
+    stopping rules no stricter than ``params``' (no or a deeper
+    ``max_depth``, a ``min_samples_split`` no larger). Every split of
+    ``model`` at depth ``max_depth`` or below, or on fewer than
+    ``min_samples_split`` counted rows, becomes a leaf that keeps its counts
+    and impurity, and its subtree is dropped; the nodes left keep their
+    preorder."""
+    grows = (model.feature >= 0) & (model.n_samples >= params.min_samples_split)
+    kept = np.zeros(model.feature.size, dtype=bool)
+    level = np.zeros(1, dtype=np.int64)  # a depth's kept nodes
+    depth = 0
+    while level.size:
+        kept[level] = True
+        if depth == params.max_depth:
+            break
+        level = level[grows[level]]
+        level = np.concatenate((model.left[level], model.right[level]))
+        depth += 1
+    split = grows & kept
+    split[split] = kept[model.left[split]]  # not at depth max_depth
+    ids = kept.cumsum() - 1  # the kept nodes' new ids
+    return DecisionTreeModel(
+        feature=np.where(split, model.feature, -1)[kept],
+        threshold=np.where(split, model.threshold, np.nan)[kept],
+        left=np.where(split, ids[model.left], -1)[kept],
+        right=np.where(split, ids[model.right], -1)[kept],
+        n_samples=model.n_samples[kept], n_pos=model.n_pos[kept],
+        impurity=model.impurity[kept],
+        decrease=np.where(split, model.decrease, 0.0)[kept],
+        params=params, n_features=model.n_features,
+        feature_names=model.feature_names)
 
 
 def predict_tree(model: DecisionTreeModel, X):

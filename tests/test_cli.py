@@ -205,7 +205,10 @@ class TestTrain:
                        "--data", synthetic_csv, "--out", str(out),
                        "--config", str(conf))
         assert code == 0
-        assert len(seen) == 7  # 2 cells x 3 folds + the refit
+        # 3 folds x 1 min_samples_leaf group (grown to the deeper cell's
+        # max_depth, 4) + the refit
+        assert len(seen) == 4
+        assert [p.max_depth for p in seen[:3]] == [4, 4, 4]
         assert all(p.min_samples_leaf == 20 for p in seen)
         report = read_json(out / "report.json")
         assert report["model"]["params"]["min_samples_leaf"] == 20

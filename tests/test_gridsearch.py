@@ -1,9 +1,11 @@
 import statistics
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from diabrisk import gridsearch
+from diabrisk.dataset import count_tables
 from diabrisk.errors import BadParams, DataError, FoldDegenerate, SingleClass
 from diabrisk.gridsearch import (
     CvConfig,
@@ -12,7 +14,7 @@ from diabrisk.gridsearch import (
 )
 from diabrisk.logistic import LogRegParams, fit_logreg, predict_proba
 from diabrisk.metrics import roc_curve
-from diabrisk.tree import TreeParams, fit_tree, predict_tree
+from diabrisk.tree import TreeParams, fit_tree, predict_tree, tree_to_text
 
 
 def small_problem(seed=0, n=120, p=3):
@@ -48,6 +50,32 @@ class TestKFoldIndices:
             k_fold_indices(3, 5, seed=0)
         with pytest.raises(BadParams, match="cannot split 3 rows into 0 folds"):
             k_fold_indices(3, 0, seed=0)
+
+
+class TestDrawFolds:
+    # 3 positives among 12 rows in 3 folds: most draws leave a fold without
+    # one, and only seed 1's first draw holds
+    Y = np.array([1, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0])
+    PINNED = {
+        0: [[11, 1, 3, 9], [8, 2, 7, 6], [10, 0, 4, 5]],
+        1: [[8, 11, 4, 7], [5, 0, 1, 9], [2, 10, 6, 3]],
+        2: [[1, 8, 5, 11], [7, 4, 3, 10], [0, 2, 6, 9]],
+        3: [[8, 6, 7, 4], [9, 1, 5, 0], [3, 10, 11, 2]],
+    }
+
+    @pytest.mark.parametrize("seed", sorted(PINNED))
+    def test_pinned_folds(self, seed):
+        pairs = gridsearch._draw_folds(self.Y, 12, CvConfig(folds=3, seed=seed))
+        assert [valid.tolist() for _, valid in pairs] == self.PINNED[seed]
+        first_draw = [f.tolist() for f in k_fold_indices(12, 3, seed)]
+        assert (first_draw == self.PINNED[seed]) == (seed == 1)
+        for train, valid in pairs:
+            assert train.tolist() == sorted(set(range(12)) - set(valid.tolist()))
+
+    def test_no_draw_has_both_classes(self):
+        # four folds cannot each hold one of three positives
+        with pytest.raises(FoldDegenerate):
+            gridsearch._draw_folds(self.Y, 12, CvConfig(folds=4, seed=0))
 
 
 class TestGridSearch:
@@ -201,7 +229,70 @@ class TestTreeCountTables:
             monkeypatch, ("fit_tree", "predict_tree"),
             lambda: grid_search(X, y, "tree", self.GRID, self.CV))
         assert result.n_fits == 8 * 4
-        assert calls == {name: result.n_fits for name in calls}
+        # one fit per fold and min_samples_leaf; one prediction and curve
+        # per distinct tree (its text less the params line) of a fold and
+        # min_samples_leaf
+        folds = gridsearch._draw_folds(y, X.shape[0], self.CV)
+        distinct = sum(
+            len({tree_to_text(fit_tree(X[train], y[train], TreeParams(**cell)))
+                 .partition("\n")[2]
+                 for cell in result.combos if cell["min_samples_leaf"] == leaf})
+            for train, _ in folds for leaf in self.GRID["min_samples_leaf"])
+        assert 4 <= distinct < result.n_fits
+        assert calls == {"fit_tree": 4 * 2, "predict_tree": distinct,
+                         "roc_curve": distinct}
+
+    def test_cells_in_shuffled_order(self):
+        X, y = self.duplicated_problem()
+        grid = {"min_samples_split": [40, 2, 7], "max_depth": [2, None, 1],
+                "min_samples_leaf": [12, 1]}
+        result = grid_search(X, y, "tree", grid, self.CV)
+        assert result.scores.tobytes() == _tree_scores_on_rows(
+            X, y, result.combos, self.CV).tobytes()
+
+    def test_trees_of_one_size_scored_apart(self):
+        rng = np.random.default_rng(2)
+        x = rng.integers(1, 9, size=200).astype(float)
+        y = (x + rng.normal(scale=2.0, size=200) < 4).astype(int)
+        X = x[:, None]
+        cells = [TreeParams(max_depth=2),
+                 TreeParams(max_depth=3, min_samples_split=80)]
+        trees = [fit_tree(X, y, cell) for cell in cells]
+        # seven nodes each, cut in different places
+        assert trees[0].right.size == trees[1].right.size == 7
+        assert trees[0].right.tolist() != trees[1].right.tolist()
+        want = [roc_curve(y, predict_tree(model, X)[1]).auc for model in trees]
+        assert want[0] != want[1]
+        table = count_tables(X, y)()
+        assert gridsearch._score_tree(cells, (table, table)) == want
+
+    def test_bounded_group_grows_a_bounded_tree(self, monkeypatch):
+        X, y = self.duplicated_problem()
+        grown = []
+        fit = gridsearch.fit_tree
+
+        def recording(X, y, params, **kw):
+            grown.append(params)
+            return fit(X, y, params, **kw)
+
+        monkeypatch.setattr(gridsearch, "fit_tree", recording)
+        result = grid_search(X, y, "tree", {"max_depth": [2, 3]}, self.CV,
+                             base=TreeParams(min_samples_split=9))
+        assert grown == [TreeParams(max_depth=3, min_samples_split=9)] * 4
+        assert result.scores.tobytes() == _tree_scores_on_rows(
+            X, y, result.combos, self.CV,
+            TreeParams(min_samples_split=9)).tobytes()
+
+
+def _tree_scores_on_rows(X, y, combos, cv, base=TreeParams()):
+    """The tree family's scores of fits per cell on each fold's rows."""
+    folds = gridsearch._draw_folds(y, X.shape[0], cv)
+    return np.array([
+        [roc_curve(y[valid], predict_tree(
+            fit_tree(X[train], y[train], replace(base, **cell)), X[valid])[1]).auc
+         for train, valid in folds]
+        for cell in combos
+    ])
 
 
 def _global_calls(monkeypatch, names, search):

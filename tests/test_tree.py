@@ -842,6 +842,88 @@ class TestPresortedOracle:
         assert np.array_equal(labels, [1, 1, 0, 0, 0, 1, 1])
 
 
+def assert_derived_equal_fits(X, y, cells, counts=None):
+    """``stop_early`` gives every cell ``fit_tree``'s tree, derived from one
+    tree per ``min_samples_leaf`` grown with its cells' loosest rules (no
+    ``max_depth`` if any cell has none, else the deepest; the smallest
+    ``min_samples_split``), as the tree grid search grows them; the grown
+    trees."""
+    grown = {}
+    for leaf in {cell.min_samples_leaf for cell in cells}:
+        group = [cell for cell in cells if cell.min_samples_leaf == leaf]
+        depths = [cell.max_depth for cell in group]
+        loosest = TreeParams(
+            max_depth=None if None in depths else max(depths),
+            min_samples_split=min(cell.min_samples_split for cell in group),
+            min_samples_leaf=leaf)
+        grown[leaf] = fit_tree(X, y, loosest, counts=counts)
+    for cell in cells:
+        assert_same_tree(tree.stop_early(grown[cell.min_samples_leaf], cell),
+                         fit_tree(X, y, cell, counts=counts))
+    return grown
+
+
+class TestStopEarly:
+    """A tree derived from a grown tree by tighter stopping rules equals
+    the tree grown with those rules, array for array."""
+
+    @pytest.mark.parametrize("n", [2, 17, 300, 3000])
+    def test_default_grid_on_income_tables(self, n):
+        X, y, Xd, yd, counts = income_table(n, n)
+        assert_derived_equal_fits(Xd, yd, GRID_CELLS, counts)
+        assert_derived_equal_fits(X, y, GRID_CELLS)
+
+    CELLS = [TreeParams(max_depth=d, min_samples_split=s, min_samples_leaf=leaf)
+             for d in (None, 1, 2, 4) for s in (2, 7, 40) for leaf in (1, 3)]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_tied_tables(self, seed):
+        X, y = tied_table(seed)
+        assert_derived_equal_fits(X, y, self.CELLS)
+        table, counts = np.unique(np.column_stack([X, y]), axis=0, return_counts=True)
+        assert_derived_equal_fits(table[:, :-1], table[:, -1].astype(int),
+                                  self.CELLS, counts)
+
+    def test_max_depth_deeper_than_the_tree(self):
+        X, y, Xd, yd, counts = income_table(7, 2000)
+        grown = fit_tree(Xd, yd, counts=counts)
+        depth = max(d for _, d in walk(grown))
+        assert 0 < depth < 40
+        assert_derived_equal_fits(Xd, yd, [TreeParams(max_depth=40),
+                                           TreeParams(max_depth=depth)], counts)
+
+    def test_split_minimum_above_the_root_is_one_leaf(self):
+        X, y, Xd, yd, counts = income_table(7, 2000)
+        cell = TreeParams(min_samples_split=2001)
+        assert_derived_equal_fits(Xd, yd, [cell, TreeParams()], counts)
+        derived = tree.stop_early(fit_tree(Xd, yd, counts=counts), cell)
+        assert derived.feature.tolist() == [-1]
+        assert derived.n_samples.tolist() == [2000]
+
+    def test_pure_table(self):
+        X = np.arange(12.0).reshape(6, 2)
+        y = np.ones(6, dtype=int)
+        grown = assert_derived_equal_fits(X, y, [TreeParams(max_depth=2),
+                                                 TreeParams(min_samples_split=3)])
+        assert grown[1].feature.tolist() == [-1]
+
+    def test_bounded_group_grows_a_bounded_tree(self):
+        X, y, Xd, yd, counts = income_table(7, 2000)
+        cells = [TreeParams(max_depth=2, min_samples_split=50),
+                 TreeParams(max_depth=3, min_samples_split=10)]
+        grown = assert_derived_equal_fits(Xd, yd, cells, counts)[1]
+        assert grown.params == TreeParams(max_depth=3, min_samples_split=10)
+        assert max(d for _, d in walk(grown)) == 3
+        # the bound cut splits that an unbounded tree makes
+        assert grown.feature.size < fit_tree(Xd, yd, counts=counts).feature.size
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_cells_in_shuffled_order(self, seed):
+        X, y, Xd, yd, counts = income_table(seed, 1000)
+        order = np.random.default_rng(seed).permutation(len(GRID_CELLS))
+        assert_derived_equal_fits(Xd, yd, [GRID_CELLS[i] for i in order], counts)
+
+
 # ---------------------------------------------------------------- pool
 
 def visible_cpus(monkeypatch, n):
