@@ -6,17 +6,20 @@ OLD_SRC and NEW_SRC are ``src/`` directories of two checkouts. The script
 makes the seed-1 synthetic tables with this checkout's ``perfbench/synth.py``
 and runs the six benchmark commands, ``tune-only --experiment health``,
 ``train --experiment health --split-first``, an L1 ``train --experiment
-health``, a one-tree ``features``, ``tune-only --experiment income`` and a
-bounded tuned ``train --experiment income``, with each side's sources, with
-``--seed 1`` and one BLAS thread. Each command reads that side's
-``perfbench/configs/*.cfg`` (next to its ``src/``) or one of the configs
-in ``WRITTEN_CONFIGS``, which the script writes into its temporary work
-directory for both sides to read. The split-first one covers the
+health``, a one-tree ``features``, a ``features`` pinned to one CPU,
+``tune-only --experiment income`` and a bounded tuned ``train --experiment
+income``, with each side's sources, with ``--seed 1`` and one BLAS thread.
+Each command reads that side's ``perfbench/configs/*.cfg`` (next to its
+``src/``) or one of the configs in ``WRITTEN_CONFIGS``, which the script
+writes into its temporary work directory for both sides to read. The split-first one covers the
 split-first SMOTE path of the health model and the ``splitfirst_`` file
 names. The L1 one covers the proximal Newton final fit on the training
-rows' count table in raw units. The one-tree ``features`` fits its forest in
-the calling process; the four-tree ``features`` fits it in a pool wherever
-two or more CPUs are available. ``tune-only --experiment income`` runs the
+rows' count table in raw units. ``features`` runs its lasso, RFE and tree
+fits as jobs of one pool of forked workers wherever two or more CPUs are
+available; the one-tree ``features`` has a forest of one tree among those
+jobs, and the pinned one (``os.sched_setaffinity`` to one CPU before the
+program starts) runs every job in the calling process, so both paths are
+compared with the other side. ``tune-only --experiment income`` runs the
 default tree grid on a table SMOTE'd whole, with no refit. The bounded one
 tunes ``max_depth`` 2 and 4 from ``tree.min_samples_leaf = 20``, with a
 ``min_samples_split`` of 10,000 that turns some splits of the tree grown
@@ -50,6 +53,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SYNTH = ROOT / "perfbench" / "synth.py"
 SEED = "1"
 ENTRY = "import sys; from diabrisk.cli import main; sys.exit(main())"
+# run before ENTRY by the commands of ONE_CPU
+PIN = "import os; os.sched_setaffinity(0, [min(os.sched_getaffinity(0))]); "
 WHERE = "import diabrisk; print(diabrisk.__file__)"
 
 # config file name -> text, for configs written into the work directory
@@ -82,12 +87,15 @@ COMMANDS = {
     "train-health-l1": (0.10, "l1-raw.cfg",
                         ("train", "--experiment", "health")),
     "features-one-tree": (0.05, "one-tree.cfg", ("features",)),
+    "features-one-cpu": (0.05, "features.cfg", ("features",)),
     "tune-only-income": (0.15, "income-tuned.cfg",
                          ("tune-only", "--experiment", "income")),
     "train-income-tuned-bounded": (0.15, "income-bounded.cfg",
                                    ("train", "--experiment", "income",
                                     "--tuned")),
 }
+# commands whose process may run on one CPU only
+ONE_CPU = {"features-one-cpu"}
 
 
 def make_inputs(work: Path) -> dict:
@@ -135,7 +143,8 @@ def run_side(src: Path, tables: dict, out: Path, keep: Path) -> bool:
     ok = True
     for name, (scale, config, args) in COMMANDS.items():
         config = (out.parent if config in WRITTEN_CONFIGS else configs) / config
-        argv = [sys.executable, "-c", ENTRY, *args, "--data", str(tables[scale]),
+        entry = PIN + ENTRY if name in ONE_CPU else ENTRY
+        argv = [sys.executable, "-c", entry, *args, "--data", str(tables[scale]),
                 "--config", str(config), "--seed", SEED,
                 "--out", str(out / name)]
         proc = subprocess.run(argv, env=env, cwd=out.parent,

@@ -168,7 +168,7 @@ def grid_search(X, y, family: str, grid: dict = None,
     params_type, score, default_grid = FAMILIES[family]
     X = as_matrix(X)
     labels = as_labels(y, n_rows=X.shape[0])
-    if len(np.unique(labels)) < 2:
+    if not 0 < labels.sum() < labels.size:
         raise SingleClass("both classes are required for tuning")
     grid = default_grid if grid is None else grid
     if any(not values for values in grid.values()):

@@ -345,7 +345,7 @@ def fit_logreg(X, y, params: LogRegParams = LogRegParams(),
     s = _as_signs(y, X.shape[0])
     # each row's count as a float, exact since counts stay far below 2**53
     c = as_counts(counts, X.shape[0]).astype(float)
-    if len(np.unique(s)) < 2:
+    if not 0 < (s > 0).sum() < s.size:
         raise SingleClass("both classes are required to fit")
 
     if params.standardize:

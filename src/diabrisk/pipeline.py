@@ -41,6 +41,7 @@ from .metrics import (
     report_to_text,
     roc_curve,
 )
+from .pool import FitPool
 from .smote import smote_balance
 from .tree import fit_forest, fit_tree, impurity_importance, predict_tree, \
     tree_to_text
@@ -163,8 +164,16 @@ def run_features(cfg: ExperimentConfig) -> dict:
 
     # the configured lambda may lie on the path; each distinct one is fit once
     lambdas = np.logspace(-4, 2, 10).tolist()
-    fits = {lam: lasso_coefficients(X, y, lam)
-            for lam in dict.fromkeys([cfg.lasso_lambda, *lambdas])}
+    distinct = list(dict.fromkeys([cfg.lasso_lambda, *lambdas]))
+    # every selector fit is a job of one pool: the RFE chain, the longest,
+    # first, then the lasso fits, then the forest's trees
+    with FitPool(X, y, 1 + len(distinct) + cfg.forest.n_trees) as pool:
+        ranks = pool.submit(_rfe_job, cfg.rfe_n_select)
+        fits = {lam: pool.submit(_lasso_job, lam) for lam in distinct}
+        rows = fit_forest(pool.X, pool.labels, cfg.forest, pool)
+        ranks = ranks.result()
+        fits = {lam: fit.result() for lam, fit in fits.items()}
+
     coefs = fits[cfg.lasso_lambda]
     run.write_csv("lasso_coefs.csv", {"name": names, "coefficient": coefs})
 
@@ -174,11 +183,10 @@ def run_features(cfg: ExperimentConfig) -> dict:
         **dict(zip(names, path.T)),
     })
 
-    importance, degenerate = impurity_importance(fit_forest(X, y, cfg.forest))
+    importance, degenerate = impurity_importance(rows)
     run.write_csv("forest_importance.csv",
                   {"name": names, "importance": importance})
 
-    ranks = rfe(X, y, cfg.rfe_n_select)
     selected = ranks == 1
     run.write_csv("rfe.csv", {"name": names, "selected": selected, "rank": ranks})
 
@@ -202,6 +210,17 @@ def run_features(cfg: ExperimentConfig) -> dict:
         "warnings": [],
     }
     return run.finalize(report)
+
+
+# The jobs of run_features' pool. They call the selectors through this
+# module's globals, where a caller may have wrapped them; a wrapped function
+# could not be pickled by name, but these can, and their numbers with them.
+def _rfe_job(X, labels, n_select):
+    return rfe(X, labels, n_select)
+
+
+def _lasso_job(X, labels, lam):
+    return lasso_coefficients(X, labels, lam)
 
 
 def _experiment_data(cfg: ExperimentConfig, experiment: str, balanced: bool):
@@ -312,7 +331,7 @@ def run_train(cfg: ExperimentConfig, experiment: str, tuned: bool,
     names, X_train, y_train, X_test, y_test, before, after = _experiment_data(
         cfg, experiment, balanced
     )
-    if len(np.unique(y_test)) < 2:  # checked before any fit: scoring needs both
+    if not 0 < y_test.sum() < y_test.size:  # before any fit: scoring needs both
         raise SingleClass(f"the {len(y_test)}-row test split (test_fraction = "
                           f"{cfg.test_fraction!r}) does not hold both classes")
     run = _experiment_run(cfg)

@@ -46,23 +46,23 @@ left child is the node right after it, and its right child follows the
 left subtree. The grower renumbers its levels into preorder
 (``_from_levels``).
 
-``fit_forest`` fits its trees independently (Breiman 2001), in a pool of
-forked processes: one per CPU this process may run on
-(``os.sched_getaffinity``), at most one per tree, or in the calling process
-with one worker or no ``fork``. Each tree has its own random stream, so the
-forest is the same either way. Only a tree's importance row leaves the
-process that grew it. On Linux the workers are killed with their parent.
+``fit_forest`` fits its trees independently (Breiman 2001), each tree one
+job of a ``FitPool``: the caller's, or one of its own with one forked
+process per CPU this process may run on, at most one per tree, or the
+calling process with one worker or no ``fork``. Each tree has its own
+random stream, so the forest is the same either way. Only a tree's
+importance row leaves the process that grew it.
 """
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import as_counts, as_labels, as_matrix, as_names
 from .errors import BadParams, DimensionMismatch, EmptyNode, SingleClass
+from .pool import FitPool
 
 
 @dataclass(frozen=True)
@@ -389,78 +389,42 @@ def predict_tree(model: DecisionTreeModel, X):
     return (pos >= neg).astype(int), pos / (neg + pos)
 
 
-def fit_forest(X, y, params: ForestParams = ForestParams()) -> np.ndarray:
+def fit_forest(X, y, params: ForestParams = ForestParams(),
+               pool: FitPool | None = None) -> np.ndarray:
     """Each tree's raw impurity importance, an ``(n_trees, p)`` float array.
     Each tree grows on its own bootstrap sample of the rows with the default
     (unbounded) ``TreeParams``, each split chosen among ``max_features``
-    randomly drawn columns, in one forked process per available CPU, or in
-    this process with one CPU, one tree or no ``fork``: the same either way."""
+    randomly drawn columns. The trees are jobs of ``pool``, a ``FitPool``
+    opened on this X and y, or else of a pool of their own: in one forked
+    process per available CPU, or in this process with one CPU, one tree or
+    no ``fork``; the same either way."""
     X = as_matrix(X)
     labels = as_labels(y, n_rows=X.shape[0])
     if X.shape[0] < 2:
         raise DimensionMismatch("need at least 2 rows")
-    if len(np.unique(labels)) < 2:
+    if not 0 < labels.sum() < labels.size:
         raise SingleClass("both classes are required to fit a forest")
+    if pool is None:
+        with FitPool(X, labels, params.n_trees) as own:
+            return fit_forest(X, labels, params, own)
+    if pool.X is not X or not np.array_equal(pool.labels, labels):
+        raise BadParams("the pool holds another table than the forest's")
     p = X.shape[1]
-    max_features = params.max_features
-    if max_features is None:
-        max_features = math.ceil(math.sqrt(p))
-    forest = (X, labels, params.seed, min(max_features, p))
-    workers = _forest_workers(params.n_trees)
-    trees = range(params.n_trees)
-    if workers == 1:
-        return np.array([_forest_tree_importance(t, forest) for t in trees])
-    # imported here, so that importing the package does not load them
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    # forked workers inherit the forest through the initializer's arguments,
-    # unpickled; only tree indices and importance rows cross between processes.
-    # With fork, the pool forks all its workers before it starts a thread.
-    with ProcessPoolExecutor(
-            workers, mp_context=multiprocessing.get_context("fork"),
-            initializer=_start_forest_worker,
-            initargs=(os.getpid(), forest)) as pool:
-        return np.array(list(pool.map(_forest_tree_importance, trees)))
+    max_features = min(params.max_features or math.ceil(math.sqrt(p)), p)
+    jobs = [pool.submit(_forest_tree_importance, t, params.seed, max_features)
+            for t in range(params.n_trees)]
+    return np.array([job.result() for job in jobs])
 
 
-def _forest_workers(n_trees: int) -> int:
-    """Processes to fit ``n_trees`` trees in: one per CPU this process may run
-    on, at most one per tree, and 1 (the calling process) without ``fork``."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return min(len(os.sched_getaffinity(0)), n_trees)
-
-
-# (X, labels, seed, max_features) of the forest a pool worker fits; set
-# only in worker processes
-_worker_forest = None
-
-
-def _start_forest_worker(parent, forest):
-    global _worker_forest
-    _worker_forest = forest
-    # a worker waits on its task queue while the queue's pipe is open, and
-    # every worker holds it open: a parent killed mid-forest would leave its
-    # workers waiting forever. On Linux they are killed with it.
-    try:
-        import ctypes
-        import signal
-        ctypes.CDLL(None).prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
-    except (OSError, AttributeError):
-        pass
-    if os.getppid() != parent:  # the parent died before the prctl
-        os._exit(1)
-
-
-def _fit_forest_tree(t, forest=None):
-    """Tree ``t`` of a forest (in a pool worker, of the worker's forest). Its
+def _fit_forest_tree(t, forest):
+    """Tree ``t`` of the forest ``(X, labels, seed, max_features)``. Its
     stream ``default_rng([seed, t])`` draws the bootstrap rows and then, a
     level at a time, the candidate features of the level's nodes, so the
     tree does not depend on the process or the order it is fitted in. The
     tree grows on the bootstrap's count table (each drawn row once, with its
     number of draws) by the level-wise grower, which takes its deep levels
     of many small nodes in a few numpy calls each."""
-    X, labels, seed, max_features = _worker_forest if forest is None else forest
+    X, labels, seed, max_features = forest
     rng = np.random.default_rng([seed, t])
     n = X.shape[0]
     counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
@@ -470,9 +434,11 @@ def _fit_forest_tree(t, forest=None):
                         TreeParams(), rng, max_features)
 
 
-def _forest_tree_importance(t, forest=None) -> np.ndarray:
-    """The raw importance of tree ``t`` of a forest (``_fit_forest_tree``)."""
-    return _tree_raw_importance(_fit_forest_tree(t, forest))
+def _forest_tree_importance(X, labels, t, seed, max_features) -> np.ndarray:
+    """The raw importance of tree ``t`` of a forest (``_fit_forest_tree``);
+    a ``FitPool`` job."""
+    return _tree_raw_importance(
+        _fit_forest_tree(t, (X, labels, seed, max_features)))
 
 
 def _tree_raw_importance(tree: DecisionTreeModel) -> np.ndarray:

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import tempfile
 import warnings
 
 import numpy as np
@@ -258,13 +259,19 @@ class TestFeatures:
 
     @pytest.mark.parametrize("lam, n_fits", [(0.01, 10), (0.03, 11)])
     def test_each_lasso_lambda_fit_once(self, tmp_path, monkeypatch, lam, n_fits):
-        # 0.01 lies on the 10-point path, 0.03 does not
-        fits = []
+        # 0.01 lies on the 10-point path, 0.03 does not. A fit may run in a
+        # pool worker, so each one saves its lambda and coefficients to a
+        # file of its own.
+        saved = tmp_path / "fits"
+        saved.mkdir()
         lasso = pipeline.lasso_coefficients
 
         def recording(X, y, value):
-            fits.append((value, lasso(X, y, value)))
-            return fits[-1][1]
+            coefs = lasso(X, y, value)
+            fd, name = tempfile.mkstemp(dir=saved)
+            with os.fdopen(fd, "wb") as fh:
+                np.save(fh, np.concatenate(([value], coefs)))
+            return coefs
         monkeypatch.setattr(pipeline, "lasso_coefficients", recording)
         data = write_rows(tmp_path / "d.csv", synthetic_rows(200, seed=5))
         out = tmp_path / "out"
@@ -272,6 +279,7 @@ class TestFeatures:
                        "--config", str(write_config(
                            tmp_path, f"forest.n_trees = 2\nlasso.lambda = {lam}\n")))
         assert code == 0
+        fits = [(fit[0], fit[1:]) for fit in map(np.load, saved.iterdir())]
         lams = [fit_lam for fit_lam, _ in fits]
         assert len(lams) == n_fits == len(set(lams))
         assert lam in lams
@@ -525,6 +533,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == ("training error: the 1-row test split (test_fraction "
                        "= 0.001) does not hold both classes\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_empty_test_split_is_training_error(self, synthetic_csv, tmp_path,
+                                                capsys):
+        # rounds to no test rows, which hold neither class
+        conf = write_config(tmp_path, "test_fraction = 0.0001\n")
+        assert run_cli("train", "--experiment", "health",
+                       "--data", synthetic_csv, "--out", str(tmp_path / "out"),
+                       "--config", str(conf)) == 3
+        err = capsys.readouterr().err
+        assert err == ("training error: the 0-row test split (test_fraction "
+                       "= 0.0001) does not hold both classes\n")
         assert not (tmp_path / "out").exists()
 
     def test_unknown_config_key_is_config_error(self, synthetic_csv, tmp_path):

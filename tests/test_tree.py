@@ -1,8 +1,11 @@
 import faulthandler
+import functools
 import hashlib
 import math
 import multiprocessing
 import os
+import pickle
+import shutil
 import signal
 import subprocess
 import sys
@@ -11,13 +14,15 @@ import time
 import numpy as np
 import pytest
 
-from conftest import REPO_ROOT
-from diabrisk import tree
+from conftest import REPO_ROOT, synthetic_rows, write_rows
+from diabrisk import feature_selection, pipeline, tree
+from diabrisk.config import ExperimentConfig
 from diabrisk.dataset import as_counts, as_labels, as_matrix
 from diabrisk.errors import (
     BadParams, DataError, DimensionMismatch, EmptyNode, SingleClass,
 )
 from diabrisk.gridsearch import DEFAULT_TREE_GRID
+from diabrisk.pool import FitPool
 from diabrisk.tree import (
     DecisionTreeModel,
     ForestParams,
@@ -309,6 +314,12 @@ class TestForest:
         values, degenerate = impurity_importance(forest)
         assert degenerate is True
         assert np.allclose(values, 1.0 / 3)
+
+    def test_pool_on_another_table_rejected(self):
+        X, y = forest_data()
+        for other in ((X.copy(), y), (X, 1 - y)):
+            with FitPool(*other, 1) as pool, pytest.raises(BadParams, match="pool"):
+                fit_forest(X, y, ForestParams(n_trees=2), pool)
 
     def test_single_class_rejected(self):
         with pytest.raises(SingleClass):
@@ -927,7 +938,7 @@ class TestStopEarly:
 # ---------------------------------------------------------------- pool
 
 def visible_cpus(monkeypatch, n):
-    monkeypatch.setattr(tree.os, "sched_getaffinity", lambda pid: set(range(n)),
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
                         raising=False)
 
 
@@ -1032,33 +1043,194 @@ tree.fit_forest(np.arange(40.0).reshape(20, 2), np.arange(20) % 2,
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="reads process states from /proc")
     def test_workers_die_with_a_killed_parent(self, tmp_path):
-        def alive(pid):
-            try:
-                with open(f"/proc/{pid}/stat") as fh:
-                    return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
-            except FileNotFoundError:
-                return False
+        assert_workers_die_with_parent(
+            [sys.executable, "-c", self.STALLED, str(tmp_path)], tmp_path)
 
-        def wait_until(condition):
-            deadline = time.monotonic() + 60
-            while not condition() and time.monotonic() < deadline:
-                time.sleep(0.05)
-            return condition()
 
-        proc = subprocess.Popen([sys.executable, "-c", self.STALLED, str(tmp_path)],
-                                env=child_env())
-        try:
-            assert wait_until(lambda: len(os.listdir(tmp_path)) == 2)
-        finally:
-            proc.kill()
-            proc.wait(timeout=60)
-        workers = [int(name) for name in os.listdir(tmp_path)]
-        try:
-            assert wait_until(lambda: not any(alive(pid) for pid in workers))
-        finally:
-            for pid in workers:
-                if alive(pid):
-                    os.kill(pid, signal.SIGKILL)
+def alive(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def wait_until(condition):
+    deadline = time.monotonic() + 60
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return condition()
+
+
+def assert_workers_die_with_parent(argv, pids):
+    """Run ``argv``, whose two pool workers each create a file named by
+    their pid in the directory ``pids`` before one of them stalls; kill it
+    once both files exist, and check that both workers die with it."""
+    proc = subprocess.Popen(argv, env=child_env())
+    try:
+        assert wait_until(lambda: len(os.listdir(pids)) == 2)
+    finally:
+        proc.kill()
+        proc.wait(timeout=60)
+    workers = [int(name) for name in os.listdir(pids)]
+    try:
+        assert wait_until(lambda: not any(alive(pid) for pid in workers))
+    finally:
+        for pid in workers:
+            if alive(pid):
+                os.kill(pid, signal.SIGKILL)
+
+
+# ------------------------------------------------------- the features pool
+
+FEATURES_TREES = 4
+
+
+@pytest.fixture
+def survey_csv(tmp_path):
+    return write_rows(tmp_path / "survey.csv", synthetic_rows(300, seed=5))
+
+
+def features_cfg(survey_csv, out):
+    return ExperimentConfig(data_path=survey_csv, output_dir=str(out),
+                            forest=ForestParams(n_trees=FEATURES_TREES))
+
+
+def take_artifacts(out):
+    """Every file a run wrote into ``out``, by name, but ``manifest.json``
+    (it holds a timestamp); ``out`` is removed, so that the next run writes
+    under the same path, which ``report.json`` echoes."""
+    files = {p.name: p.read_bytes() for p in out.iterdir()
+             if p.name != "manifest.json"}
+    shutil.rmtree(out)
+    return files
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the pool needs fork")
+@pytest.mark.usefixtures("no_hang")
+class TestFeaturesPool:
+    @pytest.fixture
+    def fits_here(self, monkeypatch):
+        """Counts of the lasso fits, RFE fits and trees run in this process."""
+        here = dict.fromkeys(("lasso", "rfe", "tree"), 0)
+        for module, name, key in ((pipeline, "lasso_coefficients", "lasso"),
+                                  (feature_selection, "fit_logreg", "rfe"),
+                                  (tree, "_grow_levels", "tree")):
+            def counted(*args, _f=getattr(module, name), _key=key, **kwargs):
+                here[_key] += 1
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+        return here
+
+    def test_one_and_two_cpus_write_the_same_files(
+            self, monkeypatch, tmp_path, survey_csv, fits_here):
+        out = tmp_path / "out"
+        written = {}
+        for cpus in (1, 2):
+            visible_cpus(monkeypatch, cpus)
+            fits_here.update(dict.fromkeys(fits_here, 0))
+            pipeline.run_features(features_cfg(survey_csv, out))
+            # 10 path lambdas (0.01 among them), 21 - 10 RFE rounds
+            assert fits_here == (
+                {"lasso": 10, "rfe": 11, "tree": FEATURES_TREES} if cpus == 1
+                else {"lasso": 0, "rfe": 0, "tree": 0})
+            assert multiprocessing.active_children() == []
+            written[cpus] = take_artifacts(out)
+        assert sorted(written[1]) == [
+            "consensus.csv", "forest_importance.csv", "lasso_coefs.csv",
+            "lasso_path.csv", "report.json", "rfe.csv"]
+        assert written[1] == written[2]
+
+    def test_wrapped_selectors_stay_in_this_process(
+            self, monkeypatch, tmp_path, survey_csv):
+        # perfbench/tracer.py wraps these pipeline globals with functools.wraps;
+        # pickle resolves such a wrapper to the function it wraps and refuses it,
+        # so the pool must only ever send its own job functions
+        visible_cpus(monkeypatch, 2)
+        out = tmp_path / "out"
+        pipeline.run_features(features_cfg(survey_csv, out))
+        plain = take_artifacts(out)
+        calls = []
+        for name in ("rfe", "lasso_coefficients", "fit_forest"):
+            @functools.wraps(getattr(pipeline, name))
+            def wrapped(*args, _f=getattr(pipeline, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(pipeline, name, wrapped)
+            with pytest.raises(pickle.PicklingError):
+                pickle.dumps(getattr(pipeline, name))
+        pipeline.run_features(features_cfg(survey_csv, out))
+        assert calls == ["fit_forest"]  # the others ran in the workers
+        assert multiprocessing.active_children() == []
+        assert take_artifacts(out) == plain
+
+    FAILING = """
+import multiprocessing, os, sys
+from diabrisk import cli, pipeline
+from diabrisk.errors import SingleClass
+os.sched_getaffinity = lambda pid: {{0, 1}}
+def fail(*args, **kwargs):
+    {fail}
+pipeline.{site} = fail
+data, out, config = sys.argv[1:]
+try:
+    print("exit", cli.main(["features", "--data", data, "--out", out,
+                            "--config", config]))
+except Exception as error:
+    print(type(error).__name__, error)
+print("children", len(multiprocessing.active_children()))
+"""
+
+    @pytest.mark.parametrize("site", ["rfe", "lasso_coefficients"])
+    @pytest.mark.parametrize("fail, printed", [
+        # a training error exits 3, as when the selectors ran in this process
+        ("raise SingleClass('no fit today')", "exit 3"),
+        ("raise ValueError('no fit today')", "ValueError no fit today"),
+        ("os._exit(3)", "BrokenProcessPool"),
+    ], ids=["training-error", "raises", "dies"])
+    def test_failing_job_surfaces(self, tmp_path, survey_csv, site, fail, printed):
+        out = tmp_path / "out"
+        config = tmp_path / "features.cfg"
+        config.write_text(f"forest.n_trees = {FEATURES_TREES}\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", self.FAILING.format(site=site, fail=fail),
+             survey_csv, str(out), str(config)],
+            env=child_env(), capture_output=True, text=True, timeout=120,
+            check=True)
+        lines = proc.stdout.splitlines()
+        assert lines[0].startswith(printed)
+        assert lines[-1] == "children 0"
+        if printed == "exit 3":
+            assert proc.stderr == "training error: no fit today\n"
+        # every result is in before the first selector file is written
+        assert os.listdir(out) == []
+
+    STALLED = """
+import os, sys, time
+from diabrisk import cli, pipeline
+os.sched_getaffinity = lambda pid: {{0, 1}}
+def visit(*args, _f, stalls):
+    open(os.path.join(sys.argv[1], str(os.getpid())), "w").close()
+    if stalls:
+        time.sleep(300)
+    return _f(*args)
+for name in ("rfe", "lasso_coefficients"):
+    setattr(pipeline, name, lambda *args, _f=getattr(pipeline, name),
+            _stalls=name == "{site}": visit(*args, _f=_f, stalls=_stalls))
+cli.main(["features", "--data", sys.argv[2], "--out", sys.argv[3]])
+"""
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads process states from /proc")
+    @pytest.mark.parametrize("site", ["rfe", "lasso_coefficients"])
+    def test_workers_die_with_a_killed_parent(self, tmp_path, survey_csv, site):
+        # the RFE job goes to one worker and the first lambda to the other:
+        # each marks its worker's pid before the stalled one stops
+        pids = tmp_path / "pids"
+        pids.mkdir()
+        assert_workers_die_with_parent(
+            [sys.executable, "-c", self.STALLED.format(site=site), str(pids),
+             survey_csv, str(tmp_path / "out")], pids)
 
 
 def test_cli_import_loads_no_process_pool():
