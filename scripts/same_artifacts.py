@@ -6,12 +6,13 @@ OLD_SRC and NEW_SRC are ``src/`` directories of two checkouts. The script
 makes the seed-1 synthetic tables with this checkout's ``perfbench/synth.py``
 and runs the six benchmark commands, ``tune-only --experiment health``,
 ``train --experiment health --split-first``, an L1 ``train --experiment
-health``, a one-tree ``features``, a ``features`` pinned to one CPU,
-``tune-only --experiment income`` and a bounded tuned ``train --experiment
-income``, with each side's sources, with ``--seed 1`` and one BLAS thread.
-Each command reads that side's ``perfbench/configs/*.cfg`` (next to its
-``src/``) or one of the configs in ``WRITTEN_CONFIGS``, which the script
-writes into its temporary work directory for both sides to read. The split-first one covers the
+health``, two one-tree ``features`` (the second on a larger table), a
+``features`` pinned to one CPU, ``tune-only --experiment income`` and a
+bounded tuned ``train --experiment income``, with each side's sources, with
+``--seed 1`` and one BLAS thread. Each command reads that side's
+``perfbench/configs/*.cfg`` (next to its ``src/``) or one of the configs in
+``WRITTEN_CONFIGS``, which the script writes into its temporary work
+directory for both sides to read. The split-first one covers the
 split-first SMOTE path of the health model and the ``splitfirst_`` file
 names. The L1 one covers the proximal Newton final fit on the training
 rows' count table in raw units. ``features`` runs its lasso, RFE and tree
@@ -19,12 +20,15 @@ fits as jobs of one pool of forked workers wherever two or more CPUs are
 available; the one-tree ``features`` has a forest of one tree among those
 jobs, and the pinned one (``os.sched_setaffinity`` to one CPU before the
 program starts) runs every job in the calling process, so both paths are
-compared with the other side. ``tune-only --experiment income`` runs the
-default tree grid on a table SMOTE'd whole, with no refit. The bounded one
-tunes ``max_depth`` 2 and 4 from ``tree.min_samples_leaf = 20``, with a
-``min_samples_split`` of 10,000 that turns some splits of the tree grown
-with the grid's smallest value into leaves. Both sides write under the
-same ``--out`` path, because ``report.json`` echoes it.
+compared with the other side. SMOTE searches the minority rows of the
+larger one-tree ``features`` with its k-d tree and those of every other
+command in numpy, so both searches are compared too. ``tune-only
+--experiment income`` runs the default tree grid on a table SMOTE'd whole,
+with no refit. The bounded one tunes ``max_depth`` 2 and 4 from
+``tree.min_samples_leaf = 20``, with a ``min_samples_split`` of 10,000 that
+turns some splits of the tree grown with the grid's smallest value into
+leaves. Both sides write under the same ``--out`` path, because
+``report.json`` echoes it.
 Every file is then compared byte for byte, except ``created_unix_time`` in
 each ``*manifest.json``. Each file that differs is printed; for a CSV or JSON
 file the line adds the largest absolute difference between numbers in the
@@ -87,6 +91,7 @@ COMMANDS = {
     "train-health-l1": (0.10, "l1-raw.cfg",
                         ("train", "--experiment", "health")),
     "features-one-tree": (0.05, "one-tree.cfg", ("features",)),
+    "features-tree-search": (0.16, "one-tree.cfg", ("features",)),
     "features-one-cpu": (0.05, "features.cfg", ("features",)),
     "tune-only-income": (0.15, "income-tuned.cfg",
                          ("tune-only", "--experiment", "income")),

@@ -154,12 +154,13 @@ def parse_config(path: str = None, overrides: dict = None) -> ExperimentConfig:
     raw = {}
     if path is not None:
         try:
-            with open(path, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8-sig") as fh:  # a BOM is read
                 lines = fh.readlines()
         except OSError as exc:
             raise ConfigError(path, f"cannot read config file: {exc}") from None
         except UnicodeDecodeError:
             raise ConfigError(path, "config file is not valid UTF-8 text") from None
+        first_line = {}  # key -> the line that set it
         for lineno, line in enumerate(lines, start=1):
             stripped = line.split("#", 1)[0].strip()
             if not stripped:
@@ -167,7 +168,12 @@ def parse_config(path: str = None, overrides: dict = None) -> ExperimentConfig:
             if "=" not in stripped:
                 raise ConfigError(f"{path}:{lineno}", "expected key = value")
             key, _, value = stripped.partition("=")
-            raw[key.strip()] = value.strip()
+            key = key.strip()
+            if key in first_line:
+                raise ConfigError(f"{path}:{lineno}", f"{key} is set again "
+                                  f"(first on line {first_line[key]})")
+            first_line[key] = lineno
+            raw[key] = value.strip()
     if overrides:
         raw.update({k: v for k, v in overrides.items() if v is not None})
 

@@ -238,8 +238,9 @@ def load_csv(path) -> DataTable:
 
 
 def _text(data: bytes):
-    """The file's bytes as a text stream, decoded as ``open`` decodes it."""
-    return io.TextIOWrapper(io.BytesIO(data), newline="", encoding="utf-8")
+    """The file's bytes as a text stream, decoded as ``open`` decodes it; a
+    leading byte-order mark is dropped, as spreadsheet exports write one."""
+    return io.TextIOWrapper(io.BytesIO(data), newline="", encoding="utf-8-sig")
 
 
 def _load_csv(data: bytes) -> np.ndarray:
@@ -255,6 +256,8 @@ def _load_csv(data: bytes) -> np.ndarray:
     for name in CANONICAL_COLUMNS:
         if name not in header:
             raise MissingColumn(name)
+        if header.count(name) > 1:
+            raise DataError(f"repeated column: {name}")
     order = [header.index(name) for name in CANONICAL_COLUMNS]
     width = len(header)
     rows = _parse_whole(fh, width, order)

@@ -13,8 +13,18 @@ that catches the ValueError of a bad argument value still catches it.
 """
 
 
+def _rebuild(cls, args):
+    """An exception of ``cls`` holding ``args``, made without ``__init__``."""
+    return cls.__new__(cls, *args)
+
+
 class PipelineError(Exception):
-    pass
+    def __reduce__(self):
+        # Exception rebuilds from ``args``, the message alone, by calling the
+        # class; a subclass whose constructor takes fields would raise, and a
+        # pool job's error would surface as a broken pool. The fields come
+        # back as the instance's state.
+        return _rebuild, (type(self), self.args), self.__dict__
 
 
 class DataError(PipelineError):

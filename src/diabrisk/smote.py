@@ -1,13 +1,23 @@
 """Synthetic minority oversampling (SMOTE).
 
 Synthetic rows are convex interpolants between a minority row and one of its
-k nearest minority neighbours (Euclidean distance on raw feature values).
-Originals are kept first, in their input order; synthetics are appended.
+k nearest minority neighbours. Originals are kept first, in their input
+order; synthetics are appended.
 
-A row with k or more other copies has k of them, at distance 0, as its
-nearest neighbours. SMOTE reads only a neighbour's values, so such a row lists
-itself k times instead. Only the rows with fewer copies need a k-d tree
-search, and scipy is imported only when there is one.
+Neighbours follow one stated rule. A row's neighbours are the k other
+minority rows with the smallest squared distance, the float64 sum of squared
+column differences added in column order; ties go to the lower row index.
+On integer codes these squared distances are exact integers, and most
+queries have ties at the k-th distance. A row with more than k copies lists
+itself k times instead: k of its copies are at distance 0, and SMOTE reads
+only a neighbour's values, so any copy gives the same synthetic row.
+
+Only the rows with at most k copies are searched, one distinct row at a
+time. A small search screens every distinct minority row in numpy; a large
+one (more than ``_SCREEN_PAIRS`` query-candidate pairs of distinct rows)
+asks a k-d tree, and only then is scipy imported. At full scale that is
+``features`` alone. Either way the candidates are rescored and ranked by
+the rule, so the neighbours do not depend on the tree's layout.
 """
 from __future__ import annotations
 
@@ -17,7 +27,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import as_labels, as_matrix, distinct_rows
-from .errors import BadParams, SingleClass, TooFewMinority
+from .errors import BadParams, DataError, SingleClass, TooFewMinority
+
+# Above this many (queried distinct row, distinct row) pairs the k-d tree
+# searches instead of the numpy screen. Measured on one core of a 2-vCPU VM
+# with one BLAS thread, on 21-column rows: at 16M pairs the screen took
+# 0.26 s and the tree 0.10 s, at 36M pairs 0.53 s and 0.17 s, and importing
+# scipy for the tree takes 0.3-0.4 s, so the two break even near 2**25.
+_SCREEN_PAIRS = 2 ** 25
+# scores per block of the screen: 8 MB of float64
+_BLOCK_CELLS = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -36,28 +55,134 @@ class SmoteParams:
 
 
 def _minority_neighbors(minority: np.ndarray, k: int) -> np.ndarray:
-    """Index matrix of the k nearest minority neighbours of each minority row,
-    self excluded, or a row's own index k times when it has k or more other
-    copies.
-
-    Such a row's k nearest neighbours are copies at distance 0, and any copy
-    gives the same synthetic row as the row itself, bit for bit. Every other
-    row is queried against a k-d tree of all minority rows, so it gets the
-    neighbours a query of every row would give it."""
+    """Index matrix of the k neighbours of each minority row under the rule
+    of the module docstring, self excluded, or a row's own index k times
+    when it has more than k copies."""
     n = minority.shape[0]
-    _, inverse = distinct_rows(minority)
+    distinct, inverse = distinct_rows(minority)
+    counts = np.bincount(inverse)
     neighbors = np.repeat(np.arange(n)[:, None], k, axis=1)
-    queried = np.flatnonzero(np.bincount(inverse)[inverse] <= k)
-    if queried.size:
-        from scipy.spatial import cKDTree
-
-        _, idx = cKDTree(minority).query(minority[queried], k=k + 1)
-        # drop self, or the last column when more than k + 1 rows sit at
-        # distance 0 and self is not among them (squares that underflow)
-        drop = idx == queried[:, None]
-        drop[~drop.any(axis=1), -1] = True
-        neighbors[queried] = idx[~drop].reshape(-1, k)
+    groups = np.flatnonzero(counts <= k)  # the distinct rows searched
+    if groups.size:
+        # every d², Gram score and partial sum stays below 8 p top²
+        top = np.sqrt(np.finfo(float).max / (8 * distinct.shape[1]))
+        largest = np.abs(distinct).max()
+        if largest > top:
+            raise DataError(
+                f"SMOTE compares squared distances, so minority values must "
+                f"lie within +-{top:.3g}; got {largest:.3g}")
+        search = (_screen if groups.size * distinct.shape[0] <= _SCREEN_PAIRS
+                  else _tree_search)
+        group, candidate = search(distinct, counts, groups, k)
+        query, row = _member_pairs(inverse, counts, group, candidate, k)
+        neighbors[np.flatnonzero(counts[inverse] <= k)] = _nearest(
+            minority, query, row, k)
     return neighbors
+
+
+def _threshold(values, counts, k):
+    """Per row of ``values``, scores sorted ascending with one column per
+    distinct row of ``counts`` member rows: the (k + 1)-th member row's
+    score. A query's own copies count, so this is its k-th distance."""
+    reached = np.cumsum(counts, axis=1) >= k + 1
+    return values[np.arange(values.shape[0]), reached.argmax(axis=1)]
+
+
+def _screen(distinct, counts, groups, k):
+    """Pairs (queried distinct row, distinct row) that hold every row within
+    each query's k-th distance. numpy scores all distinct rows x of a query
+    q by the Gram form |x|² - 2 q·x, that is d² less |q|², one BLAS call a
+    block, and keeps those within the k-th distance's score plus a slack
+    above the form's rounding error. On integer codes the form is exact and
+    the slack below 1."""
+    d, p = distinct.shape
+    sq = np.einsum("ij,ij->i", distinct, distinct)
+    reach = np.sqrt(sq.max())
+    twice = -2.0 * distinct.T
+    step = max(1, _BLOCK_CELLS // d)
+    found = []
+    for start in range(0, groups.size, step):
+        block = groups[start:start + step]
+        scores = distinct[block] @ twice
+        scores += sq
+        # the (k + 1)-th member row is among the k + 1 least distinct rows
+        near = np.argpartition(scores, min(k, d - 1), axis=1)[:, :k + 1]
+        near_scores = np.take_along_axis(scores, near, axis=1)
+        order = np.argsort(near_scores, axis=1)
+        limit = _threshold(np.take_along_axis(near_scores, order, axis=1),
+                           counts[np.take_along_axis(near, order, axis=1)], k)
+        # a score is off by at most (p + 2) units of rounding of
+        # (|q| + |x|)², plus underflow: twice that covers the error of both
+        # a score and the limit
+        bound = (np.sqrt(sq[block]) + reach) ** 2
+        slack = 4 * (p + 2) * (np.finfo(float).eps * bound
+                               + np.finfo(float).smallest_subnormal)
+        pair, candidate = np.nonzero(scores <= (limit + slack)[:, None])
+        found.append((block[pair], candidate))
+    return tuple(np.concatenate(column) for column in zip(*found))
+
+
+def _tree_search(distinct, counts, groups, k):
+    """The pairs of ``_screen`` from a k-d tree of the distinct rows. Each
+    query asks for 4(k + 1) neighbours; a query whose last one is not past
+    its k-th distance may have missed a tie, and asks again for twice as
+    many. The tree's distances are square roots of its own sums, so the
+    comparison is padded: by a relative 1e-12 for rounding and by 1e-150 for
+    squares that underflow."""
+    from scipy.spatial import cKDTree
+
+    tree = cKDTree(distinct)
+    d = distinct.shape[0]
+    ask = min(4 * (k + 1), d)  # >= 2, so query returns one row per query
+    found = []
+    while groups.size:
+        dist, idx = tree.query(distinct[groups], k=ask)
+        limit = _threshold(dist, counts[idx], k) * (1 + 1e-12) + 1e-150
+        done = dist[:, -1] > limit if ask < d else np.ones(groups.size, bool)
+        pair, column = np.nonzero(dist[done] <= limit[done, None])
+        found.append((groups[done][pair], idx[done][pair, column]))
+        groups = groups[~done]
+        ask = min(2 * ask, d)
+    return tuple(np.concatenate(column) for column in zip(*found))
+
+
+def _spans(starts, lengths):
+    """Indices ``starts[i] + j`` for ``j < lengths[i]``, concatenated."""
+    ends = np.cumsum(lengths)
+    offsets = np.repeat(starts - ends + lengths, lengths)
+    return offsets + np.arange(offsets.size)
+
+
+def _member_pairs(inverse, counts, group, candidate, k):
+    """(query row, candidate row) pairs from pairs of distinct rows: every
+    member row of the queried distinct row, against the k lowest member rows
+    of the candidate. The others tie with those and rank after them, and a
+    query's own copies, self among them, number at most k."""
+    members = np.argsort(inverse, kind="stable")
+    first = np.cumsum(counts) - counts
+    taken = np.minimum(counts[candidate], k)
+    group = np.repeat(group, taken)
+    row = members[_spans(first[candidate], taken)]
+    query = members[_spans(first[group], counts[group])]
+    return query, np.repeat(row, counts[group])
+
+
+def _nearest(rows, query, candidate, k):
+    """The rule: rescore each (query, candidate) pair by its exact squared
+    distance, sort by (query, d², candidate), drop self and keep the first k
+    of each query. A query's candidates must hold k other rows and every row
+    that ties its k-th distance. Returns k indices per query, in query
+    order."""
+    d2 = np.zeros(query.size)
+    for column in rows.T:  # added in column order
+        d2 += (column[query] - column[candidate]) ** 2
+    order = np.lexsort((candidate, d2, query))
+    query, candidate = query[order], candidate[order]
+    other = query != candidate
+    query, candidate = query[other], candidate[other]
+    starts = np.flatnonzero(np.r_[True, query[1:] != query[:-1]])
+    rank = np.arange(query.size) - np.repeat(starts, np.diff(np.r_[starts, query.size]))
+    return candidate[rank < k].reshape(-1, k)
 
 
 def smote_balance(X, y, params: SmoteParams):

@@ -553,6 +553,23 @@ class TestExitCodes:
                        "--out", str(tmp_path / "out"),
                        "--config", str(conf)) == 4
 
+    def test_repeated_config_key_is_config_error(self, synthetic_csv, tmp_path,
+                                                 capsys):
+        conf = write_config(tmp_path, "seed = 1\n# again\nseed = 2\n")
+        assert run_cli("eda", "--data", synthetic_csv,
+                       "--out", str(tmp_path / "out"),
+                       "--config", str(conf)) == 4
+        assert capsys.readouterr().err == (
+            f"config error: {conf}:3: seed is set again (first on line 1)\n")
+
+    def test_repeated_csv_column_is_data_error(self, tmp_path, capsys):
+        header = CANONICAL_COLUMNS + ["Income"]
+        rows = [row + [1] for row in synthetic_rows(30, seed=1)]
+        data = write_rows(tmp_path / "twice.csv", rows, header=header)
+        assert run_cli("eda", "--data", data,
+                       "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err == "data error: repeated column: Income\n"
+
     @pytest.mark.parametrize("grid", [
         "grid.logistic.c = 0, 1", "grid.tree.min_samples_leaf = 0",
     ])

@@ -94,6 +94,11 @@ class TestFileParsing:
         with pytest.raises(ConfigError):
             parse_config(str(path))
 
+    def test_byte_order_mark_is_read(self, tmp_path):
+        path = tmp_path / "exp.conf"
+        path.write_bytes(b"\xef\xbb\xbfseed = 11\n")
+        assert parse_config(str(path)).seed == 11
+
     def test_grid_tree_depth_list_with_none(self):
         cfg = parse_config(overrides={"grid.tree.max_depth": "none, 3, 5"})
         assert cfg.tree_grid == {"max_depth": [None, 3, 5]}

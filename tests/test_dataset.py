@@ -100,6 +100,14 @@ class TestLoadCsv:
             load_csv(path)
         assert (exc.value.row, exc.value.col, exc.value.value) == (2, "BMI", cell)
 
+    def test_byte_order_mark_is_read(self, tmp_path):
+        path = tmp_path / "t.csv"
+        plain = load_csv(write_rows(path, small_rows()))
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        table = load_csv(path)
+        assert table.names == plain.names
+        assert table.rows.tobytes() == plain.rows.tobytes()
+
     def test_missing_column_rejected(self, tmp_path):
         header = [c for c in CANONICAL_COLUMNS if c != "Income"]
         rows = [row[:-1] for row in small_rows()]

@@ -1,3 +1,4 @@
+import functools
 import os
 import subprocess
 import sys
@@ -5,7 +6,6 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.spatial import cKDTree
 
 from diabrisk import smote
 from diabrisk.errors import DataError, SingleClass, TooFewMinority
@@ -137,13 +137,26 @@ def test_non_finite_cell_is_data_error_naming_its_place():
         smote_balance(X, y, SmoteParams(k_neighbors=2))
 
 
-def _kdtree_neighbors(minority, k):
-    """Reference: every minority row queried against a k-d tree, self
-    dropped, the first k of the rest kept."""
-    _, idx = cKDTree(minority).query(minority, k=k + 1)
-    neighbors = np.empty((minority.shape[0], k), dtype=int)
-    for i, row in enumerate(idx):
-        neighbors[i] = row[row != i][:k]
+def test_squares_beyond_the_float_range_are_a_data_error():
+    # searched rows at 1e200 would have infinite squared distances
+    X = np.array([[0.0], [1e200], [-1e200], [5.0]] + [[7.0]] * 10)
+    y = np.array([1] * 4 + [0] * 10)
+    with pytest.raises(DataError, match=r"within \+-.*; got 1e\+200"):
+        smote_balance(X, y, SmoteParams(k_neighbors=2))
+
+
+def _rule_neighbors(minority, k):
+    """Reference: each row's k other rows of least (d², index), d² summed in
+    column order; a row with more than k copies lists itself k times."""
+    rows = minority.tolist()
+    neighbors = np.empty((len(rows), k), dtype=int)
+    for i, q in enumerate(rows):
+        if sum(r == q for r in rows) > k:  # -0.0 == 0.0
+            neighbors[i] = i
+            continue
+        ranked = sorted((sum((a - b) * (a - b) for a, b in zip(q, r)), j)
+                        for j, r in enumerate(rows) if j != i)
+        neighbors[i] = [j for _, j in ranked[:k]]
     return neighbors
 
 
@@ -195,11 +208,14 @@ def _twenty_one_columns(rng):
                       rng.integers(0, 3, size=(15, 21))]), 5
 
 
-@pytest.mark.parametrize("case", [
+CASES = [
     _k_and_k_plus_one_copies, _clamped_k, _all_distinct, _signed_zeros,
     _one_column_some_queried, _one_column_none_queried,
     _underflowing_distances, _twenty_one_columns,
-])
+]
+
+
+@pytest.mark.parametrize("case", CASES)
 def test_equals_kdtree_only_neighbors_bitwise(case, monkeypatch):
     rng = np.random.default_rng(21)
     minority, k = case(rng)
@@ -211,11 +227,52 @@ def test_equals_kdtree_only_neighbors_bitwise(case, monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # k clamped
         fast = smote_balance(X, y, params)
-        monkeypatch.setattr(smote, "_minority_neighbors", _kdtree_neighbors)
+        monkeypatch.setattr(smote, "_minority_neighbors", _rule_neighbors)
         reference = smote_balance(X, y, params)
     for got, want in zip(fast, reference):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+def _tied_codes(rng):
+    # 200 rows of 8 binary codes: most k-th distances tie, and at seed 21 the
+    # ties of five queries run past the k-d tree's first 4(k + 1) rows
+    return rng.integers(0, 2, size=(200, 8)).astype(float), 5
+
+
+def _near_ties(rng):
+    # binary codes moved by up to 3e-8: squared distances that tie but for
+    # their last bits, which the k-d tree sums in another order than the rule
+    codes = rng.integers(0, 2, size=(120, 8))
+    return codes + rng.choice([0.0, 1e-8, 2e-8, 3e-8], size=(120, 8)), 3
+
+
+def _summation_order(rng):
+    # in column order row 1 is at d² 1 from row 0, a tie with row 2 that
+    # row 1 wins by index; summed last column first it would be 1 + 2^-52
+    return np.array([[0.0, 0, 0], [1, 1e-8, 1e-8], [1, 0, 0], [5, 5, 5]]), 1
+
+
+@pytest.mark.parametrize("search", ["screen", "tree"])
+@pytest.mark.parametrize("case", CASES + [_tied_codes, _near_ties, _summation_order])
+def test_both_searches_follow_the_rule(case, search, monkeypatch):
+    minority, k = case(np.random.default_rng(21))
+    k = min(k, len(minority) - 1)  # as smote_balance clamps it
+    monkeypatch.setattr(smote, "_SCREEN_PAIRS", 10 ** 9 if search == "screen" else 0)
+    got = smote._minority_neighbors(minority, k)
+    assert np.array_equal(got, _rule_neighbors(minority, k))
+
+
+@pytest.mark.parametrize("leafsize", [1, 16, 64])
+def test_tree_search_ignores_the_tree_layout(leafsize, monkeypatch):
+    import scipy.spatial
+
+    minority, k = _tied_codes(np.random.default_rng(21))
+    monkeypatch.setattr(smote, "_SCREEN_PAIRS", 0)
+    monkeypatch.setattr(scipy.spatial, "cKDTree", functools.partial(
+        scipy.spatial.cKDTree, leafsize=leafsize))
+    got = smote._minority_neighbors(minority, k)
+    assert np.array_equal(got, _rule_neighbors(minority, k))
 
 
 def _loads_scipy(code, *argv):
@@ -229,8 +286,8 @@ def _loads_scipy(code, *argv):
 
 
 class TestScipyImport:
-    """scipy is imported only for a k-d tree search, when a minority row has
-    at most k copies."""
+    """scipy is imported only for a k-d tree search: a large search of the
+    minority rows that have at most k copies."""
 
     def test_cli_import(self):
         assert not _loads_scipy("import diabrisk.cli")
@@ -263,4 +320,13 @@ class TestScipyImport:
 
     def test_smote_with_a_row_of_few_copies(self):
         values = [1] * 6 + [4] * 5 + [3] + [2] * 30
-        assert _loads_scipy(self.SMOTE_ONE_COLUMN.format(values=values))
+        code = self.SMOTE_ONE_COLUMN.format(values=values)
+        assert not _loads_scipy(code)  # a small search
+        assert _loads_scipy("import diabrisk.smote\n"
+                            "diabrisk.smote._SCREEN_PAIRS = 0\n" + code)
+
+    def test_train_health(self, synthetic_csv, tmp_path):
+        code = ("import sys\nfrom diabrisk.cli import main\n"
+                "assert main(['train', '--experiment', 'health', '--data', "
+                "sys.argv[1], '--out', sys.argv[2]]) == 0")
+        assert not _loads_scipy(code, synthetic_csv, str(tmp_path / "out"))
