@@ -1,6 +1,13 @@
 """From-scratch tabular classification pipeline for diabetes risk
 prediction on the BRFSS-2015 health-indicators table."""
 
+import os
+
+# One BLAS thread unless the user chose a count: set before numpy loads
+# OpenBLAS, so that the fits' bytes do not follow the machine's CPU count.
+if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 from .dataset import (
     CANONICAL_COLUMNS,
     FEATURE_COLUMNS,
@@ -47,7 +54,6 @@ from .tree import (
     TreeParams,
     fit_forest,
     fit_tree,
-    gini_impurity,
     impurity_importance,
     predict_tree,
 )

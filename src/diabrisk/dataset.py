@@ -108,6 +108,12 @@ def distinct_rows(X):
     return ordered[first], inverse
 
 
+def ranges(starts, lengths):
+    """``starts[i] + arange(lengths[i])`` for every i, concatenated."""
+    first = lengths.cumsum() - lengths
+    return np.arange(int(lengths.sum())) + (starts - first).repeat(lengths)
+
+
 def count_tables(X, y):
     """A function from row indices to the count table of those rows of
     ``(X, y)``: ``(distinct rows, labels, counts)``, one entry per distinct

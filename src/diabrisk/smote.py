@@ -8,16 +8,17 @@ Neighbours follow one stated rule. A row's neighbours are the k other
 minority rows with the smallest squared distance, the float64 sum of squared
 column differences added in column order; ties go to the lower row index.
 On integer codes these squared distances are exact integers, and most
-queries have ties at the k-th distance. A row with more than k copies lists
-itself k times instead: k of its copies are at distance 0, and SMOTE reads
-only a neighbour's values, so any copy gives the same synthetic row.
+queries have ties at the k-th distance.
 
-Only the rows with at most k copies are searched, one distinct row at a
-time. A small search screens every distinct minority row in numpy; a large
-one (more than ``_SCREEN_PAIRS`` query-candidate pairs of distinct rows)
-asks a k-d tree, and only then is scipy imported. At full scale that is
-``features`` alone. Either way the candidates are rescored and ranked by
-the rule, so the neighbours do not depend on the tree's layout.
+Copies of a row have its distances, so each distinct minority row is ranked
+once: its k + 1 nearest member rows by the rule, its own copies among them.
+A member row's neighbours are that list less itself, or less its last row
+when it is not on the list. A small search (at most ``_SCREEN_PAIRS`` pairs
+of distinct rows: 5,792 distinct minority rows) screens every distinct row
+in numpy; a larger one asks a k-d tree, and only then is scipy imported. At
+full scale that is ``features`` alone. Either way the candidates are
+rescored and ranked by the rule, so the neighbours do not depend on the
+tree's layout.
 """
 from __future__ import annotations
 
@@ -26,14 +27,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import as_labels, as_matrix, distinct_rows
+from .dataset import as_labels, as_matrix, distinct_rows, ranges
 from .errors import BadParams, DataError, SingleClass, TooFewMinority
 
-# Above this many (queried distinct row, distinct row) pairs the k-d tree
-# searches instead of the numpy screen. Measured on one core of a 2-vCPU VM
-# with one BLAS thread, on 21-column rows: at 16M pairs the screen took
-# 0.26 s and the tree 0.10 s, at 36M pairs 0.53 s and 0.17 s, and importing
-# scipy for the tree takes 0.3-0.4 s, so the two break even near 2**25.
+# Above this many (distinct row, distinct row) pairs the k-d tree searches
+# instead of the numpy screen. Measured on one core of a 2-vCPU VM with one
+# BLAS thread, on 21-column rows: at 16M pairs the screen took 0.26 s and
+# the tree 0.10 s, at 36M pairs 0.53 s and 0.17 s, and importing scipy for
+# the tree takes 0.3-0.4 s, so the two break even near 2**25.
 _SCREEN_PAIRS = 2 ** 25
 # scores per block of the screen: 8 MB of float64
 _BLOCK_CELLS = 2 ** 20
@@ -56,28 +57,29 @@ class SmoteParams:
 
 def _minority_neighbors(minority: np.ndarray, k: int) -> np.ndarray:
     """Index matrix of the k neighbours of each minority row under the rule
-    of the module docstring, self excluded, or a row's own index k times
-    when it has more than k copies."""
-    n = minority.shape[0]
+    of the module docstring, self excluded."""
     distinct, inverse = distinct_rows(minority)
     counts = np.bincount(inverse)
-    neighbors = np.repeat(np.arange(n)[:, None], k, axis=1)
-    groups = np.flatnonzero(counts <= k)  # the distinct rows searched
-    if groups.size:
-        # every d², Gram score and partial sum stays below 8 p top²
-        top = np.sqrt(np.finfo(float).max / (8 * distinct.shape[1]))
-        largest = np.abs(distinct).max()
-        if largest > top:
-            raise DataError(
-                f"SMOTE compares squared distances, so minority values must "
-                f"lie within +-{top:.3g}; got {largest:.3g}")
-        search = (_screen if groups.size * distinct.shape[0] <= _SCREEN_PAIRS
-                  else _tree_search)
-        group, candidate = search(distinct, counts, groups, k)
-        query, row = _member_pairs(inverse, counts, group, candidate, k)
-        neighbors[np.flatnonzero(counts[inverse] <= k)] = _nearest(
-            minority, query, row, k)
-    return neighbors
+    # every d², Gram score and partial sum stays below 8 p top²
+    top = np.sqrt(np.finfo(float).max / (8 * distinct.shape[1]))
+    largest = np.abs(distinct).max()
+    if largest > top:
+        raise DataError(
+            f"SMOTE compares squared distances, so minority values must "
+            f"lie within +-{top:.3g}; got {largest:.3g}")
+    search = (_screen if distinct.shape[0] ** 2 <= _SCREEN_PAIRS
+              else _tree_search)
+    group, candidate = search(distinct, counts, k)
+    # the k + 1 lowest member rows of each candidate: the others tie with
+    # them and rank after them
+    taken = np.minimum(counts[candidate], k + 1)
+    members = np.argsort(inverse, kind="stable")
+    row = members[ranges((np.cumsum(counts) - counts)[candidate], taken)]
+    ranked = _nearest(distinct, minority, np.repeat(group, taken), row, k)
+    ranked = ranked[inverse]  # each row gets its distinct row's list
+    keep = ranked != np.arange(inverse.size)[:, None]
+    keep[keep.all(axis=1), k] = False  # self is not on its list
+    return ranked[keep].reshape(-1, k)
 
 
 def _threshold(values, counts, k):
@@ -88,21 +90,21 @@ def _threshold(values, counts, k):
     return values[np.arange(values.shape[0]), reached.argmax(axis=1)]
 
 
-def _screen(distinct, counts, groups, k):
+def _screen(distinct, counts, k):
     """Pairs (queried distinct row, distinct row) that hold every row within
-    each query's k-th distance. numpy scores all distinct rows x of a query
-    q by the Gram form |x|² - 2 q·x, that is d² less |q|², one BLAS call a
-    block, and keeps those within the k-th distance's score plus a slack
-    above the form's rounding error. On integer codes the form is exact and
-    the slack below 1."""
+    each query's k-th distance, for every distinct row as the query. numpy
+    scores all distinct rows x of a query q by the Gram form |x|² - 2 q·x,
+    that is d² less |q|², one BLAS call a block, and keeps those within the
+    k-th distance's score plus a slack above the form's rounding error. On
+    integer codes the form is exact and the slack below 1."""
     d, p = distinct.shape
     sq = np.einsum("ij,ij->i", distinct, distinct)
     reach = np.sqrt(sq.max())
     twice = -2.0 * distinct.T
     step = max(1, _BLOCK_CELLS // d)
     found = []
-    for start in range(0, groups.size, step):
-        block = groups[start:start + step]
+    for start in range(0, d, step):
+        block = np.arange(start, min(start + step, d))
         scores = distinct[block] @ twice
         scores += sq
         # the (k + 1)-th member row is among the k + 1 least distinct rows
@@ -122,7 +124,7 @@ def _screen(distinct, counts, groups, k):
     return tuple(np.concatenate(column) for column in zip(*found))
 
 
-def _tree_search(distinct, counts, groups, k):
+def _tree_search(distinct, counts, k):
     """The pairs of ``_screen`` from a k-d tree of the distinct rows. Each
     query asks for 4(k + 1) neighbours; a query whose last one is not past
     its k-th distance may have missed a tie, and asks again for twice as
@@ -133,6 +135,7 @@ def _tree_search(distinct, counts, groups, k):
 
     tree = cKDTree(distinct)
     d = distinct.shape[0]
+    groups = np.arange(d)
     ask = min(4 * (k + 1), d)  # >= 2, so query returns one row per query
     found = []
     while groups.size:
@@ -146,43 +149,19 @@ def _tree_search(distinct, counts, groups, k):
     return tuple(np.concatenate(column) for column in zip(*found))
 
 
-def _spans(starts, lengths):
-    """Indices ``starts[i] + j`` for ``j < lengths[i]``, concatenated."""
-    ends = np.cumsum(lengths)
-    offsets = np.repeat(starts - ends + lengths, lengths)
-    return offsets + np.arange(offsets.size)
-
-
-def _member_pairs(inverse, counts, group, candidate, k):
-    """(query row, candidate row) pairs from pairs of distinct rows: every
-    member row of the queried distinct row, against the k lowest member rows
-    of the candidate. The others tie with those and rank after them, and a
-    query's own copies, self among them, number at most k."""
-    members = np.argsort(inverse, kind="stable")
-    first = np.cumsum(counts) - counts
-    taken = np.minimum(counts[candidate], k)
-    group = np.repeat(group, taken)
-    row = members[_spans(first[candidate], taken)]
-    query = members[_spans(first[group], counts[group])]
-    return query, np.repeat(row, counts[group])
-
-
-def _nearest(rows, query, candidate, k):
-    """The rule: rescore each (query, candidate) pair by its exact squared
-    distance, sort by (query, d², candidate), drop self and keep the first k
-    of each query. A query's candidates must hold k other rows and every row
-    that ties its k-th distance. Returns k indices per query, in query
-    order."""
-    d2 = np.zeros(query.size)
-    for column in rows.T:  # added in column order
-        d2 += (column[query] - column[candidate]) ** 2
-    order = np.lexsort((candidate, d2, query))
-    query, candidate = query[order], candidate[order]
-    other = query != candidate
-    query, candidate = query[other], candidate[other]
-    starts = np.flatnonzero(np.r_[True, query[1:] != query[:-1]])
-    rank = np.arange(query.size) - np.repeat(starts, np.diff(np.r_[starts, query.size]))
-    return candidate[rank < k].reshape(-1, k)
+def _nearest(distinct, rows, group, row, k):
+    """The rule, once per distinct row: rescore each (distinct row, member
+    row) pair by its exact squared distance, sort by (distinct row, d²,
+    row) and keep the first k + 1 of each distinct row. Each distinct row's
+    pairs must hold k + 1 rows and every row that ties the (k + 1)-th
+    distance. Returns k + 1 member rows per distinct row, in order."""
+    d2 = np.zeros(group.size)
+    for value, column in zip(distinct.T, rows.T):  # added in column order
+        d2 += (value[group] - column[row]) ** 2
+    order = np.lexsort((row, d2, group))
+    width = np.bincount(group)
+    rank = ranges(np.zeros_like(width), width)
+    return row[order][rank <= k].reshape(-1, k + 1)
 
 
 def smote_balance(X, y, params: SmoteParams):

@@ -60,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import as_counts, as_labels, as_matrix, as_names
+from .dataset import as_counts, as_labels, as_matrix, as_names, ranges
 from .errors import BadParams, DimensionMismatch, EmptyNode, SingleClass
 from .pool import FitPool
 
@@ -101,22 +101,11 @@ class ForestParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_trees < 1:
-            raise BadParams("n_trees must be >= 1")
+        # 10,000 full-scale trees take about 7 CPU-hours
+        if not 1 <= self.n_trees <= 10_000:
+            raise BadParams("n_trees must be in [1, 10000]")
         if self.max_features is not None and self.max_features < 1:
             raise BadParams("max_features must be >= 1")
-
-
-def gini_impurity(class_counts) -> float:
-    n_neg, n_pos = class_counts
-    if n_neg < 0 or n_pos < 0:
-        raise BadParams("counts must be nonnegative")
-    total = n_neg + n_pos
-    if total == 0:
-        raise EmptyNode("gini of an empty node is undefined")
-    f0 = n_neg / total
-    f1 = n_pos / total
-    return 1.0 - (f0 * f0 + f1 * f1)
 
 
 def fit_tree(X, y, params: TreeParams = TreeParams(), feature_names=None,
@@ -193,7 +182,7 @@ def _grow_levels(Xt, labels, counts, params, rng, max_features,
             return _from_levels(levels, params, p, feature_names)
 
         side[ids[0]] = np.where(feature >= 0, 1, 2).astype(np.int8).repeat(width)
-        side[ids[j.repeat(m_left), _ranges(start[split], m_left)]] = 0
+        side[ids[j.repeat(m_left), ranges(start[split], m_left)]] = 0
         width = np.concatenate((m_left, width[split] - m_left))
         ids = _partition(ids, side, int(m_left.sum()), int(width.sum()))
         start = width.cumsum() - width
@@ -216,12 +205,6 @@ def _partition(ids, side, n_left, n_kept):
     return parted
 
 
-def _ranges(starts, lengths):
-    """``starts[k] + arange(lengths[k])`` for every k, concatenated."""
-    first = lengths.cumsum() - lengths
-    return np.arange(int(lengths.sum())) + (starts - first).repeat(lengths)
-
-
 def _level_splits(Xt, pos, counts, ids, start, width, size, n_pos, parent,
                   candidates, min_leaf):
     """The best split of each of K nodes of a level, over the node's row of
@@ -242,7 +225,7 @@ def _level_splits(Xt, pos, counts, ids, start, width, size, n_pos, parent,
     pos_left = np.zeros(K, dtype=np.int64)
     first = width.cumsum() - width  # each node's first position in a pass
     node = np.arange(K).repeat(width)
-    column = _ranges(start, width)
+    column = ranges(start, width)
     inside = node[:-1] == node[1:]  # a cut lies inside one node
     for slot in range(candidates.shape[1]):
         f = candidates[:, slot].repeat(width)

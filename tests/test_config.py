@@ -9,7 +9,7 @@ from diabrisk.dataset import train_test_split
 from diabrisk.errors import BadParams, ConfigError, PipelineError
 from diabrisk.logistic import LogRegParams, lasso_coefficients
 from diabrisk.smote import SmoteParams
-from diabrisk.tree import ForestParams, TreeParams, gini_impurity
+from diabrisk.tree import ForestParams, TreeParams
 
 
 class TestDefaults:
@@ -120,6 +120,16 @@ class TestValidation:
         cfg = parse_config(overrides={"logreg.c": "inf"})
         assert cfg.logreg.C == math.inf
 
+    def test_forest_size_is_bounded(self, tmp_path):
+        # refused at parse time, before any tree is submitted
+        path = tmp_path / "exp.conf"
+        path.write_text("forest.n_trees = 99999999999999999999999\n")
+        with pytest.raises(ConfigError) as exc:
+            parse_config(str(path))
+        assert str(exc.value).startswith("forest.n_trees: bad value")
+        cfg = parse_config(overrides={"forest.n_trees": "10000"})
+        assert cfg.forest.n_trees == 10_000
+
     def test_bad_model_param_wrapped(self):
         with pytest.raises(ConfigError) as exc:
             parse_config(overrides={"logreg.penalty": "elastic"})
@@ -136,8 +146,14 @@ BAD_PARAMS = {
     "experiment": lambda: ExperimentConfig(cv_folds=1),
     "lasso": lambda: lasso_coefficients(np.eye(2), np.array([0, 1]), 0.0),
     "split": lambda: train_test_split(10, 1.5, seed=0),
-    "gini": lambda: gini_impurity((-1, 3)),
 }
+
+
+def test_forest_params_bound_the_tree_count():
+    # 10,000 trees of the full table take about 7 CPU-hours
+    assert ForestParams(n_trees=10_000).n_trees == 10_000
+    with pytest.raises(BadParams, match="n_trees"):
+        ForestParams(n_trees=10_001)
 
 
 @pytest.mark.parametrize("site", sorted(BAD_PARAMS))

@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from conftest import REPO_ROOT
 from diabrisk import logistic
 from diabrisk.dataset import count_tables
 from diabrisk.errors import DimensionMismatch, SingleClass
@@ -601,3 +605,34 @@ class TestLasso:
     def test_rejects_nonpositive_lambda(self):
         with pytest.raises(ValueError):
             lasso_coefficients(np.ones((4, 1)), np.array([0, 1, 0, 1]), 0.0)
+
+
+# A child that sees argv[1] CPUs from before numpy loads: diabrisk, and
+# with it numpy, is imported after the affinity is set.
+LASSO_ON_CPUS = """
+import os, sys
+os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:int(sys.argv[1])])
+from diabrisk.logistic import lasso_coefficients
+sys.path.insert(0, sys.argv[2])
+from synth import generate
+table = generate(1, 0.16)  # 40,589 rows
+y = (table[:, 0] > 0).astype(int)
+print(lasso_coefficients(table[:, 1:], y, 0.01).tobytes().hex())
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity")
+                    or len(os.sched_getaffinity(0)) < 2, reason="needs 2 CPUs")
+def test_lasso_bytes_do_not_follow_the_cpu_count(tmp_path):
+    # numpy's OpenBLAS starts a thread per CPU unless told otherwise, and a
+    # threaded Gram sums in another order: on 40,000 rows that moves the
+    # coefficients' last bits, so diabrisk defaults to one BLAS thread
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    coefs = [subprocess.run(
+        [sys.executable, "-c", LASSO_ON_CPUS, str(cpus),
+         str(REPO_ROOT / "perfbench")], env=env, cwd=tmp_path,
+        capture_output=True, text=True, check=True).stdout for cpus in (1, 2)]
+    assert coefs[0] == coefs[1]

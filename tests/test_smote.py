@@ -125,7 +125,7 @@ def test_majority_can_be_class_one():
 
 
 def test_non_finite_cell_is_data_error_naming_its_place():
-    # four copies of one NaN row: with k = 2 no neighbour search sees them
+    # each cell is checked on entry, before a neighbour search meets it
     X = np.zeros((12, 2))
     X[:4, 1] = np.nan
     X[7, 0] = np.inf
@@ -147,13 +147,10 @@ def test_squares_beyond_the_float_range_are_a_data_error():
 
 def _rule_neighbors(minority, k):
     """Reference: each row's k other rows of least (d², index), d² summed in
-    column order; a row with more than k copies lists itself k times."""
+    column order."""
     rows = minority.tolist()
     neighbors = np.empty((len(rows), k), dtype=int)
     for i, q in enumerate(rows):
-        if sum(r == q for r in rows) > k:  # -0.0 == 0.0
-            neighbors[i] = i
-            continue
         ranked = sorted((sum((a - b) * (a - b) for a, b in zip(q, r)), j)
                         for j, r in enumerate(rows) if j != i)
         neighbors[i] = [j for _, j in ranked[:k]]
@@ -286,8 +283,8 @@ def _loads_scipy(code, *argv):
 
 
 class TestScipyImport:
-    """scipy is imported only for a k-d tree search: a large search of the
-    minority rows that have at most k copies."""
+    """scipy is imported only for a k-d tree search: a search of more than
+    5,792 distinct minority rows."""
 
     def test_cli_import(self):
         assert not _loads_scipy("import diabrisk.cli")
