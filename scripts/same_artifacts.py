@@ -36,6 +36,12 @@ same place, and says when other cells or values differ too (text, keys, or
 a shape). The exit code is 1 if any file differs, else 0. ``perfbench/`` is
 read, never written.
 
+Each side caches parsed tables in a directory of its own inside the work
+directory (``XDG_CACHE_HOME``), so neither side reads or writes the user's
+cache. A side that caches serves every command after the first on a table
+from its own entry, so a parse on one side is compared with cache hits on
+the other.
+
 Every command runs in the script's temporary work directory. ``python -c``
 puts its working directory ahead of ``PYTHONPATH`` on ``sys.path``, so run
 from inside a ``src/`` directory both sides would import that directory's
@@ -118,15 +124,16 @@ def make_inputs(work: Path) -> dict:
     return tables
 
 
-def side_env(src: Path) -> dict:
-    return dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
-                PYTHONUTF8="1", PYTHONDONTWRITEBYTECODE="1")
+def side_env(src: Path, cache: Path) -> dict:
+    return dict(os.environ, PYTHONPATH=str(src), XDG_CACHE_HOME=str(cache),
+                OPENBLAS_NUM_THREADS="1", PYTHONUTF8="1",
+                PYTHONDONTWRITEBYTECODE="1")
 
 
-def imports_own_src(src: Path, work: Path) -> bool:
+def imports_own_src(src: Path, work: Path, cache: Path) -> bool:
     """Whether a command run in ``work`` with ``src`` on ``PYTHONPATH``
     imports ``diabrisk`` from under ``src``; says why not if it does not."""
-    proc = subprocess.run([sys.executable, "-c", WHERE], env=side_env(src),
+    proc = subprocess.run([sys.executable, "-c", WHERE], env=side_env(src, cache),
                           cwd=work, capture_output=True, text=True)
     if proc.returncode != 0:
         print(f"{src}: cannot import diabrisk\n{proc.stderr}")
@@ -138,11 +145,12 @@ def imports_own_src(src: Path, work: Path) -> bool:
     return True
 
 
-def run_side(src: Path, tables: dict, out: Path, keep: Path) -> bool:
-    """Run every command with the sources at ``src``, in the directory that
-    holds ``out``, writing under ``out``, then move ``out`` to ``keep``.
-    False if a command failed."""
-    env = side_env(src)
+def run_side(src: Path, cache: Path, tables: dict, out: Path,
+             keep: Path) -> bool:
+    """Run every command with the sources at ``src`` and the table cache in
+    ``cache``, in the directory that holds ``out``, writing under ``out``,
+    then move ``out`` to ``keep``. False if a command failed."""
+    env = side_env(src, cache)
     configs = src.parent / "perfbench" / "configs"
     out.mkdir()  # so the move works even when every command fails
     ok = True
@@ -238,12 +246,14 @@ def main(argv=None) -> int:
     old_src, new_src = (Path(a).resolve() for a in args)
     work = Path(tempfile.mkdtemp(prefix="same_artifacts_"))
     try:
-        if not all([imports_own_src(old_src, work),
-                    imports_own_src(new_src, work)]):
+        old_cache, new_cache = work / "cache_old", work / "cache_new"
+        if not all([imports_own_src(old_src, work, old_cache),
+                    imports_own_src(new_src, work, new_cache)]):
             return 1
         tables = make_inputs(work)
-        ok = run_side(old_src, tables, work / "out", work / "old")
-        ok = run_side(new_src, tables, work / "out", work / "new") and ok
+        ok = run_side(old_src, old_cache, tables, work / "out", work / "old")
+        ok = run_side(new_src, new_cache, tables, work / "out",
+                      work / "new") and ok
         diff = differing(work / "old", work / "new")
         for rel in diff:
             print(f"differs: {rel}{describe(work / 'old' / rel, work / 'new' / rel)}")

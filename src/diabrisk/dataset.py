@@ -9,6 +9,8 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
+import time
 import warnings
 from dataclasses import dataclass
 
@@ -236,11 +238,97 @@ def load_csv(path) -> DataTable:
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return DataTable(CANONICAL_COLUMNS, _load_csv(data))
+        return DataTable(CANONICAL_COLUMNS, _cached(data))
     except UnicodeDecodeError:
         row = _undecodable_row(data)
         where = f"row {row}" if row else "the header"
         raise DataError(f"{where} is not valid UTF-8 text") from None
+
+
+# entries kept in the cache directory; one is 44.6 MB at full scale
+CACHE_ENTRIES = 4
+# a temporary file this old was left by a process that died while writing
+STALE_TMP_S = 600
+
+
+def _cached(data: bytes) -> np.ndarray:
+    """``_load_csv(data)``, or the table that an earlier parse of the same
+    bytes stored in the cache directory. Reading or writing the cache never
+    raises: any failure is a miss, or leaves the entry unwritten."""
+    entry = _cache_entry(data)
+    if entry is not None:
+        try:
+            with open(entry, "rb") as fh:
+                rows = np.load(fh, allow_pickle=False)
+            if (isinstance(rows, np.ndarray) and rows.dtype == np.float64
+                    and rows.shape[1:] == (len(CANONICAL_COLUMNS),)
+                    and rows.flags.c_contiguous):
+                try:  # eviction keeps the most recently used entries
+                    os.utime(entry)
+                except OSError:
+                    pass
+                return rows
+        except (OSError, ValueError, EOFError):  # EOFError: an empty file
+            pass
+    rows = _load_csv(data)  # only a parse that succeeded is stored
+    if entry is not None:
+        try:
+            _store(entry, rows)
+        except (OSError, ValueError):
+            pass
+    return rows
+
+
+def _cache_entry(data: bytes):
+    """The cache file of a table read from ``data``, or None when the cache
+    directory is not an absolute path (no ``HOME`` leaves ``~`` as it is).
+    The key covers numpy's version, this module's source and the bytes."""
+    from hashlib import sha256
+
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")
+    if not os.path.isabs(base):
+        return None
+    try:
+        with open(__file__, "rb") as fh:
+            source = fh.read()
+    except OSError:
+        return None
+    key = sha256()
+    for part in (np.__version__.encode(), source, data):
+        key.update(len(part).to_bytes(8, "little"))
+        key.update(part)
+    return os.path.join(base, "diabrisk", key.hexdigest()[:40] + ".npy")
+
+
+def _store(entry: str, rows: np.ndarray):
+    """Write ``rows`` whole to ``entry`` (a 0600 file in a 0700 directory)
+    and keep only the ``CACHE_ENTRIES`` most recently used entries."""
+    import tempfile
+
+    directory = os.path.dirname(entry)
+    os.makedirs(directory, mode=0o700, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=directory)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.save(fh, rows, allow_pickle=False)
+        try:
+            os.replace(tmp, entry)
+        except IsADirectoryError:  # an empty directory in the entry's place
+            os.rmdir(entry)
+            os.replace(tmp, entry)
+    finally:
+        if os.path.exists(tmp):  # not replaced
+            os.unlink(tmp)
+    # file timestamps are coarse, so the entry just written is kept by name
+    others, stale = [], time.time() - STALE_TMP_S
+    for e in os.scandir(directory):
+        if e.name.endswith(".npy") and e.path != entry and e.is_file():
+            others.append(e)
+        elif e.name.endswith(".tmp") and e.stat().st_mtime < stale:
+            os.unlink(e.path)
+    others.sort(key=lambda e: e.stat().st_mtime_ns, reverse=True)
+    for old in others[CACHE_ENTRIES - 1:]:
+        os.unlink(old.path)
 
 
 def _text(data: bytes):

@@ -137,12 +137,11 @@ def loss_and_gradient(weights, intercept, X, y, params: LogRegParams,
 
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:
-    out = np.empty_like(t, dtype=float)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    """1 / (1 + exp(-t)), from exp(-|t|) <= 1 so that neither branch
+    overflows. ``minimum(t, -t)`` rather than ``-abs(t)`` keeps a NaN's
+    sign bit."""
+    e = np.exp(np.minimum(t, -t))
+    return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _converged(theta, grad, lam_l1, n, tol) -> bool:

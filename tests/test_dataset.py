@@ -1,5 +1,9 @@
 import os
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +34,7 @@ from diabrisk.errors import (
     OutOfRange,
 )
 
-from conftest import synthetic_rows, write_rows
+from conftest import REPO_ROOT, synthetic_rows, write_rows
 
 
 def small_rows():
@@ -246,7 +250,7 @@ def defective_csv(path, rng, defects):
         "full_width": "".join(chr(ord(ch) + 0xFEE0) for ch in row[col]),
         "quoted": f'"{row[col]}"',
     }
-    for defect in defects:
+    for defect in sorted(defects):  # a set iterates in hash order
         if defect in edits:
             row[col] = edits[defect]
     if "short_row" in defects:
@@ -296,6 +300,8 @@ class TestWholeFileParse:
             path = defective_csv(tmp_path / f"{trial}.csv", rng, defects)
             fast = load_outcome(path)
             with monkeypatch.context() as patch:
+                # the cache would serve the table the first load parsed
+                patch.setattr(dataset, "_cached", dataset._load_csv)
                 patch.setattr(dataset, "_parse_whole", lambda *args: None)
                 slow = load_outcome(path)
             assert fast == slow, (defects, slow[:2])
@@ -314,6 +320,183 @@ class TestWholeFileParse:
         path = defective_csv(tmp_path / "t.csv", np.random.default_rng(0), {defect})
         assert load_csv(path).n_rows > 0
         assert len(calls) == loops
+
+
+def cache_entries():
+    """The entries in the table cache, by file name."""
+    directory = os.path.join(os.environ["XDG_CACHE_HOME"], "diabrisk")
+    if not os.path.isdir(directory):
+        return []
+    return sorted(os.listdir(directory))
+
+
+def count_parses(monkeypatch):
+    """A list that gains one item per call of ``_load_csv``."""
+    calls = []
+    parse = dataset._load_csv
+    monkeypatch.setattr(dataset, "_load_csv",
+                        lambda data: calls.append(1) or parse(data))
+    return calls
+
+
+class TestTableCache:
+    """A table parsed once is loaded from ``$XDG_CACHE_HOME/diabrisk``."""
+
+    @pytest.mark.parametrize("negative_zero", [False, True])
+    def test_hit_equals_miss(self, tmp_path, monkeypatch, negative_zero):
+        rows = [[str(v) for v in row] for row in small_rows()]
+        if negative_zero:
+            rows[1][5] = "-0"
+        path = write_rows(tmp_path / "t.csv", rows)
+        miss = load_csv(path)
+        assert len(cache_entries()) == 1
+        assert np.signbit(miss.rows[1, 5]) == negative_zero
+        calls = count_parses(monkeypatch)
+        hit = load_csv(path)
+        assert calls == []
+        assert hit.names == miss.names
+        assert hit.rows.shape == miss.rows.shape
+        assert hit.rows.flags.c_contiguous and not hit.rows.flags.writeable
+        assert hit.rows.tobytes() == miss.rows.tobytes()
+
+    def test_one_changed_byte_is_a_miss(self, tmp_path, monkeypatch):
+        path = write_rows(tmp_path / "t.csv", small_rows())
+        first = load_csv(path)
+        data = bytearray((tmp_path / "t.csv").read_bytes())
+        at = data.index(b"\n") + 1  # Diabetes_012 of the first row
+        data[at:at + 1] = b"2"
+        (tmp_path / "t.csv").write_bytes(bytes(data))
+        calls = count_parses(monkeypatch)
+        second = load_csv(path)
+        assert calls == [1]
+        assert second.column(dataset.TARGET)[0] == 2
+        assert first.column(dataset.TARGET)[0] == 0
+        assert len(cache_entries()) == 2
+
+    @pytest.mark.parametrize("damage", [
+        "truncated", "empty", "int64", "21_columns", "fortran_order",
+        "not_npy", "directory",
+    ])
+    def test_bad_entry_is_parsed_and_rewritten(self, tmp_path, monkeypatch,
+                                               damage):
+        path = write_rows(tmp_path / "t.csv", small_rows())
+        expected = load_csv(path).rows
+        entry = dataset._cache_entry((tmp_path / "t.csv").read_bytes())
+        good = Path(entry).read_bytes()
+        os.unlink(entry)
+        if damage == "directory":
+            os.mkdir(entry)
+        elif damage in ("int64", "21_columns", "fortran_order"):
+            np.save(entry, {
+                "int64": expected.astype(np.int64),
+                "21_columns": np.ascontiguousarray(expected[:, :21]),
+                "fortran_order": np.asfortranarray(expected),
+            }[damage])
+        else:
+            bad = {"truncated": good[:-8], "empty": b"",
+                   "not_npy": b"not an array\n"}[damage]
+            Path(entry).write_bytes(bad)
+        calls = count_parses(monkeypatch)
+        assert load_csv(path).rows.tobytes() == expected.tobytes()
+        assert calls == [1]
+        assert Path(entry).read_bytes() == good
+
+    @pytest.mark.parametrize("variable,value", [
+        ("XDG_CACHE_HOME", "relative"), ("HOME", "~"),
+    ])
+    def test_relative_location_turns_cache_off(self, tmp_path, monkeypatch,
+                                               variable, value):
+        # with no HOME and no password entry, expanduser leaves "~" as it is
+        path = write_rows(tmp_path / "t.csv", small_rows())
+        monkeypatch.delenv("XDG_CACHE_HOME")
+        monkeypatch.setenv(variable, value)
+        monkeypatch.chdir(tmp_path)
+        calls = count_parses(monkeypatch)
+        load_csv(path)
+        load_csv(path)
+        assert calls == [1, 1]
+        assert os.listdir(tmp_path) == ["t.csv"]
+
+    def test_malformed_csv_writes_no_entry(self, tmp_path, monkeypatch):
+        rows = small_rows()
+        rows[2][4] = "x"
+        path = write_rows(tmp_path / "t.csv", rows)
+        texts = [load_outcome(path), load_outcome(path)]
+        assert cache_entries() == []
+        monkeypatch.setattr(dataset, "_cached", dataset._load_csv)
+        assert texts == [load_outcome(path)] * 2
+        assert texts[0] == (NonNumericCell,
+                            "non-numeric cell 'x' at row 3, column BMI")
+
+    def test_keeps_newest_entries(self, tmp_path, monkeypatch):
+        for seed in range(dataset.CACHE_ENTRIES + 1):
+            path = write_rows(tmp_path / "t.csv", synthetic_rows(20, seed=seed))
+            load_csv(path)
+        assert len(cache_entries()) == dataset.CACHE_ENTRIES
+        calls = count_parses(monkeypatch)
+        load_csv(path)  # the last table written is kept
+        assert calls == []
+
+    def test_a_hit_keeps_its_entry(self, tmp_path, monkeypatch):
+        # eviction goes by last use: the first table, loaded again after the
+        # others, outlives the second one
+        paths = [write_rows(tmp_path / f"{seed}.csv",
+                            synthetic_rows(20, seed=seed))
+                 for seed in range(dataset.CACHE_ENTRIES + 1)]
+        entries = [dataset._cache_entry(Path(p).read_bytes()) for p in paths]
+        for when, path in enumerate(paths[:-1]):
+            load_csv(path)
+            os.utime(entries[when], (when, when))  # timestamps are coarse
+        load_csv(paths[0])
+        load_csv(paths[-1])
+        kept = set(cache_entries())
+        assert os.path.basename(entries[0]) in kept
+        assert os.path.basename(entries[1]) not in kept
+        assert len(kept) == dataset.CACHE_ENTRIES
+
+    def test_store_removes_stale_temporary_files(self, tmp_path, monkeypatch):
+        path = write_rows(tmp_path / "t.csv", small_rows())
+        directory = tmp_path / "cache" / "diabrisk"
+        directory.mkdir(parents=True, mode=0o700)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        stale, fresh = directory / "a.tmp", directory / "b.tmp"
+        stale.write_bytes(b"left by a process that died")
+        fresh.write_bytes(b"being written")
+        old = time.time() - dataset.STALE_TMP_S - 1
+        os.utime(stale, (old, old))
+        load_csv(path)
+        assert not stale.exists() and fresh.exists()
+
+    def test_unwritable_cache_keeps_exit_and_artifacts(self, tmp_path,
+                                                       monkeypatch, capsys):
+        from diabrisk.cli import main
+
+        path = write_rows(tmp_path / "t.csv", synthetic_rows(200, seed=3))
+        out = tmp_path / "out"
+        # the cache directory would be made under a regular file
+        (tmp_path / "file").write_text("a file, not a directory\n")
+        outcomes = []
+        for cache in (tmp_path / "cache", tmp_path / "file"):
+            monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+            code = main(["eda", "--data", path, "--out", str(out)])
+            files = {p.name: p.read_bytes() for p in sorted(out.iterdir())
+                     if p.name != "manifest.json"}
+            outcomes.append((code, files, capsys.readouterr()))
+            os.rename(out, tmp_path / f"out_{len(outcomes)}")
+        assert outcomes[0][0] == 0
+        assert outcomes[0] == outcomes[1]
+        assert os.listdir(tmp_path / "cache" / "diabrisk")
+
+
+def test_cli_import_loads_no_hashlib():
+    # the key is hashed on the first load, not when the program starts
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, diabrisk.cli; print('hashlib' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestBinarizeTarget:

@@ -562,6 +562,29 @@ class TestPredict:
             predict_proba(model, np.ones((4, 5)))
 
 
+def _masked_sigmoid(t):
+    """The sigmoid as two masked branches, each on the side where its exp
+    cannot overflow."""
+    out = np.empty_like(t, dtype=float)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    e = np.exp(t[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def test_sigmoid_bits_match_masked_branches():
+    tiny = np.finfo(float).smallest_subnormal
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 745.0,
+                        -745.0, 746.0, -746.0, tiny, -tiny, 1e-310, -1e-310])
+    rng = np.random.default_rng(0)
+    scaled = rng.standard_normal(20_000) * 10.0 ** rng.uniform(-300, 300, 20_000)
+    t = np.concatenate([special, scaled, 40 * rng.standard_normal(20_000)])
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        got = logistic._sigmoid(t)
+    assert got.tobytes() == _masked_sigmoid(t).tobytes()
+
+
 class TestLasso:
     def test_huge_lambda_gives_exact_zeros(self):
         rng = np.random.default_rng(4)
