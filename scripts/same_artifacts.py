@@ -33,14 +33,16 @@ Every file is then compared byte for byte, except ``created_unix_time`` in
 each ``*manifest.json``. Each file that differs is printed; for a CSV or JSON
 file the line adds the largest absolute difference between numbers in the
 same place, and says when other cells or values differ too (text, keys, or
-a shape). The exit code is 1 if any file differs, else 0. ``perfbench/`` is
-read, never written.
+a shape). The last line counts the differing files among all the files that
+either side wrote. The exit code is 1 if any file differs, else 0.
+``perfbench/`` is read, never written.
 
 Each side caches parsed tables in a directory of its own inside the work
 directory (``XDG_CACHE_HOME``), so neither side reads or writes the user's
-cache. A side that caches serves every command after the first on a table
-from its own entry, so a parse on one side is compared with cache hits on
-the other.
+cache. The cache holds the table parsed last, so a side hits only when the
+command before it read the same table (``baseline``, ``train-income`` and
+``train-income-tuned-bounded``); each such command compares a hit with the
+other side's load, a hit or a parse.
 
 Every command runs in the script's temporary work directory. ``python -c``
 puts its working directory ahead of ``PYTHONPATH`` on ``sys.path``, so run
@@ -230,12 +232,19 @@ def describe(a: Path, b: Path) -> str:
     return text + ("; other values differ too)" if found[1] else ")")
 
 
-def differing(old: Path, new: Path) -> list:
+def print_comparison(old: Path, new: Path) -> bool:
+    """Print each file under either tree that is not the same file on both,
+    then how many of all the files under either tree differ; True if none
+    does."""
     files = {p.relative_to(old) for p in old.rglob("*") if p.is_file()}
     files |= {p.relative_to(new) for p in new.rglob("*") if p.is_file()}
-    return [rel for rel in sorted(files)
+    diff = [rel for rel in sorted(files)
             if not ((old / rel).is_file() and (new / rel).is_file()
                     and same_file(old / rel, new / rel))]
+    for rel in diff:
+        print(f"differs: {rel}{describe(old / rel, new / rel)}")
+    print(f"{len(diff)} of {len(files)} files differ")
+    return not diff
 
 
 def main(argv=None) -> int:
@@ -254,12 +263,8 @@ def main(argv=None) -> int:
         ok = run_side(old_src, old_cache, tables, work / "out", work / "old")
         ok = run_side(new_src, new_cache, tables, work / "out",
                       work / "new") and ok
-        diff = differing(work / "old", work / "new")
-        for rel in diff:
-            print(f"differs: {rel}{describe(work / 'old' / rel, work / 'new' / rel)}")
-        n_files = sum(1 for p in (work / "old").rglob("*") if p.is_file())
-        print(f"{len(diff)} of {n_files} files differ")
-        return 0 if ok and not diff else 1
+        same = print_comparison(work / "old", work / "new")
+        return 0 if ok and same else 1
     finally:
         shutil.rmtree(work)
 

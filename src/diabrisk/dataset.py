@@ -10,7 +10,6 @@ import csv
 import io
 import math
 import os
-import time
 import warnings
 from dataclasses import dataclass
 
@@ -59,6 +58,12 @@ _RANGES = {
 CANONICAL_COLUMNS = list(_RANGES)
 FEATURE_COLUMNS = CANONICAL_COLUMNS[1:]
 INCOME_CODES = tuple(range(_RANGES["Income"][0], _RANGES["Income"][1] + 1))
+
+# each column's bounds, in column order; no upper bound is read as the
+# largest float, so NaN and inf fail a check against them
+_LOW = np.array([lo for lo, _ in _RANGES.values()], dtype=float)
+_HIGH = np.array([np.finfo(float).max if hi is None else hi
+                  for _, hi in _RANGES.values()], dtype=float)
 
 HEALTH_MODEL_FEATURES = [
     "HighBP", "HighChol", "CholCheck", "Smoker", "HvyAlcoholConsump", "BMI",
@@ -232,7 +237,10 @@ def _undecodable_row(data: bytes) -> int:
 def load_csv(path) -> DataTable:
     """Load and strictly validate the 22-column indicators CSV.
 
-    Row numbers in errors are 1-based data rows (header excluded).
+    Row numbers in errors are 1-based data rows (header excluded). The
+    table parsed last is kept in the cache directory (``_cached``); a later
+    load of the same bytes reads it from there if it passes the check that
+    ends a parse, ``_valid``, and parses again if not.
     """
     # opened once and read whole: a pipe cannot be read from its start twice
     with open(path, "rb") as fh:
@@ -245,28 +253,28 @@ def load_csv(path) -> DataTable:
         raise DataError(f"{where} is not valid UTF-8 text") from None
 
 
-# entries kept in the cache directory; one is 44.6 MB at full scale
-CACHE_ENTRIES = 4
-# a temporary file this old was left by a process that died while writing
-STALE_TMP_S = 600
+def _valid(rows) -> bool:
+    """Whether ``rows`` is a table: a C-ordered float64 array of at least
+    one row and 22 columns whose every cell is an integer code in
+    ``_RANGES``. A parse and a cache hit both end with it."""
+    return bool(isinstance(rows, np.ndarray) and rows.dtype == np.float64
+                and rows.ndim == 2 and rows.shape[0] > 0
+                and rows.shape[1] == _LOW.size and rows.flags.c_contiguous
+                and (rows == np.trunc(rows)).all() and (rows >= _LOW).all()
+                and (rows <= _HIGH).all())
 
 
 def _cached(data: bytes) -> np.ndarray:
-    """``_load_csv(data)``, or the table that an earlier parse of the same
-    bytes stored in the cache directory. Reading or writing the cache never
-    raises: any failure is a miss, or leaves the entry unwritten."""
+    """``_load_csv(data)``, or the table that the last parse stored in the
+    cache directory when it was parsed from the same bytes and passes
+    ``_valid``. Reading or writing the cache never raises: any failure is a
+    miss, or leaves the entry unwritten."""
     entry = _cache_entry(data)
     if entry is not None:
         try:
             with open(entry, "rb") as fh:
                 rows = np.load(fh, allow_pickle=False)
-            if (isinstance(rows, np.ndarray) and rows.dtype == np.float64
-                    and rows.shape[1:] == (len(CANONICAL_COLUMNS),)
-                    and rows.flags.c_contiguous):
-                try:  # eviction keeps the most recently used entries
-                    os.utime(entry)
-                except OSError:
-                    pass
+            if _valid(rows):
                 return rows
         except (OSError, ValueError, EOFError):  # EOFError: an empty file
             pass
@@ -301,8 +309,9 @@ def _cache_entry(data: bytes):
 
 
 def _store(entry: str, rows: np.ndarray):
-    """Write ``rows`` whole to ``entry`` (a 0600 file in a 0700 directory)
-    and keep only the ``CACHE_ENTRIES`` most recently used entries."""
+    """Write ``rows`` whole to ``entry`` (a 0600 file in a 0700 directory),
+    then delete every other entry and temporary file there: the cache holds
+    one table, the one parsed last."""
     import tempfile
 
     directory = os.path.dirname(entry)
@@ -311,24 +320,14 @@ def _store(entry: str, rows: np.ndarray):
     try:
         with os.fdopen(fd, "wb") as fh:
             np.save(fh, rows, allow_pickle=False)
-        try:
-            os.replace(tmp, entry)
-        except IsADirectoryError:  # an empty directory in the entry's place
-            os.rmdir(entry)
-            os.replace(tmp, entry)
+        os.replace(tmp, entry)
     finally:
         if os.path.exists(tmp):  # not replaced
             os.unlink(tmp)
-    # file timestamps are coarse, so the entry just written is kept by name
-    others, stale = [], time.time() - STALE_TMP_S
     for e in os.scandir(directory):
-        if e.name.endswith(".npy") and e.path != entry and e.is_file():
-            others.append(e)
-        elif e.name.endswith(".tmp") and e.stat().st_mtime < stale:
+        if (e.name.endswith((".npy", ".tmp")) and e.path != entry
+                and e.is_file()):
             os.unlink(e.path)
-    others.sort(key=lambda e: e.stat().st_mtime_ns, reverse=True)
-    for old in others[CACHE_ENTRIES - 1:]:
-        os.unlink(old.path)
 
 
 def _text(data: bytes):
@@ -378,18 +377,12 @@ def _parse_whole(fh, width: int, order: list):
                               ndmin=2)
     except ValueError:  # UnicodeDecodeError is a ValueError
         return None
-    if body.shape[0] == 0 or body.shape[1] != width:
+    if body.shape[1] != width:
         return None
     # C-contiguous like the loop's np.array(data); body[:, order] would be
     # Fortran-ordered, and BLAS sums in another order on it
     rows = body.take(order, axis=1)
-    low, high = zip(*_RANGES.values())
-    # no upper bound is read as the largest float, so nan and inf fail too
-    high = [np.finfo(float).max if h is None else h for h in high]
-    if ((rows == np.trunc(rows)).all() and (rows >= low).all()
-            and (rows <= high).all()):
-        return rows
-    return None
+    return rows if _valid(rows) else None
 
 
 def _parse_rows(reader, width: int, order: list) -> np.ndarray:
