@@ -200,47 +200,34 @@ class DataTable:
         return self.rows[:, self.index(name)]
 
 
-def _parse_cell(text: str, row: int, col: str):
-    # float() also reads "3_0" and full-width digits; a code is plain ASCII
-    if "_" in text or not text.isascii():
-        raise NonNumericCell(row, col, text)
+def _code(text: str, row: int, col: str) -> float:
+    """The integer code a cell's text holds. Text that is not a finite
+    plain-ASCII number raises ``NonNumericCell``; a number that is not an
+    integer in the column's ``_RANGES`` raises ``OutOfRange``."""
     try:
         value = float(text)
     except ValueError:
-        raise NonNumericCell(row, col, text) from None
-    if not math.isfinite(value):
+        value = math.nan
+    # float() also reads "3_0" and full-width digits; a code is plain ASCII
+    if "_" in text or not text.isascii() or not math.isfinite(value):
         raise NonNumericCell(row, col, text)
-    return value
-
-
-def _check_range(value: float, row: int, col: str):
     lo, hi = _RANGES[col]
-    desc = f"integers in [{lo}, {'inf' if hi is None else hi}]"
-    if value != int(value):
-        raise OutOfRange(row, col, value, desc)
-    if value < lo or (hi is not None and value > hi):
-        raise OutOfRange(row, col, value, desc)
-
-
-def _undecodable_row(data: bytes) -> int:
-    """Number of the first line that is not UTF-8 (0 = header); lines split
-    exactly on bytes because a newline byte never occurs inside a UTF-8
-    sequence."""
-    for lineno, line in enumerate(data.split(b"\n")):
-        try:
-            line.decode("utf-8")
-        except UnicodeDecodeError:
-            return lineno
-    return 0
+    if not value.is_integer() or value < lo or (hi is not None and value > hi):
+        raise OutOfRange(row, col, value,
+                         f"integers in [{lo}, {'inf' if hi is None else hi}]")
+    return value
 
 
 def load_csv(path) -> DataTable:
     """Load and strictly validate the 22-column indicators CSV.
 
-    Row numbers in errors are 1-based data rows (header excluded). The
-    table parsed last is kept in the cache directory (``_cached``); a later
-    load of the same bytes reads it from there if it passes the check that
-    ends a parse, ``_valid``, and parses again if not.
+    Row numbers in errors are 1-based data rows (header excluded). A file
+    that is not UTF-8 text names the row of its first invalid byte: the
+    number of newline bytes before it, counted in the file, since a newline
+    byte never occurs inside a UTF-8 sequence. A bad cell is located by
+    ``_parse_rows``. The table parsed last is kept in the cache directory
+    (``_cached``); a later load of the same bytes reads it from there if it
+    passes the check that ends a parse, ``_valid``, and parses again if not.
     """
     # opened once and read whole: a pipe cannot be read from its start twice
     with open(path, "rb") as fh:
@@ -248,9 +235,14 @@ def load_csv(path) -> DataTable:
     try:
         return DataTable(CANONICAL_COLUMNS, _cached(data))
     except UnicodeDecodeError:
-        row = _undecodable_row(data)
-        where = f"row {row}" if row else "the header"
-        raise DataError(f"{where} is not valid UTF-8 text") from None
+        # the text stream's error holds an offset into its chunk, not the file
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            row = data.count(b"\n", 0, exc.start)
+            where = f"row {row}" if row else "the header"
+            raise DataError(f"{where} is not valid UTF-8 text") from None
+        raise
 
 
 def _valid(rows) -> bool:
@@ -386,8 +378,8 @@ def _parse_whole(fh, width: int, order: list):
 
 
 def _parse_rows(reader, width: int, order: list) -> np.ndarray:
-    """Parse and check the data rows cell by cell; the first bad cell
-    raises with its 1-based data row and column."""
+    """Parse and check the data rows cell by cell, each by ``_code``; the
+    first bad cell raises with its 1-based data row and column."""
     data = []
     i = 0
     try:
@@ -396,12 +388,8 @@ def _parse_rows(reader, width: int, order: list) -> np.ndarray:
                 continue
             if len(raw) != width:
                 raise DataError(f"row {i} has {len(raw)} cells, expected {width}")
-            parsed = []
-            for j, col in zip(order, CANONICAL_COLUMNS):
-                value = _parse_cell(raw[j].strip(), i, col)
-                _check_range(value, i, col)
-                parsed.append(value)
-            data.append(parsed)
+            data.append([_code(raw[j].strip(), i, col)
+                         for j, col in zip(order, CANONICAL_COLUMNS)])
     except csv.Error as exc:  # raised while reading the row after row i
         raise DataError(f"row {i + 1}: {exc}") from None
     if not data:

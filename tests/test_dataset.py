@@ -1,3 +1,6 @@
+import contextlib
+import functools
+import io
 import math
 import os
 import subprocess
@@ -12,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diabrisk import dataset
+from diabrisk.cli import main
 from diabrisk.dataset import (
     CANONICAL_COLUMNS,
     HEALTH_MODEL_FEATURES,
@@ -205,6 +209,192 @@ class TestLoadCsv:
         assert table.column("BMI").tolist() == [28, 33, 41, 22]
 
 
+def undecodable_row(data: bytes):
+    """The reference for the row ``load_csv`` names in a file that is not
+    UTF-8: the number of the first line that does not decode on its own
+    (0 = header), or None when every line decodes. Lines split exactly on
+    bytes, because a newline byte never occurs inside a UTF-8 sequence."""
+    for lineno, line in enumerate(data.split(b"\n")):
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError:
+            return lineno
+    return None
+
+
+@functools.cache
+def csv_lines(n_rows: int) -> tuple:
+    """The lines of a valid ``n_rows``-row CSV, header first."""
+    rows = synthetic_rows(n_rows, seed=1)
+    return tuple(",".join(map(str, line))
+                 for line in [CANONICAL_COLUMNS] + rows)
+
+
+def truncated(char: str) -> bytes:
+    """A character's UTF-8 sequence without its last byte."""
+    return char.encode()[:-1]
+
+
+# each draws one byte sequence that is not UTF-8
+INVALID_SEQUENCES = st.one_of(
+    st.integers(0x80, 0xBF).map(lambda b: bytes([b])),  # a lone continuation
+    # bytes that never occur in UTF-8
+    st.sampled_from([0xC0, 0xC1, *range(0xF5, 0x100)]).map(lambda b: bytes([b])),
+    st.characters(min_codepoint=0x80).map(truncated),
+    st.sampled_from([b"\xc0\xaf", b"\xe0\x80\xaf", b"\xf0\x80\x80\xaf"]),  # overlong
+    # a surrogate, and a code point past U+10FFFF
+    st.integers(0xD800, 0xDFFF).map(
+        lambda c: chr(c).encode("utf-8", "surrogatepass")),
+    st.just(b"\xf4\x90\x80\x80"),
+)
+
+
+@st.composite
+def undecodable_csvs(draw):
+    """A valid 400-row CSV, over the text stream's 8 KiB chunk, with one
+    invalid sequence put into a drawn line (the header included) at a drawn
+    offset; with or without a BOM, in LF or CRLF lines."""
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    bom = draw(st.sampled_from([b"", b"\xef\xbb\xbf"]))
+    lines = (bom + "".join(line + end for line in csv_lines(400)).encode()
+             ).split(b"\n")
+    at = draw(st.integers(0, len(lines) - 1))
+    line = lines[at]
+    offset = draw(st.integers(0, len(line)))
+    lines[at] = line[:offset] + draw(INVALID_SEQUENCES) + line[offset:]
+    return b"\n".join(lines)
+
+
+# 0.5-0.8 s of tier-1 on a 2-vCPU VM
+@given(undecodable_csvs())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_undecodable_row_is_the_reference_row(data):
+    row = undecodable_row(data)
+    assert row is not None
+    where = f"row {row}" if row else "the header"
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work, "t.csv")
+        path.write_bytes(data)
+        with pytest.raises(DataError) as exc:
+            load_csv(path)
+    assert str(exc.value) == f"{where} is not valid UTF-8 text"
+
+
+def eda_outcome(data: bytes):
+    """``cli.main(["eda", ...])`` on a file of ``data``, in process: the
+    exit code and what it wrote to stderr."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as work, \
+            contextlib.redirect_stderr(err):
+        path = Path(work, "t.csv")
+        path.write_bytes(data)
+        code = main(["eda", "--data", str(path), "--out", str(Path(work, "out"))])
+    return code, err.getvalue()
+
+
+def full_width(text: str) -> str:
+    return "".join(chr(ord(ch) + 0xFEE0) for ch in text)
+
+
+# one mutation of a valid 40-row CSV -> the data error it ends in, or None
+# for a layout that eda reads
+CSV_MUTATIONS = {
+    "bom": None, "crlf": None, "quoted_cell": None,
+    "short_row": "row {row} has 21 cells, expected 22",
+    "long_row": "row {row} has 23 cells, expected 22",
+    "bad_byte": "row {row} is not valid UTF-8 text",
+    "nan": "non-numeric cell 'nan' at row {row}, column {col}",
+    "inf": "non-numeric cell 'inf' at row {row}, column {col}",
+    "1e309": "non-numeric cell '1e309' at row {row}, column {col}",
+    "negative_code": ("value {value!r} at row {row}, column {col} outside "
+                      "integers in [{lo}, {hi}]"),
+    "3_0": "non-numeric cell '3_0' at row {row}, column {col}",
+    "full_width_digit": "non-numeric cell {text!r} at row {row}, column {col}",
+    "repeated_column": "repeated column: {col}",
+    "missing_column": "missing column: {col}",
+    "empty_file": "file is empty",
+    "header_only": "no data rows",
+}
+
+
+@st.composite
+def mutated_csvs(draw, mutation):
+    """``(bytes, expected data error or None)``: a valid 40-row CSV with one
+    mutation of ``CSV_MUTATIONS`` at a drawn row (1-based) and column."""
+    lines = [line.split(",") for line in csv_lines(40)]
+    row = draw(st.integers(1, 40))
+    j = draw(st.integers(0, len(CANONICAL_COLUMNS) - 1))
+    col = CANONICAL_COLUMNS[j]
+    lo, hi = dataset._RANGES[col]
+    negative = -draw(st.integers(1, 99))
+    fields = {"row": row, "col": col, "value": float(negative), "lo": lo,
+              "hi": "inf" if hi is None else hi}
+    cells = {
+        "quoted_cell": f'"{lines[row][j]}"', "nan": "nan", "inf": "inf",
+        "1e309": "1e309", "3_0": "3_0", "negative_code": str(negative),
+        "full_width_digit": full_width(lines[row][j]),
+    }
+    if mutation in cells:
+        fields["text"] = lines[row][j] = cells[mutation]
+    elif mutation == "short_row":
+        del lines[row][j]
+    elif mutation == "long_row":
+        lines[row].insert(j, "1")
+    elif mutation == "repeated_column":
+        at = draw(st.integers(0, len(CANONICAL_COLUMNS)))
+        for line in lines:
+            line.insert(at, line[j])
+    elif mutation == "missing_column":
+        for line in lines:
+            del line[j]
+    elif mutation == "header_only":
+        del lines[1:]
+    end = "\r\n" if mutation == "crlf" else "\n"
+    data = "".join(",".join(line) + end for line in lines).encode()
+    if mutation == "bom":
+        data = b"\xef\xbb\xbf" + data
+    elif mutation == "bad_byte":
+        split = data.split(b"\n")
+        split[row] = b"\xff" + split[row]
+        data = b"\n".join(split)
+    elif mutation == "empty_file":
+        data = b""
+    expected = CSV_MUTATIONS[mutation]
+    return data, None if expected is None else expected.format(**fields)
+
+
+class TestCsvContract:
+    """What ``diabrisk eda`` does with a CSV that differs from a valid one in
+    one place: it reads the layouts a CSV may take, and every other defect
+    ends in exit 2 and one ``data error:`` line naming the row, the column or
+    the header."""
+
+    # 10 examples per mutation: 0.6-0.9 s of tier-1 on a 2-vCPU VM
+    @pytest.mark.parametrize("mutation", sorted(CSV_MUTATIONS))
+    @given(data=st.data())
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    def test_one_mutation_is_read_or_named(self, mutation, data):
+        csv_bytes, expected = data.draw(mutated_csvs(mutation))
+        code, err = eda_outcome(csv_bytes)
+        if expected is None:
+            assert (code, err) == (0, "")
+        else:
+            assert (code, err) == (2, f"data error: {expected}\n")
+
+    # the benchmark's two malformed first rows, in a file of its layout
+    @pytest.mark.parametrize("row, line", [
+        (b"0.0,1.0,1.0,1.0,30.0,0.0,0.0,0.0,1.0,1.0,1.0,0.0,1.0,0.0,3.0,0.0,"
+         b"0.0,0.0,1.0,9.0\n",
+         "data error: row 1 has 20 cells, expected 22\n"),
+        (b"0.0,1.0,1.0,1.0,30.0,0.0,0.0,0.0,1.0,1.0,1.0,0.0,1.0,0.0,3.0,0.0,"
+         b"0.0,0.0,1.0,9.0,6.0,\xff7.0\n",
+         "data error: row 1 is not valid UTF-8 text\n"),
+    ], ids=["short_row", "bad_byte"])
+    def test_benchmark_inputs(self, row, line):
+        header, *rest = [s.encode() + b"\n" for s in csv_lines(40)]
+        assert eda_outcome(header + row + b"".join(rest[1:])) == (2, line)
+
+
 DEFECTS = [
     "clean", "padded", "short_row", "long_row", "text", "nan", "inf", "hash",
     "fraction", "out_of_range", "underscore", "full_width", "bad_byte",
@@ -248,7 +438,7 @@ def defective_csv(path, rng, defects):
         "fraction": f"{row[col]}.5",
         "out_of_range": str(rng.choice(["-1", "31", "99"])),
         "underscore": f"0_{row[col]}",
-        "full_width": "".join(chr(ord(ch) + 0xFEE0) for ch in row[col]),
+        "full_width": full_width(row[col]),
         "quoted": f'"{row[col]}"',
     }
     for defect in sorted(defects):  # a set iterates in hash order
