@@ -222,38 +222,33 @@ def load_csv(path) -> DataTable:
     """Load and strictly validate the 22-column indicators CSV.
 
     Row numbers in errors are 1-based data rows (header excluded). A file
-    that is not UTF-8 text names the row of its first invalid byte: the
-    number of newline bytes before it, counted in the file, since a newline
-    byte never occurs inside a UTF-8 sequence. A bad cell is located by
-    ``_parse_rows``. The table parsed last is kept in the cache directory
-    (``_cached``); a later load of the same bytes reads it from there if it
-    passes the check that ends a parse, ``_valid``, and parses again if not.
+    that is not UTF-8 text names the row of its first invalid byte, before
+    any parse: the number of newline bytes before it, since a newline byte
+    never occurs inside a UTF-8 sequence. The table parsed last is kept in
+    the cache directory (``_cached``); a later load of the same bytes reads
+    it from there if it passes the check that ends a parse, ``_valid``, and
+    parses again if not.
     """
     # opened once and read whole: a pipe cannot be read from its start twice
     with open(path, "rb") as fh:
         data = fh.read()
-    try:
-        return DataTable(CANONICAL_COLUMNS, _cached(data))
-    except UnicodeDecodeError:
-        # the text stream's error holds an offset into its chunk, not the file
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            row = data.count(b"\n", 0, exc.start)
-            where = f"row {row}" if row else "the header"
-            raise DataError(f"{where} is not valid UTF-8 text") from None
-        raise
+    return DataTable(CANONICAL_COLUMNS, _cached(data))
 
 
 def _valid(rows) -> bool:
     """Whether ``rows`` is a table: a C-ordered float64 array of at least
-    one row and 22 columns whose every cell is an integer code in
-    ``_RANGES``. A parse and a cache hit both end with it."""
+    one row and 22 columns, with no cell flagged by ``_bad_cells``. A parse
+    and a cache hit both end with it."""
     return bool(isinstance(rows, np.ndarray) and rows.dtype == np.float64
                 and rows.ndim == 2 and rows.shape[0] > 0
                 and rows.shape[1] == _LOW.size and rows.flags.c_contiguous
-                and (rows == np.trunc(rows)).all() and (rows >= _LOW).all()
-                and (rows <= _HIGH).all())
+                and not _bad_cells(rows).any())
+
+
+def _bad_cells(rows) -> np.ndarray:
+    """True where a cell is not an integer code in ``_RANGES``, NaN and
+    infinities included. ``argmax()`` gives the first, on the first bad row."""
+    return (rows != np.trunc(rows)) | (rows < _LOW) | (rows > _HIGH)
 
 
 def _cached(data: bytes) -> np.ndarray:
@@ -329,6 +324,13 @@ def _text(data: bytes):
 
 
 def _load_csv(data: bytes) -> np.ndarray:
+    try:
+        if not data.isascii():  # ASCII is UTF-8; a decode allocates a copy
+            data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        row = data.count(b"\n", 0, exc.start)
+        raise DataError(f"{f'row {row}' if row else 'the header'} "
+                        "is not valid UTF-8 text") from None
     fh = _text(data)
     reader = csv.reader(fh)
     try:
@@ -346,19 +348,18 @@ def _load_csv(data: bytes) -> np.ndarray:
     order = [header.index(name) for name in CANONICAL_COLUMNS]
     width = len(header)
     rows = _parse_whole(fh, width, order)
-    if rows is not None:
+    if rows is not None and _valid(rows):
         return rows
     reader = csv.reader(_text(data))
     next(reader)  # the header, read above
-    return _parse_rows(reader, width, order)
+    head = () if rows is None else rows[:_bad_cells(rows).argmax() // _LOW.size]
+    return _parse_rows(reader, width, order, head)
 
 
 def _parse_whole(fh, width: int, order: list):
-    """The data rows after the header, parsed by numpy in one call and
-    checked as whole columns, or None when anything is off. Then
-    ``_parse_rows`` decides: it locates the first bad cell, and it also
-    reads the layouts numpy does not (quoted cells, text in a column
-    outside the 22)."""
+    """The data rows after the header, parsed by numpy in one call, or None
+    when numpy cannot read them: a quoted cell, a cell that is no number to
+    numpy, a row of another width. Then ``_parse_rows`` reads every row."""
     try:
         with warnings.catch_warnings():
             # a header-only file; _parse_rows reports it as EmptyData
@@ -367,19 +368,22 @@ def _parse_whole(fh, width: int, order: list):
             # with it, loadtxt accepts a row longer than the header.
             body = np.loadtxt(fh, delimiter=",", dtype=float, comments=None,
                               ndmin=2)
-    except ValueError:  # UnicodeDecodeError is a ValueError
+    except ValueError:
         return None
     if body.shape[1] != width:
         return None
     # C-contiguous like the loop's np.array(data); body[:, order] would be
     # Fortran-ordered, and BLAS sums in another order on it
-    rows = body.take(order, axis=1)
-    return rows if _valid(rows) else None
+    return body.take(order, axis=1)
 
 
-def _parse_rows(reader, width: int, order: list) -> np.ndarray:
+def _parse_rows(reader, width: int, order: list, head) -> np.ndarray:
     """Parse and check the data rows cell by cell, each by ``_code``; the
-    first bad cell raises with its 1-based data row and column."""
+    first bad cell raises with its 1-based data row and column. The rows
+    numpy read before its first bad one, ``head``, are kept as read; only
+    their widths are checked. Array row k is the k-th non-empty CSV row when
+    ``loadtxt`` succeeds: both skip empty lines, LF or CRLF, and it fails on
+    a quoted cell, a whitespace-only line and a row of another width."""
     data = []
     i = 0
     try:
@@ -388,7 +392,8 @@ def _parse_rows(reader, width: int, order: list) -> np.ndarray:
                 continue
             if len(raw) != width:
                 raise DataError(f"row {i} has {len(raw)} cells, expected {width}")
-            data.append([_code(raw[j].strip(), i, col)
+            data.append(head[len(data)] if len(data) < len(head) else
+                        [_code(raw[j].strip(), i, col)
                          for j, col in zip(order, CANONICAL_COLUMNS)])
     except csv.Error as exc:  # raised while reading the row after row i
         raise DataError(f"row {i + 1}: {exc}") from None

@@ -251,9 +251,9 @@ INVALID_SEQUENCES = st.one_of(
 
 @st.composite
 def undecodable_csvs(draw):
-    """A valid 400-row CSV, over the text stream's 8 KiB chunk, with one
-    invalid sequence put into a drawn line (the header included) at a drawn
-    offset; with or without a BOM, in LF or CRLF lines."""
+    """A valid 400-row CSV with one invalid sequence put into a drawn line
+    (the header included) at a drawn offset; with or without a BOM, in LF or
+    CRLF lines."""
     end = draw(st.sampled_from(["\n", "\r\n"]))
     bom = draw(st.sampled_from([b"", b"\xef\xbb\xbf"]))
     lines = (bom + "".join(line + end for line in csv_lines(400)).encode()
@@ -405,7 +405,7 @@ DEFECTS = [
 
 def defective_csv(path, rng, defects):
     """Write a small random table with the given defects; return the path."""
-    # a bad byte in the first 8 KiB already fails the header read
+    # a bad byte goes into the second half of a file over 8 KiB
     n_rows = int(rng.integers(250, 400) if "bad_byte" in defects
                  else rng.integers(1, 30))
     rows = [[str(v) for v in row]
@@ -511,6 +511,79 @@ class TestWholeFileParse:
         path = defective_csv(tmp_path / "t.csv", np.random.default_rng(0), {defect})
         assert load_csv(path).n_rows > 0
         assert len(calls) == loops
+
+
+def calls_to(monkeypatch, *names):
+    """A list that gains a function's name at each call of one of
+    ``dataset``'s functions ``names``."""
+    calls = []
+    for name in names:
+        def call(*args, name=name, function=getattr(dataset, name)):
+            calls.append(name)
+            return function(*args)
+        monkeypatch.setattr(dataset, name, call)
+    return calls
+
+
+def with_bad_income(line: str) -> str:
+    """A CSV line of ``csv_lines`` with Income, its last cell, set to 9."""
+    return line.rsplit(",", 1)[0] + ",9"
+
+
+class TestFirstBadRow:
+    """A defect is judged once: a bad byte by one decode before any parse,
+    and a bad code numpy read by ``_bad_cells``, after which the cell loop
+    judges only from that code's row on."""
+
+    def test_late_bad_code_judges_one_row(self, tmp_path, monkeypatch):
+        lines = list(csv_lines(2000))
+        lines[1999] = with_bad_income(lines[1999])
+        path = tmp_path / "t.csv"
+        path.write_text("".join(line + "\n" for line in lines))
+        codes = calls_to(monkeypatch, "_code")
+        with pytest.raises(OutOfRange, match="^value 9.0 at row 1999, column Income"):
+            load_csv(path)
+        assert 0 < len(codes) <= len(CANONICAL_COLUMNS)
+
+    def test_bad_byte_parses_nothing(self, tmp_path, monkeypatch):
+        split = [line.encode() for line in csv_lines(2000)] + [b""]
+        split[2000] = b"\xff" + split[2000]
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"\n".join(split))
+        calls = calls_to(monkeypatch, "_parse_whole", "_parse_rows")
+        with pytest.raises(DataError, match="^row 2000 is not valid UTF-8 text$"):
+            load_csv(path)
+        assert calls == []
+
+    @pytest.mark.parametrize("layout", [
+        "blank_line", "crlf", "cr_line", "cr_endings", "bom"])
+    def test_skipped_rows_keep_the_row_number(self, tmp_path, monkeypatch,
+                                              layout):
+        # the bad row is row 40 of the file: a blank line, or one that holds
+        # only a carriage return, is a row; "cr_endings" ends the header and
+        # rows 1-9 in a lone carriage return
+        lines = list(csv_lines(60))
+        if layout in ("blank_line", "cr_line"):
+            lines.insert(10, "" if layout == "blank_line" else "\r")
+        lines[40] = with_bad_income(lines[40])
+        end = "\r\n" if layout == "crlf" else "\n"
+        data = "".join(line + end for line in lines).encode()
+        if layout == "cr_endings":
+            data = data.replace(b"\n", b"\r", 10)
+        if layout == "bom":
+            data = b"\xef\xbb\xbf" + data
+        path = tmp_path / "t.csv"
+        path.write_bytes(data)
+        with monkeypatch.context() as patch:
+            codes = calls_to(patch, "_code")
+            fast = load_outcome(path)
+        assert len(codes) <= len(CANONICAL_COLUMNS)  # only row 40 was judged
+        with monkeypatch.context() as patch:
+            patch.setattr(dataset, "_cached", dataset._load_csv)
+            patch.setattr(dataset, "_parse_whole", lambda *args: None)
+            slow = load_outcome(path)
+        assert fast == slow == (OutOfRange, "value 9.0 at row 40, column Income "
+                                "outside integers in [1, 8]")
 
 
 def cache_entries():
