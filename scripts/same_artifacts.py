@@ -3,32 +3,34 @@
     python3 scripts/same_artifacts.py OLD_SRC NEW_SRC
 
 OLD_SRC and NEW_SRC are ``src/`` directories of two checkouts. The script
-makes the seed-1 synthetic tables with this checkout's ``perfbench/synth.py``
-and runs the six benchmark commands, ``tune-only --experiment health``,
-``train --experiment health --split-first``, an L1 ``train --experiment
-health``, two one-tree ``features`` (the second on a larger table), a
-``features`` pinned to one CPU, ``tune-only --experiment income`` and a
-bounded tuned ``train --experiment income``, with each side's sources, with
-``--seed 1`` and one BLAS thread. Each command reads that side's
+makes the seed-1 synthetic tables with this checkout's
+``perfbench/synth.py`` and runs the six benchmark commands, a bounded
+``train --experiment income``, ``tune-only --experiment health``, ``train
+--experiment health --split-first``, an L1 ``train --experiment health``,
+two one-tree ``features`` (the second on a larger table), a ``features``
+pinned to one CPU, ``tune-only --experiment income`` and a bounded tuned
+``train --experiment income``, with each side's sources, with ``--seed 1``
+and one BLAS thread. Each command reads that side's
 ``perfbench/configs/*.cfg`` (next to its ``src/``) or one of the configs in
 ``WRITTEN_CONFIGS``, which the script writes into its temporary work
-directory for both sides to read. The split-first one covers the
-split-first SMOTE path of the health model and the ``splitfirst_`` file
-names. The L1 one covers the proximal Newton final fit on the training
-rows' count table in raw units. ``features`` runs its lasso, RFE and tree
-fits as jobs of one pool of forked workers wherever two or more CPUs are
-available; the one-tree ``features`` has a forest of one tree among those
-jobs, and the pinned one (``os.sched_setaffinity`` to one CPU before the
-program starts) runs every job in the calling process, so both paths are
-compared with the other side. SMOTE searches the minority rows of the
-larger one-tree ``features`` with its k-d tree and those of every other
-command in numpy, so both searches are compared too. ``tune-only
---experiment income`` runs the default tree grid on a table SMOTE'd whole,
-with no refit. The bounded one tunes ``max_depth`` 2 and 4 from
-``tree.min_samples_leaf = 20``, with a ``min_samples_split`` of 10,000 that
-turns some splits of the tree grown with the grid's smallest value into
-leaves. Both sides write under the same ``--out`` path, because
-``report.json`` echoes it.
+directory for both sides to read. The bounded untuned one fits the income
+tree with ``tree.max_depth = 2`` and ``tree.min_samples_split = 10000``,
+which prune it to 7 nodes at seed 1 (15 with the defaults). The split-first
+one covers the split-first SMOTE path of the health model and the
+``splitfirst_`` file names. The L1 one covers the proximal Newton final fit
+on the training rows' count table in raw units. ``features`` runs its lasso,
+RFE and tree fits as jobs of one pool of forked workers wherever two or more
+CPUs are available; the one-tree ``features`` has a forest of one tree among
+those jobs, and the pinned one (``os.sched_setaffinity`` to one CPU before
+the program starts) runs every job in the calling process, so both paths are
+compared with the other side. SMOTE searches the minority rows of the larger
+one-tree ``features`` with its k-d tree and those of every other command in
+numpy, so both searches are compared too. ``tune-only --experiment income``
+runs the default tree grid on a table SMOTE'd whole, with no refit. The
+bounded tuned one tunes ``max_depth`` 2 and 4 from ``tree.min_samples_leaf =
+20``, with a ``min_samples_split`` of 10,000 that turns some splits of each
+fold's grown tree into leaves. Both sides write under the same ``--out``
+path, because ``report.json`` echoes it.
 Every file is then compared byte for byte, except ``created_unix_time`` in
 each ``*manifest.json``. Each file that differs is printed; for a CSV or JSON
 file the line adds the largest absolute difference between numbers in the
@@ -40,9 +42,9 @@ either side wrote. The exit code is 1 if any file differs, else 0.
 Each side caches parsed tables in a directory of its own inside the work
 directory (``XDG_CACHE_HOME``), so neither side reads or writes the user's
 cache. The cache holds the table parsed last, so a side hits only when the
-command before it read the same table (``baseline``, ``train-income`` and
-``train-income-tuned-bounded``); each such command compares a hit with the
-other side's load, a hit or a parse.
+command before it read the same table (``baseline``, ``train-income``,
+``train-income-bounded`` and ``train-income-tuned-bounded``); each such
+command compares a hit with the other side's load, a hit or a parse.
 
 Every command runs in the script's temporary work directory. ``python -c``
 puts its working directory ahead of ``PYTHONPATH`` on ``sys.path``, so run
@@ -74,6 +76,7 @@ WRITTEN_CONFIGS = {
     "l1-raw.cfg": ("logreg.penalty = l1\nlogreg.optimizer = coordinate\n"
                    "logreg.standardize = false\n"),
     "one-tree.cfg": "forest.n_trees = 1\n",
+    "tree-bounded.cfg": "tree.max_depth = 2\ntree.min_samples_split = 10000\n",
     "income-bounded.cfg": ("tree.min_samples_leaf = 20\n"
                            "grid.tree.max_depth = 2, 4\n"
                            "grid.tree.min_samples_split = 2, 10000\n"),
@@ -85,6 +88,8 @@ COMMANDS = {
     "eda": (0.16, "survey.cfg", ("eda",)),
     "baseline": (0.16, "survey.cfg", ("baseline",)),
     "train-income": (0.16, "survey.cfg", ("train", "--experiment", "income")),
+    "train-income-bounded": (0.16, "tree-bounded.cfg",
+                             ("train", "--experiment", "income")),
     "train-health-tuned": (0.10, "health-tuned.cfg",
                            ("train", "--experiment", "health", "--tuned")),
     "train-income-tuned": (0.15, "income-tuned.cfg",

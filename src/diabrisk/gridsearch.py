@@ -11,7 +11,8 @@ wide table of nearly distinct rows they save no rows and cost a sort.
 
 A family scores all cells of a fold at once, ``score(cells, fold)``: the
 logistic family fits every cell, the tree family one tree per
-``min_samples_leaf`` (``_score_tree``). ``n_fits`` counts cells x folds."""
+``min_samples_leaf`` with no other stopping rule, which ``tree.stop_early``
+prunes to each cell's (``_score_tree``). ``n_fits`` counts cells x folds."""
 from __future__ import annotations
 
 import itertools
@@ -103,21 +104,17 @@ def _score_logistic(cells, fold):
 
 def _score_tree(cells, fold):
     """Each cell's AUC on ``fold``: one fit per ``min_samples_leaf``, with
-    the loosest stopping rules among its cells, from which ``stop_early``
-    derives each cell's tree. Cells whose trees have the same shape share
-    them, and each distinct tree is scored once."""
+    no ``max_depth`` or ``min_samples_split``, which ``stop_early`` prunes to
+    each cell's tree. Cells whose trees have the same shape share them, and
+    each distinct tree is scored once."""
     (X_train, y_train, n_train), (X_valid, y_valid, n_valid) = fold
     scores = [None] * len(cells)
     groups = {}
     for i, params in enumerate(cells):
         groups.setdefault(params.min_samples_leaf, []).append(i)
-    for group in groups.values():
-        depths = [cells[i].max_depth for i in group]
-        loosest = replace(
-            cells[group[0]],
-            max_depth=None if None in depths else max(depths),
-            min_samples_split=min(cells[i].min_samples_split for i in group))
-        grown = fit_tree(X_train, y_train, loosest, counts=n_train)
+    for leaf, group in groups.items():
+        grown = fit_tree(X_train, y_train, TreeParams(min_samples_leaf=leaf),
+                         counts=n_train)
         scored = {}  # tree shape -> AUC
         for i in group:
             model = stop_early(grown, cells[i])

@@ -206,13 +206,31 @@ class TestTrain:
                        "--data", synthetic_csv, "--out", str(out),
                        "--config", str(conf))
         assert code == 0
-        # 3 folds x 1 min_samples_leaf group (grown to the deeper cell's
-        # max_depth, 4) + the refit
+        # 3 folds x 1 min_samples_leaf group (grown with no max_depth, which
+        # stop_early applies to each cell) + the refit
         assert len(seen) == 4
-        assert [p.max_depth for p in seen[:3]] == [4, 4, 4]
+        assert [p.max_depth for p in seen[:3]] == [None, None, None]
         assert all(p.min_samples_leaf == 20 for p in seen)
         report = read_json(out / "report.json")
         assert report["model"]["params"]["min_samples_leaf"] == 20
+
+    @pytest.mark.parametrize("config, args, leaf", [
+        ("tree.min_samples_leaf = 9223372036854775808\n", (), 2**63),
+        ("grid.tree.min_samples_leaf = 1, 100000000000000000000000\n",
+         ("--tuned",), 1),
+    ], ids=["leaf-2**63", "grid-leaf-10**23"])
+    def test_huge_min_samples_leaf_runs(self, synthetic_csv, tmp_path,
+                                        config, args, leaf):
+        # a leaf bound above the row count gives one leaf; the report and
+        # tree.txt keep the value asked for
+        out = tmp_path / "out"
+        code = run_cli("train", "--experiment", "income", *args,
+                       "--data", synthetic_csv, "--out", str(out),
+                       "--config", str(write_config(tmp_path, config)))
+        assert code == 0
+        report = read_json(out / "report.json")
+        assert report["model"]["params"]["min_samples_leaf"] == leaf
+        assert f"min_samples_leaf={leaf} " in (out / "tree.txt").read_text()
 
     def test_baseline_runs_without_smote(self, synthetic_csv, tmp_path):
         out = tmp_path / "out"

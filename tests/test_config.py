@@ -280,8 +280,11 @@ class TestConfigContract:
     Huge values of unbounded keys are not mutations here, because they run:
     ``seed``, ``smote.seed``, ``logreg.max_iter``, ``tree.max_depth`` and
     ``forest.max_features`` at 10**23 each ran ``train`` and ``features``
-    on a 0.02-scale table. A ``cv.folds`` above the row count exits 3 after
-    the data is read, by design."""
+    on a 0.02-scale table, and ``tree.min_samples_split``,
+    ``tree.min_samples_leaf`` and ``grid.tree.min_samples_leaf`` (with 1)
+    at 10**23 each ran ``train --experiment income``, with and without
+    ``--tuned``. A ``cv.folds`` above the row count exits 3 after the data
+    is read, by design."""
 
     def test_valid_config_runs(self):
         code, err, _ = eda_with_config(

@@ -266,7 +266,7 @@ class TestTreeCountTables:
         table = count_tables(X, y)()
         assert gridsearch._score_tree(cells, (table, table)) == want
 
-    def test_bounded_group_grows_a_bounded_tree(self, monkeypatch):
+    def test_bounded_cells_grow_one_unbounded_tree(self, monkeypatch):
         X, y = self.duplicated_problem()
         grown = []
         fit = gridsearch.fit_tree
@@ -278,7 +278,8 @@ class TestTreeCountTables:
         monkeypatch.setattr(gridsearch, "fit_tree", recording)
         result = grid_search(X, y, "tree", {"max_depth": [2, 3]}, self.CV,
                              base=TreeParams(min_samples_split=9))
-        assert grown == [TreeParams(max_depth=3, min_samples_split=9)] * 4
+        # stop_early alone applies max_depth and min_samples_split
+        assert grown == [TreeParams(min_samples_leaf=1)] * 4
         assert result.scores.tobytes() == _tree_scores_on_rows(
             X, y, result.combos, self.CV,
             TreeParams(min_samples_split=9)).tobytes()

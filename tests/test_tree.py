@@ -13,6 +13,9 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import REPO_ROOT, synthetic_rows, write_rows
 from diabrisk import feature_selection, pipeline, tree
@@ -227,6 +230,16 @@ class TestFitTree:
         grid = np.linspace(0.5, 8.5, 200).reshape(-1, 1)
         _, scores = predict_tree(model, grid)
         assert len(np.unique(scores)) <= 8
+
+    @pytest.mark.parametrize("leaf", [2**63, 10**23])
+    def test_huge_min_samples_leaf_is_one_leaf(self, leaf):
+        X, y, Xd, yd, counts = income_table(3, 200)
+        params = TreeParams(min_samples_leaf=leaf)
+        for model in (fit_tree(X, y, params),
+                      fit_tree(Xd, yd, params, counts=counts)):
+            assert model.feature.tolist() == [-1]
+            assert model.n_samples.tolist() == [200]
+            assert model.params == params
 
     def test_no_rows_is_empty_node(self):
         with pytest.raises(EmptyNode, match="at least one row"):
@@ -647,7 +660,7 @@ def grow_levels(X, y, rng, max_features, counts=None):
     X = as_matrix(X)
     return tree._grow_levels(
         np.ascontiguousarray(X.T), as_labels(y, n_rows=X.shape[0]),
-        as_counts(counts, X.shape[0]), TreeParams(), rng, max_features)
+        as_counts(counts, X.shape[0]), 1, rng, max_features)
 
 
 # A frozen per-node reference of the level-wise grower's draws: nodes are
@@ -848,23 +861,14 @@ class TestPresortedOracle:
 
 
 def assert_derived_equal_fits(X, y, cells, counts=None):
-    """``stop_early`` gives every cell ``fit_tree``'s tree, derived from one
-    tree per ``min_samples_leaf`` grown with its cells' loosest rules (no
-    ``max_depth`` if any cell has none, else the deepest; the smallest
-    ``min_samples_split``), as the tree grid search grows them; the grown
-    trees."""
-    grown = {}
-    for leaf in {cell.min_samples_leaf for cell in cells}:
-        group = [cell for cell in cells if cell.min_samples_leaf == leaf]
-        depths = [cell.max_depth for cell in group]
-        loosest = TreeParams(
-            max_depth=None if None in depths else max(depths),
-            min_samples_split=min(cell.min_samples_split for cell in group),
-            min_samples_leaf=leaf)
-        grown[leaf] = fit_tree(X, y, loosest, counts=counts)
+    """``stop_early`` gives every cell the per-node reference's tree,
+    derived from one tree per ``min_samples_leaf`` grown with no other
+    stopping rule, as the tree grid search grows them; the grown trees."""
+    grown = {leaf: fit_tree(X, y, TreeParams(min_samples_leaf=leaf), counts=counts)
+             for leaf in {cell.min_samples_leaf for cell in cells}}
     for cell in cells:
         assert_same_tree(tree.stop_early(grown[cell.min_samples_leaf], cell),
-                         fit_tree(X, y, cell, counts=counts))
+                         reference_fit_tree(X, y, cell, counts=counts))
     return grown
 
 
@@ -912,21 +916,55 @@ class TestStopEarly:
                                                  TreeParams(min_samples_split=3)])
         assert grown[1].feature.tolist() == [-1]
 
-    def test_bounded_group_grows_a_bounded_tree(self):
-        X, y, Xd, yd, counts = income_table(7, 2000)
-        cells = [TreeParams(max_depth=2, min_samples_split=50),
-                 TreeParams(max_depth=3, min_samples_split=10)]
-        grown = assert_derived_equal_fits(Xd, yd, cells, counts)[1]
-        assert grown.params == TreeParams(max_depth=3, min_samples_split=10)
-        assert max(d for _, d in walk(grown)) == 3
-        # the bound cut splits that an unbounded tree makes
-        assert grown.feature.size < fit_tree(Xd, yd, counts=counts).feature.size
-
     @pytest.mark.parametrize("seed", range(3))
     def test_cells_in_shuffled_order(self, seed):
         X, y, Xd, yd, counts = income_table(seed, 1000)
         order = np.random.default_rng(seed).permutation(len(GRID_CELLS))
         assert_derived_equal_fits(Xd, yd, [GRID_CELLS[i] for i in order], counts)
+
+
+@st.composite
+def drawn_tables(draw, counted=st.booleans()):
+    """(X, y, counts) of 2-60 rows whose columns take few distinct values;
+    counts of 1-4 per row, or None when ``counted`` draws False."""
+    n = draw(st.integers(2, 60))
+    p = draw(st.integers(1, 3))
+    X = draw(arrays(np.float64, (n, p),
+                    elements=st.sampled_from([-1.5, -0.0, 0.0, 1.5, 3.0])))
+    y = draw(arrays(np.int64, n, elements=st.integers(0, 1)))
+    counts = None
+    if draw(counted):
+        counts = draw(arrays(np.int64, n, elements=st.integers(1, 4)))
+    return X, y, counts
+
+
+drawn_params = st.builds(
+    TreeParams, max_depth=st.none() | st.integers(1, 6),
+    min_samples_split=st.integers(2, 40),
+    min_samples_leaf=st.integers(1, 5) | st.just(2**63))
+
+
+class TestTreeProperties:
+    """The exactness claims of ``fit_tree``, over drawn tables with heavy
+    ties and drawn stopping rules. 300 examples each: about 4 s of tier-1
+    on a 2-vCPU VM."""
+
+    @given(table=drawn_tables(), params=drawn_params)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_equals_per_node_reference(self, table, params):
+        X, y, counts = table
+        assert_same_tree(fit_tree(X, y, params, counts=counts),
+                         reference_fit_tree(X, y, params, counts=counts))
+
+    @given(table=drawn_tables(counted=st.just(True)), params=drawn_params,
+           data=st.data())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_count_table_equals_repeated_rows(self, table, params, data):
+        X, y, counts = table
+        order = data.draw(st.permutations(range(int(counts.sum()))))
+        assert_same_tree(fit_tree(X, y, params, counts=counts),
+                         fit_tree(np.repeat(X, counts, axis=0)[order],
+                                  np.repeat(y, counts)[order], params))
 
 
 # ---------------------------------------------------------------- pool
