@@ -13,12 +13,14 @@ queries have ties at the k-th distance.
 Copies of a row have its distances, so each distinct minority row is ranked
 once: its k + 1 nearest member rows by the rule, its own copies among them.
 A member row's neighbours are that list less itself, or less its last row
-when it is not on the list. A small search (at most ``_SCREEN_PAIRS`` pairs
-of distinct rows: 5,792 distinct minority rows) screens every distinct row
-in numpy; a larger one asks a k-d tree, and only then is scipy imported. At
-full scale that is ``features`` alone. Either way the candidates are
-rescored and ranked by the rule, so the neighbours do not depend on the
-tree's layout.
+when it is not on the list. Every distinct row holds a member row, so a
+query's k + 1 nearest member rows lie within the distance of its (k + 1)-th
+nearest distinct row: a search keeps the distinct rows within that bound.
+A small search (at most ``_SCREEN_PAIRS`` pairs of distinct rows: 5,792
+distinct minority rows) screens every distinct row in numpy; a larger one
+asks a k-d tree, and only then is scipy imported. At full scale that is
+``features`` alone. Either way the candidates are rescored and ranked by
+the rule, so the neighbours do not depend on the tree's layout.
 """
 from __future__ import annotations
 
@@ -69,7 +71,7 @@ def _minority_neighbors(minority: np.ndarray, k: int) -> np.ndarray:
             f"lie within +-{top:.3g}; got {largest:.3g}")
     search = (_screen if distinct.shape[0] ** 2 <= _SCREEN_PAIRS
               else _tree_search)
-    group, candidate = search(distinct, counts, k)
+    group, candidate = search(distinct, k)
     # the k + 1 lowest member rows of each candidate: the others tie with
     # them and rank after them
     taken = np.minimum(counts[candidate], k + 1)
@@ -82,37 +84,26 @@ def _minority_neighbors(minority: np.ndarray, k: int) -> np.ndarray:
     return ranked[keep].reshape(-1, k)
 
 
-def _threshold(values, counts, k):
-    """Per row of ``values``, scores sorted ascending with one column per
-    distinct row of ``counts`` member rows: the (k + 1)-th member row's
-    score. A query's own copies count, so this is its k-th distance."""
-    reached = np.cumsum(counts, axis=1) >= k + 1
-    return values[np.arange(values.shape[0]), reached.argmax(axis=1)]
-
-
-def _screen(distinct, counts, k):
-    """Pairs (queried distinct row, distinct row) that hold every row within
-    each query's k-th distance, for every distinct row as the query. numpy
-    scores all distinct rows x of a query q by the Gram form |x|² - 2 q·x,
-    that is d² less |q|², one BLAS call a block, and keeps those within the
-    k-th distance's score plus a slack above the form's rounding error. On
-    integer codes the form is exact and the slack below 1."""
+def _screen(distinct, k):
+    """Pairs (queried distinct row, distinct row) that hold every distinct
+    row within each query's bound, for every distinct row as the query.
+    numpy scores all distinct rows x of a query q by the Gram form
+    |x|² - 2 q·x, that is d² less |q|², one BLAS call a block, and keeps
+    those within the (k + 1)-th least score plus a slack above the form's
+    rounding error. On integer codes the form is exact and the slack below
+    1."""
     d, p = distinct.shape
     sq = np.einsum("ij,ij->i", distinct, distinct)
     reach = np.sqrt(sq.max())
     twice = -2.0 * distinct.T
     step = max(1, _BLOCK_CELLS // d)
+    kth = min(k, d - 1)
     found = []
     for start in range(0, d, step):
         block = np.arange(start, min(start + step, d))
         scores = distinct[block] @ twice
         scores += sq
-        # the (k + 1)-th member row is among the k + 1 least distinct rows
-        near = np.argpartition(scores, min(k, d - 1), axis=1)[:, :k + 1]
-        near_scores = np.take_along_axis(scores, near, axis=1)
-        order = np.argsort(near_scores, axis=1)
-        limit = _threshold(np.take_along_axis(near_scores, order, axis=1),
-                           counts[np.take_along_axis(near, order, axis=1)], k)
+        limit = np.partition(scores, kth, axis=1)[:, kth]
         # a score is off by at most (p + 2) units of rounding of
         # (|q| + |x|)², plus underflow: twice that covers the error of both
         # a score and the limit
@@ -124,23 +115,24 @@ def _screen(distinct, counts, k):
     return tuple(np.concatenate(column) for column in zip(*found))
 
 
-def _tree_search(distinct, counts, k):
-    """The pairs of ``_screen`` from a k-d tree of the distinct rows. Each
-    query asks for 4(k + 1) neighbours; a query whose last one is not past
-    its k-th distance may have missed a tie, and asks again for twice as
-    many. The tree's distances are square roots of its own sums, so the
-    comparison is padded: by a relative 1e-12 for rounding and by 1e-150 for
-    squares that underflow."""
+def _tree_search(distinct, k):
+    """The pairs of ``_screen`` from a k-d tree of the distinct rows, within
+    each query's (k + 1)-th least distance. Each query asks for 4(k + 1)
+    neighbours; a query whose last one is not past that bound may have
+    missed a tie, and asks again for twice as many. The tree's distances are
+    square roots of its own sums, so the comparison is padded: by a relative
+    1e-12 for rounding and by 1e-150 for squares that underflow."""
     from scipy.spatial import cKDTree
 
     tree = cKDTree(distinct)
     d = distinct.shape[0]
     groups = np.arange(d)
-    ask = min(4 * (k + 1), d)  # >= 2, so query returns one row per query
+    ask = min(4 * (k + 1), d)
     found = []
     while groups.size:
-        dist, idx = tree.query(distinct[groups], k=ask)
-        limit = _threshold(dist, counts[idx], k) * (1 + 1e-12) + 1e-150
+        # a range of k gives one row per query, also when ask is 1
+        dist, idx = tree.query(distinct[groups], k=range(1, ask + 1))
+        limit = dist[:, min(k, ask - 1)] * (1 + 1e-12) + 1e-150
         done = dist[:, -1] > limit if ask < d else np.ones(groups.size, bool)
         pair, column = np.nonzero(dist[done] <= limit[done, None])
         found.append((groups[done][pair], idx[done][pair, column]))

@@ -6,6 +6,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from diabrisk import smote
 from diabrisk.errors import DataError, SingleClass, TooFewMinority
@@ -270,6 +273,37 @@ def test_tree_search_ignores_the_tree_layout(leafsize, monkeypatch):
         scipy.spatial.cKDTree, leafsize=leafsize))
     got = smote._minority_neighbors(minority, k)
     assert np.array_equal(got, _rule_neighbors(minority, k))
+
+
+@st.composite
+def drawn_minorities(draw):
+    """A minority table of 2-60 rows and 1-8 columns with its k: copies of
+    up to 60 distinct rows of codes 0-3, some moved by 1e-8 or 2e-8, so
+    that copies reach k + 1 and distances tie or nearly tie. The number of
+    distinct rows is drawn from 1-8 or from 1-60, so that d <= k + 1 and
+    d = 1 occur."""
+    n = draw(st.integers(2, 60))
+    p = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 8) | st.integers(1, 60))
+    cells = functools.partial(arrays, np.float64, (m, p), fill=st.nothing())
+    codes = draw(cells(elements=st.sampled_from([0.0, 1, 2, 3])))
+    moves = draw(cells(elements=st.sampled_from([0.0, 1e-8, 2e-8])))
+    which = draw(arrays(np.int64, n, elements=st.integers(0, m - 1),
+                        fill=st.nothing()))
+    k = min(draw(st.integers(1, 6)), n - 1)  # as smote_balance clamps it
+    return (codes + moves)[which], k
+
+
+@given(case=drawn_minorities())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_both_searches_follow_the_rule_on_drawn_tables(case):
+    """300 examples: about 4 s of tier-1 on a 2-vCPU VM."""
+    minority, k = case
+    want = _rule_neighbors(minority, k)
+    for pairs in (10 ** 9, 0):  # the screen, then the k-d tree
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(smote, "_SCREEN_PAIRS", pairs)
+            assert np.array_equal(smote._minority_neighbors(minority, k), want)
 
 
 def _loads_scipy(code, *argv):
