@@ -10,7 +10,10 @@ makes the seed-1 synthetic tables with this checkout's
 two one-tree ``features`` (the second on a larger table), a ``features``
 pinned to one CPU, ``tune-only --experiment income`` and a bounded tuned
 ``train --experiment income``, with each side's sources, with ``--seed 1``
-and one BLAS thread. Each command reads that side's
+and one BLAS thread, and ``eda`` once more on a copy of the 0.16-scale table
+with every cell in double quotes, written in the work directory. A side that
+builds a quoted table in its row-by-row loop, not in numpy, is so compared
+with one that builds it in numpy. Each command reads that side's
 ``perfbench/configs/*.cfg`` (next to its ``src/``) or one of the configs in
 ``WRITTEN_CONFIGS``, which the script writes into its temporary work
 directory for both sides to read. The bounded untuned one fits the income
@@ -111,14 +114,17 @@ COMMANDS = {
     "train-income-tuned-bounded": (0.15, "income-bounded.cfg",
                                    ("train", "--experiment", "income",
                                     "--tuned")),
+    "eda-quoted": (0.16, "survey.cfg", ("eda",)),
 }
 # commands whose process may run on one CPU only
 ONE_CPU = {"features-one-cpu"}
+# commands that read their table with every cell in double quotes
+QUOTED = {"eda-quoted"}
 
 
 def make_inputs(work: Path) -> dict:
     """Write ``WRITTEN_CONFIGS`` and the synthetic tables into ``work``; the
-    tables' paths by scale."""
+    tables' paths by scale and whether every cell is quoted."""
     for name, text in WRITTEN_CONFIGS.items():
         (work / name).write_text(text)
     tables = {}
@@ -127,7 +133,13 @@ def make_inputs(work: Path) -> dict:
         subprocess.run([sys.executable, str(SYNTH), "--seed", SEED,
                         "--scale", str(scale), "--out", str(path)],
                        check=True, stdout=subprocess.DEVNULL)
-        tables[scale] = path
+        tables[scale, False] = path
+    for scale in sorted({COMMANDS[name][0] for name in QUOTED}):
+        path = work / f"table_{scale}_quoted.csv"
+        lines = tables[scale, False].read_text().splitlines()
+        path.write_text("".join(",".join(f'"{cell}"' for cell in line.split(","))
+                                + "\n" for line in lines))
+        tables[scale, True] = path
     return tables
 
 
@@ -164,7 +176,8 @@ def run_side(src: Path, cache: Path, tables: dict, out: Path,
     for name, (scale, config, args) in COMMANDS.items():
         config = (out.parent if config in WRITTEN_CONFIGS else configs) / config
         entry = PIN + ENTRY if name in ONE_CPU else ENTRY
-        argv = [sys.executable, "-c", entry, *args, "--data", str(tables[scale]),
+        table = tables[scale, name in QUOTED]
+        argv = [sys.executable, "-c", entry, *args, "--data", str(table),
                 "--config", str(config), "--seed", SEED,
                 "--out", str(out / name)]
         proc = subprocess.run(argv, env=env, cwd=out.parent,

@@ -348,43 +348,55 @@ def _load_csv(data: bytes) -> np.ndarray:
     order = [header.index(name) for name in CANONICAL_COLUMNS]
     width = len(header)
     rows = _parse_whole(fh, width, order)
-    if rows is not None and _valid(rows):
+    valid = rows is not None and _valid(rows)
+    # a code (it holds no comma) over the csv module's field limit spans an
+    # aligned block of half that many bytes with no comma: then the loop
+    # reads the file with the csv module, which names the cell
+    step = csv.field_size_limit() // 2
+    if valid and all(data.find(b",", i, i + step) >= 0
+                     for i in range(0, len(data) - step + 1, step)):
         return rows
     reader = csv.reader(_text(data))
     next(reader)  # the header, read above
-    head = () if rows is None else rows[:_bad_cells(rows).argmax() // _LOW.size]
-    return _parse_rows(reader, width, order, head)
+    first = 0 if rows is None else _bad_cells(rows).argmax() // _LOW.size
+    _parse_rows(reader, width, order, first)
+    if not valid:
+        raise DataError("numpy rejected the rows, but no row has a defect")
+    return rows
 
 
 def _parse_whole(fh, width: int, order: list):
     """The data rows after the header, parsed by numpy in one call, or None
-    when numpy cannot read them: a quoted cell, a cell that is no number to
-    numpy, a row of another width. Then ``_parse_rows`` reads every row."""
+    when it cannot (a text code, a line of blanks, a row of another width)
+    or a cell the table does not use is over the csv module's limit."""
     try:
         with warnings.catch_warnings():
             # a header-only file; _parse_rows reports it as EmptyData
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             # comments=None: "#" is a bad cell, not a comment. No usecols:
-            # with it, loadtxt accepts a row longer than the header.
+            # with it, loadtxt accepts a row longer than the header. A column
+            # the table does not use may hold any text: read as its length.
+            unused = sorted(set(range(width)) - set(order))
             body = np.loadtxt(fh, delimiter=",", dtype=float, comments=None,
-                              ndmin=2)
+                              quotechar='"', ndmin=2,
+                              converters=dict.fromkeys(unused, len))
     except ValueError:
         return None
-    if body.shape[1] != width:
+    if (body.shape[1] != width
+            or (body[:, unused] > csv.field_size_limit()).any()):
         return None
-    # C-contiguous like the loop's np.array(data); body[:, order] would be
-    # Fortran-ordered, and BLAS sums in another order on it
+    # C-contiguous: BLAS sums a Fortran-ordered body[:, order] in another order
     return body.take(order, axis=1)
 
 
-def _parse_rows(reader, width: int, order: list, head) -> np.ndarray:
-    """Parse and check the data rows cell by cell, each by ``_code``; the
-    first bad cell raises with its 1-based data row and column. The rows
-    numpy read before its first bad one, ``head``, are kept as read; only
-    their widths are checked. Array row k is the k-th non-empty CSV row when
-    ``loadtxt`` succeeds: both skip empty lines, LF or CRLF, and it fails on
-    a quoted cell, a whitespace-only line and a row of another width."""
-    data = []
+def _parse_rows(reader, width: int, order: list, first: int):
+    """Raise the first defect of the data rows, if any: a row of another
+    width, or from array row ``first`` on, a cell ``_code`` rejects, with
+    its 1-based data row and column. Array row k is the k-th non-empty CSV
+    record when ``loadtxt`` succeeds: both skip empty lines, LF or CRLF, a
+    quoted line break stays in its record, and it fails on a whitespace-only
+    line."""
+    n_rows = 0  # non-empty records read
     i = 0
     try:
         for i, raw in enumerate(reader, start=1):
@@ -392,14 +404,14 @@ def _parse_rows(reader, width: int, order: list, head) -> np.ndarray:
                 continue
             if len(raw) != width:
                 raise DataError(f"row {i} has {len(raw)} cells, expected {width}")
-            data.append(head[len(data)] if len(data) < len(head) else
-                        [_code(raw[j].strip(), i, col)
-                         for j, col in zip(order, CANONICAL_COLUMNS)])
+            if n_rows >= first:
+                for j, col in zip(order, CANONICAL_COLUMNS):
+                    _code(raw[j].strip(), i, col)
+            n_rows += 1
     except csv.Error as exc:  # raised while reading the row after row i
         raise DataError(f"row {i + 1}: {exc}") from None
-    if not data:
+    if not n_rows:
         raise EmptyData("no data rows")
-    return np.array(data, dtype=float)
 
 
 def binarize_target(table: DataTable):

@@ -6,12 +6,13 @@ WIDTH, HEIGHT = 640, 480
 MARGIN = 60
 
 
-def _header(title: str) -> list:
+def _header(title: str, width: int = WIDTH, height: int = HEIGHT,
+            title_x: float = WIDTH / 2) -> list:
     return [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
-        f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
-        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
-        f'<text x="{WIDTH / 2}" y="24" text-anchor="middle" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{height}" viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<text x="{title_x:.1f}" y="24" text-anchor="middle" '
         f'font-family="sans-serif" font-size="16">{title}</text>',
     ]
 
@@ -120,15 +121,7 @@ def heatmap_svg(labels, values, undefined_mask, title: str) -> str:
     left, top = 150, 150
     size = 560
     cell = size / max(p, 1)
-    width = left + size + 20
-    height = top + size + 20
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
-        f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">',
-        f'<rect width="{width:.0f}" height="{height:.0f}" fill="white"/>',
-        f'<text x="{left + size / 2:.1f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="16">{title}</text>',
-    ]
+    parts = _header(title, left + size + 20, top + size + 20, left + size / 2)
     for i in range(p):
         for j in range(p):
             color = "lightgrey" if undefined_mask[i][j] else _heat_color(values[i][j])

@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -1030,6 +1030,26 @@ class TestForestPool:
         X, y = forest_data()
         fit_forest(X, y, ForestParams(n_trees=1))
         assert grown_here == [1]
+
+    # 60 examples, 29 of them with 2-4 trees on 2 forked workers: about 1 s
+    # of tier-1 on a 2-vCPU VM
+    @given(table=drawn_tables(counted=st.just(False)), n_trees=st.integers(1, 4),
+           data=st.data())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_forked_rows_equal_in_process_rows(self, table, n_trees, data):
+        X, y, _ = table
+        assume(0 < y.sum() < y.size)
+        params = ForestParams(
+            n_trees=n_trees, max_features=data.draw(st.integers(1, X.shape[1])),
+            seed=data.draw(st.integers(0, 2**32 - 1)))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("diabrisk.pool._n_workers", lambda n_jobs: 1)
+            here = fit_forest(X, y, params)
+        with pytest.MonkeyPatch.context() as patch:
+            visible_cpus(patch, 2)
+            forked = fit_forest(X, y, params)
+        assert multiprocessing.active_children() == []
+        assert (forked.shape, forked.tobytes()) == (here.shape, here.tobytes())
 
     FAILING = """
 import multiprocessing, os, sys
